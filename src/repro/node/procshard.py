@@ -61,6 +61,11 @@ a schedule per run:
   foreign replica's claims and open claim locks, every foreign shard's
   down-node set and the suspension table (served locally by
   :class:`RemoteShardContext`), and returns the worker's own dumps.
+  Both directions travel as deltas: a view ships only the foreign
+  parts that moved since the worker's last turn (the first dispatch
+  and a redo ship it whole), and a dump only the worker's parts that
+  moved since its last dump (claims are re-read only when the ledger
+  replica's mutation ``version`` moved).
   Because only one kernel executes at a time and views refresh between
   turns, every foreign read returns exactly what the in-process live
   read would — the two backends walk the same event sequence.
@@ -292,10 +297,22 @@ class RemoteShardContext:
     # -- foreign state views ------------------------------------------------------
 
     def update_views(self, views: dict[str, Any]) -> None:
+        """Install coordinator views: replace on a full view, merge a
+        ``"delta"`` (which carries only the parts that moved)."""
         self._suspended_view = views["suspended"]
-        self._down_view = views["down"]
-        self._claims_view = views["claims"]
-        self._locks_view = views["locks"]
+        if views.get("delta"):
+            self._down_view.update(views["down"])
+            self._claims_view.update(views["claims"])
+            self._locks_view.update(views["locks"])
+        else:
+            self._down_view = dict(views["down"])
+            self._claims_view = dict(views["claims"])
+            self._locks_view = dict(views["locks"])
+
+    def views(self) -> dict[str, Any]:
+        """The merged foreign views this context currently serves."""
+        return {"suspended": self._suspended_view, "down": self._down_view,
+                "claims": self._claims_view, "locks": self._locks_view}
 
     def foreign_node_up(self, shard: int, name: str) -> bool:
         up = name not in self._down_view.get(shard, ())
@@ -452,6 +469,12 @@ class _WorkerServer:
         self.ring_in = ring_in
         self.ring_out = ring_out
         self._record_prints: dict[str, tuple] = {}
+        #: Kernel event count at the last full record scan; None once
+        #: an inbox item or revival may have touched a record since.
+        self._scanned_at: Optional[int] = None
+        #: What the turn dumps last published (claims as the ledger
+        #: version they were read at), so a dump ships only what moved.
+        self._published: dict[str, Any] = {}
         #: Optimistic lockstep only: the pristine history of every
         #: state-bearing command — ``("raw", pipe_blob, ring_frames)``
         #: entries exactly as received — which is what makes every
@@ -488,7 +511,23 @@ class _WorkerServer:
             if self._record_prints.get(agent_id) != print_:
                 self._record_prints[agent_id] = print_
                 deltas[agent_id] = capture(record)
+        self._scanned_at = self.world.sim.events_processed
         return deltas
+
+    def _dump(self) -> dict[str, Any]:
+        """This turn's dump: the claims, open claim locks and down-node
+        set — each only when it moved since the last published dump."""
+        published = self._published
+        dump: dict[str, Any] = {}
+        version = self.world.ft.ledger.version
+        if published.get("claims") != version:
+            dump["claims"] = self.ctx.claims_dump()
+            published["claims"] = version
+        for part, value in (("locks", self.ctx.lock_contributions()),
+                            ("down", self.world.failures.down_nodes())):
+            if published.get(part) != value:
+                dump[part] = published[part] = value
+        return dump
 
     # -- command handlers -----------------------------------------------------------
 
@@ -557,6 +596,8 @@ class _WorkerServer:
         if payload["views"] is not None:
             ctx.update_views(payload["views"])
         ctx.last_flush_at = payload["last_flush_at"]
+        if payload["items"] or payload["revive"] is not None:
+            self._scanned_at = None
         # Inbox first, revival second: the in-process driver flushes the
         # bridge (scheduling deliveries, even into a frozen kernel) at
         # the end of one loop iteration and revives at the start of the
@@ -585,8 +626,10 @@ class _WorkerServer:
         if payload["ship_records"]:
             # Serial (entangled) turns mirror the in-process shared
             # record table exactly: every touched record ships each
-            # turn.
-            reply["record_deltas"] = self._record_deltas()
+            # turn.  A quiet turn (no event, item or revival since the
+            # last scan) cannot have touched one: skip the scan.
+            quiet = self._scanned_at == world.sim.events_processed
+            reply["record_deltas"] = {} if quiet else self._record_deltas()
         else:
             # Independent epochs: records only matter where their agent
             # goes, so they ride the transfers instead of a broadcast.
@@ -600,11 +643,7 @@ class _WorkerServer:
                 if record is not None:
                     transfer.record_blob = capture(record)
         if payload["want_dump"]:
-            reply["dump"] = {
-                "claims": ctx.claims_dump(),
-                "locks": ctx.lock_contributions(),
-                "down": world.failures.down_nodes(),
-            }
+            reply["dump"] = self._dump()
         if ctx.read_log is not None:
             reply["read_log"] = ctx.read_log
             ctx.read_log = None
@@ -633,6 +672,8 @@ class _WorkerServer:
         self._spec_log.append(corrected)
         self.ctx, self.world = _build_shard(self._config)
         self._record_prints = {}
+        self._scanned_at = None
+        self._published = {}
         for past in self._spec_log[:-1]:
             past_op, past_payload = self._load_entry(past)
             self.handle(past_op, past_payload)
@@ -670,6 +711,8 @@ class _WorkerServer:
             return stats()
         if what == "record_deltas":
             return self._record_deltas()
+        if what == "views":
+            return self.ctx.views()
         if what == "trace_digest":
             return world.sim.trace_digest()
         raise UsageError(f"unknown fetch {what!r}")
@@ -1024,6 +1067,9 @@ class ProcShardedWorld:
         self._claims: list[dict] = [{} for _ in range(n_shards)]
         self._locks: list[dict[int, dict]] = [{} for _ in range(n_shards)]
         self._down: list[frozenset] = [frozenset()] * n_shards
+        #: Per shard, the (full) views its worker holds; None until its
+        #: first view dispatch.
+        self._views_sent: list[Optional[dict]] = [None] * n_shards
         self._pending_records: list[dict[str, bytes]] = \
             [{} for _ in range(n_shards)]
         self._staged_items: list[list] = [[] for _ in range(n_shards)]
@@ -1561,6 +1607,32 @@ class ProcShardedWorld:
             "locks": locks,
         }
 
+    def _views_delta(self, shard: int) -> dict[str, Any]:
+        """The views to ship ``shard``: a delta against what it holds.
+
+        The first dispatch ships the full :meth:`_views_for`; later
+        turns ship only the foreign claims replicas, down sets and lock
+        views that moved, marked ``"delta"`` (the tiny suspension table
+        always ships whole).  Merged by
+        :meth:`RemoteShardContext.update_views`.
+        """
+        views = self._views_for(shard)
+        sent, self._views_sent[shard] = self._views_sent[shard], views
+        if sent is None:
+            return views
+        return {
+            "delta": True,
+            "suspended": views["suspended"],
+            # _absorb replaces a claims replica only when it changed and
+            # never mutates one, so identity tells which replicas moved.
+            "claims": {j: claims for j, claims in views["claims"].items()
+                       if claims is not sent["claims"][j]},
+            "down": {j: down for j, down in views["down"].items()
+                     if down != sent["down"][j]},
+            "locks": {j: locks for j, locks in views["locks"].items()
+                      if locks != sent["locks"][j]},
+        }
+
     def _epoch_payload(self, shard: int, barrier: Optional[float],
                        run: bool, max_events: int, revives: dict,
                        cap_to_now: bool, schedule: str) -> dict[str, Any]:
@@ -1575,7 +1647,7 @@ class ProcShardedWorld:
             "items": self._staged_items[shard],
             "records": self._pending_records[shard],
             "revive": revives.get(shard),
-            "views": self._views_for(shard) if self._entangled else None,
+            "views": self._views_delta(shard) if self._entangled else None,
             "last_flush_at": self.last_flush_at,
             "want_dump": self._entangled,
             "ship_records": schedule in ("serial", "optimistic"),
@@ -1698,6 +1770,7 @@ class ProcShardedWorld:
             self.spec_shards_rolled_back += 1
             del handle.journal_notes[marks[shard]:]
             reply = handle.request("redo", {"views": views})
+            self._views_sent[shard] = views
             self._ingest_journal(handle)
             self._absorb(shard, reply)
         if conflicts and run:
@@ -1728,9 +1801,13 @@ class ProcShardedWorld:
             self.bridge.adopt(transfer)
         dump = reply.get("dump")
         if dump is not None:
-            self._claims[shard] = dump["claims"]
-            self._down[shard] = dump["down"]
-            for replica, contribution in dump["locks"].items():
+            # A dump carries only the parts that moved since the last.
+            claims = dump.get("claims")
+            if claims is not None and claims != self._claims[shard]:
+                self._claims[shard] = claims
+            if "down" in dump:
+                self._down[shard] = dump["down"]
+            for replica, contribution in dump.get("locks", {}).items():
                 self._locks[replica][shard] = contribution
 
     # -- results ------------------------------------------------------------------------

@@ -128,11 +128,14 @@ class ShmRing:
         size = len(payload)
         need = _HEADER.size + size
         tail = self.capacity - self._wpos
-        waste = tail if need > tail else 0
+        # Wrap whenever the frame does not fit the tail — including a
+        # tail of 0, left by a frame that ended exactly at the ring end.
+        wrap = need > tail
+        waste = tail if wrap else 0
         if need + waste > self._budget:
             return False
         buf = self.shm.buf
-        if waste:
+        if wrap:
             if tail >= _HEADER.size:
                 _HEADER.pack_into(buf, self._wpos, _WRAP, 0)
             self._wpos = 0

@@ -24,12 +24,18 @@ class StableStore:
     applied mutation — including the ``restore`` ops an abort replays —
     is reported as ``(op, key, value)``.  It is wired only when the
     owning world journals, so the un-journaled hot path stays free.
+
+    ``version`` counts applied mutations (``put``, ``delete`` and every
+    undo an abort replays); reads never move it.  A reader that cached
+    the contents at version ``v`` knows they are still current while
+    ``version == v``.
     """
 
     def __init__(self, name: str):
         self.name = name
         self._data: dict[Any, Any] = {}
         self.writes = 0
+        self.version = 0
         self.on_mutate: Optional[Callable[[str, Any, Any], None]] = None
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -50,6 +56,7 @@ class StableStore:
             tx.register_undo(lambda: self._restore(key, prior))
         self._data[key] = value
         self.writes += 1
+        self.version += 1
         if self.on_mutate is not None:
             self.on_mutate("put", key, value)
 
@@ -61,6 +68,7 @@ class StableStore:
         if tx is not None:
             tx.register_undo(lambda: self._restore(key, value))
         self.writes += 1
+        self.version += 1
         if self.on_mutate is not None:
             self.on_mutate("delete", key, value)
         return value
@@ -70,6 +78,7 @@ class StableStore:
             self._data.pop(key, None)
         else:
             self._data[key] = prior
+        self.version += 1
         if self.on_mutate is not None:
             self.on_mutate("restore", key,
                            None if prior is _MISSING else prior)

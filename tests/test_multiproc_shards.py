@@ -29,7 +29,7 @@ from repro import AgentStatus, ProcShardedWorld, ShardedWorld
 from repro.errors import UsageError, WorkerDied, WorkerError
 from repro.resources.bank import Bank, OverdraftPolicy
 
-from tests.helpers import LinearAgent
+from tests.helpers import LinearAgent, build_ft_ring, launch_ft_tours
 
 N_NODES = 8
 RING = [f"n{i}" for i in range(N_NODES)]
@@ -154,6 +154,60 @@ def test_ipc_validation(proc_worlds):
         ProcShardedWorld(n_shards=2, ipc="sockets")
     with pytest.raises(UsageError):
         ProcShardedWorld(n_shards=2, ring_size=8)
+
+
+# -- view deltas ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lockstep", ["serial", "optimistic"])
+def test_view_deltas_rebuild_the_coordinator_views(lockstep):
+    """Oracle for the delta barrier exchange.  After every step, each
+    worker's merged views equal the full views the coordinator would
+    have served it at its last dispatch (or redo), through a shard
+    outage and restart; a turn with no foreign change ships empty
+    deltas."""
+    import copy
+
+    world = build_ft_ring("proc", seed=5, lockstep=lockstep)
+    expected = {}
+    seen = {"empty": 0, "partial": 0}
+
+    def spy(handle, send):
+        def wrapped(op, payload):
+            views = payload.get("views")
+            if views is not None:
+                full = copy.deepcopy(world._views_for(handle.shard))
+                if views.get("delta"):
+                    if full == expected[handle.shard]:
+                        assert (views["claims"], views["locks"],
+                                views["down"]) == ({}, {}, {})
+                        seen["empty"] += 1
+                    elif views["claims"] and \
+                            len(views["claims"]) < len(full["claims"]):
+                        seen["partial"] += 1
+                expected[handle.shard] = full
+            send(op, payload)
+        return wrapped
+
+    try:
+        for handle in world._handles:
+            handle.send = spy(handle, handle.send)
+        world.kill_shard(1, at=0.08, restart_at=2.0)
+        launch_ft_tours(world)
+        steps = 0
+        while world.step_epoch():
+            steps += 1
+            for shard, want in expected.items():
+                got = world._handles[shard].request(
+                    "fetch", {"what": "views"})["value"]
+                assert got == want, (steps, shard)
+        assert all(o["status"] == "finished"
+                   for o in world.outcomes().values())
+    finally:
+        world.close()
+    assert sorted(expected) == [0, 1, 2]
+    assert seen["empty"] > 0
+    assert seen["partial"] > 0
 
 
 # -- facade parity ----------------------------------------------------------------

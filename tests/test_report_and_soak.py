@@ -59,7 +59,9 @@ def test_metrics_report_renders_counters():
 def test_real_results_dir_assembles_when_present():
     results = pathlib.Path(__file__).resolve().parent.parent / \
         "benchmarks" / "results"
-    if not results.exists():
+    # Bench runs write the *.txt tables (git-ignored); a fresh checkout
+    # holds only the committed JSON baselines.
+    if not results.exists() or not any(results.glob("*.txt")):
         pytest.skip("benchmarks not yet run")
     report = assemble_report(results)
     assert "FIG" in report

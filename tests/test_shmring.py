@@ -86,6 +86,19 @@ def test_wrap_without_room_for_sentinel(tiny_ring):
     assert tiny_ring.read_frame() == second
 
 
+def test_frame_ending_exactly_at_capacity_wraps_next_write(tiny_ring):
+    # 8 + 56 = 64 bytes: the first frame ends exactly at the ring end,
+    # leaving a tail of 0.  The next write must wrap to offset 0 (no
+    # sentinel fits) instead of packing a header past the buffer.
+    first, second = b"a" * 56, b"b" * 20
+    write_all(tiny_ring, [first])
+    assert tiny_ring.read_frame() == first
+    write_all(tiny_ring, [second])
+    assert tiny_ring.read_frame() == second
+    write_all(tiny_ring, [b"c"])  # and the cursors stay in step
+    assert tiny_ring.read_frame() == b"c"
+
+
 def test_batch_budget_rejects_overflow(tiny_ring):
     tiny_ring.begin_batch()
     assert tiny_ring.try_write(b"a" * 30)

@@ -79,6 +79,25 @@ def test_store_commit_keeps_changes():
     assert store.get("k") == 42
 
 
+def test_store_version_counts_mutations_not_reads():
+    store = StableStore("s")
+    assert store.version == 0
+    store.put("k", 1)
+    assert store.version == 1
+    store.get("k")
+    list(store.keys())
+    assert "k" in store
+    assert store.version == 1
+    store.delete("k")
+    assert store.version == 2
+    t = tx()
+    store.put("k", "staged", t)
+    assert store.version == 3
+    t.abort()  # the undo restores the prior (absent) value: a mutation
+    assert "k" not in store
+    assert store.version == 4
+
+
 # -- agent input queue --------------------------------------------------------------
 
 def test_enqueue_without_tx_is_immediate():
