@@ -45,16 +45,6 @@ Emits ``benchmarks/results/BENCH_multiproc_shards.json``:
   below 1.0 (most speculation survives).  ``optimistic_over_serial``
   (serial wall-clock / optimistic wall-clock) is the
   hardware-dependent half: >1 needs real cores.
-* ``ipc.*`` — the zero-copy wire format measured against the pipe:
-  the same swarm run twice on the process backend, once with
-  ``ipc="pipe"`` (every barrier re-pickled through the Connection) and
-  once with ``ipc="shm"`` (cached blobs framed through shared-memory
-  rings).  Per-barrier byte accounting comes straight from the
-  ``serialization_stats()`` IPC counters; ``zero_copy_unchanged``
-  asserts the headline claim — with rings sized for the traffic the
-  shm barrier copies **zero** bulk bytes (``ipc_bytes_copied == 0``,
-  no spills), deterministically on any hardware.  ``shm_over_pipe``
-  (pipe wall-clock / shm wall-clock) is the hardware-dependent half.
 
 ``BENCH_QUICK=1`` shrinks the workload for smoke runs.
 """
@@ -154,93 +144,6 @@ def run_backend(backend, n_shards, seed=40):
     if backend == "proc":
         world.close()
     return summary, t1 - t0, t2 - t1
-
-
-def run_proc_ipc(ipc, seed=40):
-    """One process-backend run at N_SHARDS with the given wire format.
-
-    Returns (summary, ipc stats, run seconds, epochs).  Stats are reset
-    first so the counters cover exactly this run (workers are fresh
-    processes; only the coordinator's counters persist across runs).
-    """
-    from repro.storage import serialization
-
-    serialization.reset_stats()
-    world = build_world(ProcShardedWorld(n_shards=N_SHARDS, seed=seed,
-                                         epoch=EPOCH, ipc=ipc))
-    assert world.ipc == ipc  # shm must not have silently fallen back
-    launch_swarm(world)
-    t0 = time.perf_counter()
-    world.run()
-    run_s = time.perf_counter() - t0
-    outcomes = world.outcomes()
-    assert all(o["status"] == "finished" for o in outcomes.values())
-    summary = (outcomes, world.counters(), world.events_processed(),
-               world.epochs_run)
-    stats = world.serialization_stats()
-    epochs = world.epochs_run
-    world.close()
-    return summary, stats, run_s, epochs
-
-
-def test_eval_ipc_wire_format(benchmark, record_table):
-    def measure():
-        pipe = run_proc_ipc("pipe")
-        shm = run_proc_ipc("shm")
-        return pipe, shm
-
-    pipe, shm = benchmark.pedantic(measure, rounds=1, iterations=1)
-    pipe_summary, pipe_stats, pipe_run, pipe_epochs = pipe
-    shm_summary, shm_stats, shm_run, shm_epochs = shm
-    # The wire format must be invisible to the computation.
-    outcomes_identical = pipe_summary == shm_summary
-    assert outcomes_identical
-    assert pipe_epochs == shm_epochs
-    # The zero-copy claim, hardware-independent: every bulk blob rode
-    # a ring frame; nothing was re-serialised or copied in-band.
-    zero_copy_unchanged = (shm_stats["ipc_bytes_copied"] == 0
-                           and shm_stats["ring_spills"] == 0)
-    assert zero_copy_unchanged
-    assert shm_stats["frame_reused"] > 0
-
-    def per_barrier(stats, key, epochs):
-        return round(stats[key] / max(epochs, 1))
-
-    rows = [
-        ["pipe", round(pipe_run, 3),
-         per_barrier(pipe_stats, "ipc_bytes_copied", pipe_epochs),
-         0, 0, 0],
-        ["shm", round(shm_run, 3),
-         per_barrier(shm_stats, "ipc_bytes_copied", shm_epochs),
-         per_barrier(shm_stats, "ipc_bytes_framed", shm_epochs),
-         per_barrier(shm_stats, "ipc_bytes_control", shm_epochs),
-         shm_stats["frame_reused"]],
-    ]
-    table = format_table(
-        ["ipc", "run (s)", "copied B/barrier", "framed B/barrier",
-         "control B/barrier", "frames"],
-        rows,
-        title=f"EVAL-IPC-WIRE-FORMAT: {N_AGENTS} agents x {N_STEPS} "
-              f"steps at {N_SHARDS} shards, {pipe_epochs} barriers")
-    record_table("multiproc_ipc", table)
-    record_json("ipc", {
-        "workers": N_SHARDS,
-        "epochs": pipe_epochs,
-        "pipe_run_s": round(pipe_run, 3),
-        "shm_run_s": round(shm_run, 3),
-        "shm_over_pipe": round(pipe_run / shm_run, 2),
-        "pipe_copied_bytes_per_barrier":
-            per_barrier(pipe_stats, "ipc_bytes_copied", pipe_epochs),
-        "shm_copied_bytes_total": shm_stats["ipc_bytes_copied"],
-        "shm_framed_bytes_per_barrier":
-            per_barrier(shm_stats, "ipc_bytes_framed", shm_epochs),
-        "shm_control_bytes_per_barrier":
-            per_barrier(shm_stats, "ipc_bytes_control", shm_epochs),
-        "shm_ring_spills": shm_stats["ring_spills"],
-        "shm_frames": shm_stats["frame_reused"],
-        "zero_copy_unchanged": zero_copy_unchanged,
-        "outcomes_identical": outcomes_identical,
-    })
 
 
 #: Entangled-workload sizing: a ring of banked nodes, every tour

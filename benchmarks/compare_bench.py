@@ -105,15 +105,6 @@ SPECS = [
     Spec("BENCH_multiproc_shards.json", "speedup.events_total", "equal"),
     Spec("BENCH_multiproc_shards.json", "speedup.epochs", "equal"),
     Spec("BENCH_multiproc_shards.json", "speedup.speedup", "higher", 0.6),
-    # Zero-copy shm wire format: the invariant half is exact — the shm
-    # and pipe runs must compute identical outcomes, the shm barrier
-    # must copy zero bulk bytes (no spills at the default ring size) —
-    # while the shm-over-pipe wall-clock ratio is hardware noise on
-    # shared runners and only guards against a collapse.
-    Spec("BENCH_multiproc_shards.json", "ipc.outcomes_identical", "equal"),
-    Spec("BENCH_multiproc_shards.json", "ipc.zero_copy_unchanged", "equal"),
-    Spec("BENCH_multiproc_shards.json", "ipc.shm_ring_spills", "equal"),
-    Spec("BENCH_multiproc_shards.json", "ipc.shm_over_pipe", "higher", 0.5),
     # Optimistic entangled-epoch speculation: the invariant half is
     # exact — speculation must not change a bit of the outcome surface,
     # and at a fixed seed the speculation/rollback counts are

@@ -84,9 +84,9 @@ def serialization_stats() -> dict:
 
     A snapshot of :data:`repro.storage.serialization.STATS` — package
     capture/restore byte totals, incremental pack reuse, lazy log-entry
-    hydration, and (for the process backend) shared-memory IPC traffic
-    (``ipc_bytes_framed`` / ``ipc_bytes_copied`` / ``ipc_bytes_control``
-    / ``frame_reused`` / ``ring_spills``).
+    hydration, and (for the process backend) barrier pipe traffic
+    (``ipc_bytes_copied``; ``ipc_bytes_framed`` / ``ipc_bytes_control``
+    / ``frame_reused`` / ``ring_spills`` stay 0).
 
     This module-level helper reads the *current process's* counters
     only.  For a multiprocess run, call

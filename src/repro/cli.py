@@ -24,7 +24,7 @@ metrics a platform operator would want.  Commands:
     ``POST /worlds``, launch agents with ``POST /worlds/{id}/launch``,
     stream live telemetry from ``GET /worlds/{id}/events`` (SSE).
     SIGTERM/SIGINT drain gracefully (epoch finishes, journal commits,
-    shm rings close).
+    worker processes exit).
 
 All scenarios are deterministic per ``--seed``.
 """

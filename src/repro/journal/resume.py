@@ -122,14 +122,13 @@ def _build_world(config: dict[str, Any], journal: WorldJournal):
                             lockstep=config.get("lockstep", "auto"),
                             journal=journal, **kwargs)
     if backend == "proc":
-        from repro.node.shmring import DEFAULT_RING_SIZE
+        # Journals written while the process backend still had a
+        # shared-memory ring wire also record its ``ipc`` mode and ring
+        # capacity; the pipe is the only wire now, so both are ignored.
         return ProcShardedWorld(n_shards=config["n_shards"],
                                 seed=config["seed"], epoch=config["epoch"],
                                 start_method=config["start_method"],
                                 lockstep=config["lockstep"],
-                                ipc=config.get("ipc", "shm"),
-                                ring_size=config.get("ring_size",
-                                                     DEFAULT_RING_SIZE),
                                 journal=journal, **kwargs)
     raise UsageError(f"journal config names unknown backend {backend!r}")
 

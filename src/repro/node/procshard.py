@@ -85,13 +85,13 @@ paper's own discipline — speculate, detect, roll back:
 * **speculate** — the epoch is dispatched to *every* worker at once,
   each against the barrier-stale views (exactly what the first serial
   turn would have seen).  Each worker's epoch is its own savepoint:
-  the worker retains the pristine bytes of every state-bearing command
-  it has ever received (the pipe blob plus the epoch's ring frames),
-  so any epoch can be re-derived from scratch.  While speculating, the
-  worker records a **read log** — every foreign claim read, claim-lock
-  view consult, foreign-liveness and suspension check its kernel
-  performed (the only schedule-sensitive inputs an entangled epoch
-  has; see :class:`RemoteShardContext`).
+  the worker retains the pristine pipe blob of every state-bearing
+  command it has ever received, so any epoch can be re-derived from
+  scratch.  While speculating, the worker records a **read log** —
+  every foreign claim read, claim-lock view consult, foreign-liveness
+  and suspension check its kernel performed (the only
+  schedule-sensitive inputs an entangled epoch has; see
+  :class:`RemoteShardContext`).
 * **detect** — at the barrier the coordinator validates the read logs
   *in shard order*, the order serial turns would have used: for each
   shard it reconstructs the views a serial turn would have served at
@@ -144,6 +144,7 @@ shard outage — rather than a hang on a pipe that will never answer.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import pickle
 import traceback
@@ -151,16 +152,7 @@ import warnings
 from typing import Any, Optional
 
 from repro.errors import LockConflict, UsageError, WorkerDied, WorkerError
-from repro.node.shmring import (
-    DEFAULT_RING_SIZE,
-    ShmRing,
-    TornFrame,
-    decode_reply,
-    encode_epoch,
-    encode_reply,
-    read_frames,
-    resolve_epoch,
-)
+from repro.node.runtime import World
 from repro.node.sharded import (
     CrossShardBridge,
     ShardWorld,
@@ -176,6 +168,13 @@ from repro.storage.serialization import assert_picklable, capture, restore
 from repro.tx.locks import LockManager
 
 
+#: The ``world_kwargs`` a worker forwards to its kernel: every
+#: :class:`~repro.node.runtime.World` parameter the worker does not set
+#: itself.
+_WORLD_KWARGS = frozenset(inspect.signature(World.__init__).parameters) \
+    - {"self", "seed", "journal", "journal_capture"}
+
+
 def _dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -183,12 +182,12 @@ def _dumps(obj: Any) -> bytes:
 def _teardown_step(what: str, fn, *exc_types: type) -> bool:
     """Run one best-effort teardown action, surfacing (not hiding) failure.
 
-    Teardown must keep going — a failed pipe close must not leave shm
-    segments behind — but it must not *hide* failures either: a leaked
-    ``psm_*`` segment is undiagnosable if the unlink error vanished into
-    ``except Exception: pass``.  Each suppressed failure therefore bumps
-    ``serialization.STATS["teardown.suppressed"]`` and emits a
-    :class:`ResourceWarning` naming the step.  Only the expected
+    Teardown must keep going — a failed shutdown send must not stop
+    the other workers from being joined — but it must not *hide*
+    failures either: a stuck worker is undiagnosable if the error
+    vanished into ``except Exception: pass``.  Each suppressed failure
+    therefore bumps ``serialization.STATS["teardown.suppressed"]`` and
+    emits a :class:`ResourceWarning` naming the step.  Only the expected
     ``exc_types`` are caught; anything else propagates.
 
     Returns ``True`` when ``fn`` completed without raising.
@@ -455,19 +454,11 @@ class _WorkerServer:
     """The command loop of one shard worker process."""
 
     def __init__(self, conn, ctx: RemoteShardContext, world: ShardWorld,
-                 config: Optional[dict[str, Any]] = None,
-                 ring_in: Optional[ShmRing] = None,
-                 ring_out: Optional[ShmRing] = None):
+                 config: Optional[dict[str, Any]] = None):
         self.conn = conn
         self.ctx = ctx
         self.world = world
         self._config = config or {}
-        #: Shared-memory rings of the zero-copy barrier exchange:
-        #: ``ring_in`` carries the coordinator's bulk epoch payloads,
-        #: ``ring_out`` this worker's bulk reply payloads.  None in
-        #: pipe mode.
-        self.ring_in = ring_in
-        self.ring_out = ring_out
         self._record_prints: dict[str, tuple] = {}
         #: Kernel event count at the last full record scan; None once
         #: an inbox item or revival may have touched a record since.
@@ -476,10 +467,9 @@ class _WorkerServer:
         #: version they were read at), so a dump ships only what moved.
         self._published: dict[str, Any] = {}
         #: Optimistic lockstep only: the pristine history of every
-        #: state-bearing command — ``("raw", pipe_blob, ring_frames)``
-        #: entries exactly as received — which is what makes every
-        #: epoch a savepoint (rollback = rebuild the kernel and replay
-        #: the log).  None under the other schedules: no retention.
+        #: state-bearing command — the pipe blobs exactly as received —
+        #: which is what makes every epoch a savepoint (rollback =
+        #: rebuild the kernel and replay the log).  None under the other schedules: no retention.
         self._spec_log: Optional[list] = \
             [] if self._config.get("lockstep") == "optimistic" else None
 
@@ -664,33 +654,22 @@ class _WorkerServer:
         (or corrected) against the serial schedule — and finally the
         corrected epoch executes with fresh views.
         """
-        entry = self._spec_log.pop()
-        op, epoch_payload = self._load_entry(entry)
+        op, epoch_payload = pickle.loads(self._spec_log.pop())
         epoch_payload["views"] = payload["views"]
         epoch_payload["spec"] = False
-        corrected = ("obj", _dumps((op, epoch_payload)), None)
-        self._spec_log.append(corrected)
+        self._spec_log.append(_dumps((op, epoch_payload)))
         self.ctx, self.world = _build_shard(self._config)
         self._record_prints = {}
         self._scanned_at = None
         self._published = {}
         for past in self._spec_log[:-1]:
-            past_op, past_payload = self._load_entry(past)
+            past_op, past_payload = pickle.loads(past)
             self.handle(past_op, past_payload)
             if self.world._journal_capture:
                 # The replayed prefix was journaled the first time it
                 # executed; its re-derived notes must not ship again.
                 self.world.drain_journal_notes()
         return self._handle_epoch(epoch_payload)
-
-    def _load_entry(self, entry) -> tuple[str, dict[str, Any]]:
-        """Fresh (op, payload) objects from one pristine log entry."""
-        _kind, blob, frames = entry
-        op, payload = pickle.loads(blob)
-        if "wire" in payload:
-            payload.pop("wire")
-            payload = resolve_epoch(payload, frames or [])
-        return op, payload
 
     def _fetch(self, payload: dict[str, Any]) -> Any:
         world = self.world
@@ -719,8 +698,8 @@ class _WorkerServer:
 
     # -- loop -----------------------------------------------------------------------
 
-    def serve(self) -> str:
-        """Run the command loop; returns why it ended (for cleanup)."""
+    def serve(self) -> None:
+        """Run the command loop until shutdown or the parent is gone."""
         while True:
             while not self.conn.poll(0.5):
                 # Orphan defense: a SIGKILLed coordinator can't run the
@@ -729,28 +708,14 @@ class _WorkerServer:
                 # Poll the parent's liveness instead and exit on our own.
                 parent = multiprocessing.parent_process()
                 if parent is None or not parent.is_alive():
-                    return "orphan"
+                    return
             raw = self.conn.recv_bytes()
             op, payload = pickle.loads(raw)
-            frames: Optional[list] = None
-            try:
-                if op == "epoch" and "wire" in payload:
-                    frames = read_frames(self.ring_in, payload.pop("wire"))
-                    payload = resolve_epoch(payload, frames)
-            except Exception as exc:  # noqa: BLE001 - shipped to coordinator
-                # A torn/corrupt wire batch desyncs the ring cursor: the
-                # worker cannot be rolled back out of this, so flag the
-                # error fatal (the coordinator will not attempt a redo).
-                reply = {"ok": False, "fatal": True,
-                         "error": f"{type(exc).__name__}: {exc}",
-                         "traceback": traceback.format_exc()}
-                self.conn.send_bytes(_dumps(reply))
-                continue
             if self._spec_log is not None and op in _LOGGED_OPS:
-                # Retain the pristine command (raw pipe blob + any ring
-                # frames it referenced) BEFORE executing it: this is the
-                # epoch savepoint a conflict-triggered redo rebuilds from.
-                self._spec_log.append(("raw", raw, frames))
+                # Retain the pristine command BEFORE executing it: this
+                # is the epoch savepoint a conflict-triggered redo
+                # rebuilds from.
+                self._spec_log.append(raw)
             try:
                 reply = self.handle(op, payload)
                 reply["ok"] = True
@@ -759,55 +724,25 @@ class _WorkerServer:
                     notes = self.world.drain_journal_notes()
                     if notes:
                         reply["journal"] = notes
-                if op in ("epoch", "redo") and self.ring_out is not None:
-                    reply = encode_reply(reply, self.ring_out)
             except Exception as exc:  # noqa: BLE001 - shipped to coordinator
                 reply = {"ok": False,
                          "error": f"{type(exc).__name__}: {exc}",
                          "traceback": traceback.format_exc()}
             blob = _dumps(reply)
             if op in ("epoch", "redo"):
-                key = ("ipc_bytes_control" if self.ring_out is not None
-                       else "ipc_bytes_copied")
-                serialization.STATS[key] += len(blob)
+                serialization.STATS["ipc_bytes_copied"] += len(blob)
             self.conn.send_bytes(blob)
             if op == "shutdown":
-                return "shutdown"
+                return
 
 
 def _worker_entry(conn, config: dict[str, Any]) -> None:
     """Entry point of one shard worker process."""
     ctx, world = _build_shard(config)
-    rings = config.get("rings")
-    ring_in = ring_out = None
-    if rings is not None:
-        # Attach to the coordinator-created segments.  All processes
-        # share the coordinator's resource tracker (spawn passes its
-        # fd), so the duplicate attach registration collapses and the
-        # coordinator's unlink clears it for everyone.
-        ring_in = ShmRing.attach(rings[0])
-        ring_out = ShmRing.attach(rings[1])
-    reason = "error"
     try:
-        reason = _WorkerServer(conn, ctx, world, config=config,
-                               ring_in=ring_in, ring_out=ring_out).serve()
+        _WorkerServer(conn, ctx, world, config=config).serve()
     except (EOFError, KeyboardInterrupt):  # coordinator went away
         pass
-    finally:
-        for ring in (ring_in, ring_out):
-            if ring is None:
-                continue
-            if reason == "shutdown":
-                # The coordinator unlinks on close().
-                _teardown_step(f"worker ring close ({ring.name})",
-                               ring.close, OSError, BufferError)
-            else:
-                # Orphaned (coordinator SIGKILLed) or torn down without
-                # a shutdown: nobody else is left to unlink — destroy
-                # the segments so they cannot leak (the shared resource
-                # tracker would catch them too; unlink is idempotent).
-                _teardown_step(f"worker ring unlink ({ring.name})",
-                               ring.unlink, OSError, BufferError)
 
 
 # ---------------------------------------------------------------------------
@@ -818,16 +753,10 @@ def _worker_entry(conn, config: dict[str, Any]) -> None:
 class _WorkerHandle:
     """Coordinator-side pipe + process wrapper for one shard worker."""
 
-    def __init__(self, shard: int, process, conn,
-                 ring_out: Optional[ShmRing] = None,
-                 ring_in: Optional[ShmRing] = None):
+    def __init__(self, shard: int, process, conn):
         self.shard = shard
         self.process = process
         self.conn = conn
-        #: Shared-memory rings (shm mode): ``ring_out`` carries epoch
-        #: bulk payloads to the worker, ``ring_in`` its bulk replies.
-        self.ring_out = ring_out
-        self.ring_in = ring_in
         self.peek: Optional[float] = None
         self.now: float = 0.0
         self.suspended = False
@@ -836,28 +765,13 @@ class _WorkerHandle:
         #: coordinator's ingest (drained at each epoch collect).
         self.journal_notes: list[tuple[str, dict]] = []
 
-    def unlink_rings(self) -> None:
-        """Destroy this worker's shm segments (idempotent)."""
-        for ring in (self.ring_out, self.ring_in):
-            if ring is not None:
-                ring.unlink()
-        self.ring_out = self.ring_in = None
-
     def _died(self) -> WorkerDied:
-        # A dead worker cannot answer for its rings any more: unlink
-        # them here so a SIGKILLed worker (possibly mid-frame) never
-        # leaks a segment, then surface the existing error.
-        self.unlink_rings()
         return WorkerDied(self.shard, self.process.exitcode)
 
     def send(self, op: str, payload: dict[str, Any]) -> None:
-        if op == "epoch" and self.ring_out is not None:
-            payload = encode_epoch(payload, self.ring_out)
         blob = _dumps((op, payload))
         if op == "epoch":
-            key = ("ipc_bytes_control" if self.ring_out is not None
-                   else "ipc_bytes_copied")
-            serialization.STATS[key] += len(blob)
+            serialization.STATS["ipc_bytes_copied"] += len(blob)
         try:
             self.conn.send_bytes(blob)
         except (BrokenPipeError, OSError):
@@ -872,20 +786,8 @@ class _WorkerHandle:
         except (EOFError, OSError):
             raise self._died() from None
         if not reply.get("ok"):
-            err = WorkerError(self.shard, reply.get("error", "unknown"),
+            raise WorkerError(self.shard, reply.get("error", "unknown"),
                               reply.get("traceback", ""))
-            # ``fatal`` marks worker-side state the epoch savepoint cannot
-            # recover (e.g. a desynced shm ring cursor); optimistic
-            # lockstep refuses to redo through it.
-            err.fatal = bool(reply.get("fatal"))
-            raise err
-        if "wire" in reply:
-            try:
-                reply = decode_reply(reply, self.ring_in)
-            except TornFrame:
-                # A frame torn mid-write by a dying worker: treat it as
-                # the worker death it is instead of wedging the barrier.
-                raise self._died() from None
         state = reply["state"]
         self.peek = state["peek"]
         self.now = state["now"]
@@ -990,19 +892,14 @@ class ProcShardedWorld:
         journal: Attach a :class:`~repro.journal.WorldJournal` for
             crash-resumable execution (workers buffer payload notes,
             the coordinator group-commits per barrier).
-        ipc: Bulk-payload wire: ``"shm"`` zero-copy shared-memory
-            rings (auto-falls back to pipe where shm is unavailable)
-            or ``"pipe"``.
-        ring_size: Byte capacity of each shm ring (>= 64; oversize
-            payloads spill in-band).
         **world_kwargs: Forwarded to every worker's kernel
             (``net_params``, ``ft_params``, ``timing``, ...) — must
             pickle.
 
     Raises:
-        UsageError: ``n_shards < 1``, bad ``epoch`` / ``lockstep`` /
-            ``ipc`` / ``ring_size`` values, or unpicklable
-            ``world_kwargs``.
+        UsageError: ``n_shards < 1``, bad ``epoch`` / ``lockstep``
+            values, a ``world_kwargs`` name the kernel does not take,
+            or unpicklable ``world_kwargs``.
         WorkerDied: Later, from any call whose worker process died.
         WorkerError: Later, when a worker raises remotely (carries
             the remote traceback).
@@ -1013,19 +910,16 @@ class ProcShardedWorld:
                  start_method: str = "spawn",
                  lockstep: str = "auto",
                  journal: Optional[Any] = None,
-                 ipc: str = "shm",
-                 ring_size: int = DEFAULT_RING_SIZE,
                  **world_kwargs: Any):
         if n_shards < 1:
             raise UsageError(f"need at least 1 shard, got {n_shards}")
         if lockstep not in ("auto", "serial", "parallel", "optimistic"):
             raise UsageError(f"unknown lockstep mode {lockstep!r}")
-        if ipc not in ("shm", "pipe"):
-            raise UsageError(f"unknown ipc mode {ipc!r} "
-                             f"(use 'shm' or 'pipe')")
-        if ring_size < 64:
-            raise UsageError(f"ring_size must be >= 64 bytes, "
-                             f"got {ring_size}")
+        unknown = sorted(set(world_kwargs) - _WORLD_KWARGS)
+        if unknown:
+            raise UsageError(f"unknown world keyword {unknown[0]!r} "
+                             f"(a worker kernel takes "
+                             f"{', '.join(sorted(_WORLD_KWARGS))})")
         net_params = world_kwargs.get("net_params")
         if epoch is None:
             epoch = net_params.latency if net_params is not None else 0.005
@@ -1037,16 +931,13 @@ class ProcShardedWorld:
         self.epoch = epoch
         self.lockstep = lockstep
         self.journal = journal
-        self.ring_size = ring_size
-        self.ipc = ipc if ipc == "pipe" else self._probe_shm()
         self._kill_plan: Optional[tuple[float, str]] = None
         if journal is not None and journal.armed \
                 and not journal.config_written:
             journal.record_config(backend="proc", seed=seed,
                                   n_shards=n_shards, epoch=epoch,
                                   start_method=start_method,
-                                  lockstep=lockstep, ipc=ipc,
-                                  ring_size=ring_size,
+                                  lockstep=lockstep,
                                   world_kwargs=capture(world_kwargs))
         self.bridge = CrossShardBridge(n_shards)
         self.last_flush_at = float("-inf")
@@ -1074,71 +965,21 @@ class ProcShardedWorld:
             [{} for _ in range(n_shards)]
         self._staged_items: list[list] = [[] for _ in range(n_shards)]
 
-        # One ring pair per worker, created before any process spawns so
-        # a creation failure (no /dev/shm, exhausted segments) can fall
-        # back to pipe mode for the *whole* world — mixing wire formats
-        # across workers would make the accounting unreadable.
-        ring_pairs: list[Optional[tuple[ShmRing, ShmRing]]] = \
-            [None] * n_shards
-        if self.ipc == "shm":
-            try:
-                for index in range(n_shards):
-                    ring_out = ShmRing.create(ring_size)
-                    try:
-                        ring_in = ShmRing.create(ring_size)
-                    except OSError:
-                        ring_out.unlink()
-                        raise
-                    ring_pairs[index] = (ring_out, ring_in)
-            except OSError:
-                for pair in ring_pairs:
-                    if pair is not None:
-                        pair[0].unlink()
-                        pair[1].unlink()
-                ring_pairs = [None] * n_shards
-                self.ipc = "pipe"
-
         mp = multiprocessing.get_context(start_method)
         self._handles: list[_WorkerHandle] = []
-        try:
-            for index in range(n_shards):
-                pair = ring_pairs[index]
-                parent_conn, child_conn = mp.Pipe()
-                config = {"shard_index": index, "n_shards": n_shards,
-                          "seed": seed, "world_kwargs": world_kwargs,
-                          "journal_capture": journal is not None,
-                          "lockstep": lockstep,
-                          "rings": (None if pair is None
-                                    else (pair[0].name, pair[1].name))}
-                process = mp.Process(target=_worker_entry,
-                                     args=(child_conn, config),
-                                     name=f"repro-shard-{index}",
-                                     daemon=True)
-                process.start()
-                child_conn.close()
-                self._handles.append(_WorkerHandle(
-                    index, process, parent_conn,
-                    ring_out=None if pair is None else pair[0],
-                    ring_in=None if pair is None else pair[1]))
-        except BaseException:
-            # A failed spawn must not leak the segments of workers that
-            # never started (their handles would never unlink them).
-            for index in range(len(self._handles), n_shards):
-                pair = ring_pairs[index]
-                if pair is not None:
-                    pair[0].unlink()
-                    pair[1].unlink()
-            raise
-
-    @staticmethod
-    def _probe_shm() -> str:
-        """Pick the wire format: shm when segments work here, else pipe."""
-        try:
-            probe = ShmRing.create(64)
-        except (OSError, ImportError):  # pragma: no cover - platform
-            return "pipe"
-        probe.unlink()
-        return "shm"
+        for index in range(n_shards):
+            parent_conn, child_conn = mp.Pipe()
+            config = {"shard_index": index, "n_shards": n_shards,
+                      "seed": seed, "world_kwargs": world_kwargs,
+                      "journal_capture": journal is not None,
+                      "lockstep": lockstep}
+            process = mp.Process(target=_worker_entry,
+                                 args=(child_conn, config),
+                                 name=f"repro-shard-{index}",
+                                 daemon=True)
+            process.start()
+            child_conn.close()
+            self._handles.append(_WorkerHandle(index, process, parent_conn))
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -1146,18 +987,17 @@ class ProcShardedWorld:
         """Shut the worker processes down (idempotent).
 
         Teardown is best-effort — one dead worker must not stop the
-        others from being shut down or their segments from being
-        unlinked — but every suppressed failure is counted in
-        ``serialization.STATS["teardown.suppressed"]`` and surfaced as
-        a :class:`ResourceWarning` (see :func:`_teardown_step`), so a
-        leaked ``psm_*`` segment or stuck pipe leaves a trail.
+        others from being shut down — but every suppressed failure is
+        counted in ``serialization.STATS["teardown.suppressed"]`` and
+        surfaced as a :class:`ResourceWarning` (see
+        :func:`_teardown_step`), so a stuck pipe leaves a trail.
         """
         if self._closed:
             return
         self._closed = True
         for handle in self._handles:
-            # A WorkerDied here already unlinked the rings (_died);
-            # it is the one expected failure of a shutdown send.
+            # A dead worker is the one expected failure of a shutdown
+            # send.
             _teardown_step(f"shutdown send to shard {handle.shard}",
                            lambda h=handle: h.send("shutdown", {}),
                            WorkerDied)
@@ -1168,10 +1008,6 @@ class ProcShardedWorld:
                                handle.process.terminate, OSError)
             _teardown_step(f"pipe close of shard {handle.shard}",
                            handle.conn.close, OSError)
-            # The coordinator owns segment destruction: by now the
-            # worker has closed (or been terminated off) its mappings.
-            _teardown_step(f"ring unlink of shard {handle.shard}",
-                           handle.unlink_rings, OSError, BufferError)
 
     def __enter__(self) -> "ProcShardedWorld":
         return self
@@ -1726,7 +1562,6 @@ class ProcShardedWorld:
         """
         marks: dict[int, int] = {}
         replies: dict[int, dict] = {}
-        errors: dict[int, WorkerError] = {}
         dispatched: list[int] = []
         first_death: Optional[WorkerDied] = None
         try:
@@ -1744,10 +1579,8 @@ class ProcShardedWorld:
             except WorkerDied as died:
                 if first_death is None:
                     first_death = died
-            except WorkerError as err:
-                if getattr(err, "fatal", False):
-                    raise  # unrecoverable worker state: no redo possible
-                errors[shard] = err
+            except WorkerError:
+                pass  # no reply: redone below with authoritative views
         if first_death is not None:
             raise first_death
         if run and dispatched:

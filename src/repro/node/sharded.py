@@ -539,7 +539,7 @@ class ShardedWorld:
             ``"process"`` returns a
             :class:`~repro.node.procshard.ProcShardedWorld` instead
             (construction-time dispatch — extra keyword arguments
-            such as ``lockstep`` / ``ipc`` flow through).
+            such as ``lockstep`` / ``start_method`` flow through).
         journal: Attach a :class:`~repro.journal.WorldJournal` for
             crash-resumable execution.
         lockstep: Epoch schedule knob, accepted for facade parity

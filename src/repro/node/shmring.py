@@ -1,66 +1,21 @@
-"""Shared-memory rings and the struct-framed barrier wire format.
+"""A shared-memory byte ring: the primitive of a retired barrier wire.
 
-The multiprocess shard driver's epoch barrier originally shipped its
-bulk payloads — agent packages, shadow copies, ledger mirrors, buffered
-journal notes — by pickling whole transfer objects into the worker
-pipes.  That re-serialized state the incremental-serialization layer
-(PR 1) already holds as cached per-entry byte frames: the pipe pickle
-embedded every cached blob into a fresh monolithic pickle on every hop,
-so IPC cost grew with total log size instead of with what changed.
+The multiprocess shard driver once framed its bulk barrier payloads
+through a pair of these rings per worker.  Measured against the plain
+pipe it lost (fewer agents per second on cross-shard workloads, more
+CPU and RSS, identical outcomes), so the pipe is now the only barrier
+wire and the ring codec is gone.
 
-This module moves the bulk bytes into **shared-memory rings**
-(:mod:`multiprocessing.shared_memory`), one pair per worker (one ring
-per direction).  Each cached blob crosses the process boundary as a
-length-prefixed frame written straight into the ring as a memoryview
-slice — no re-pickle, no intermediate copy.  Only a small *manifest*
-(the transfer/record/note skeletons with every ``bytes`` payload
-replaced by a frame reference) still travels pickled over the pipe,
-which stays the control channel.
+The :class:`ShmRing` primitive stays only because the repository
+benchmark's ``ring_probe`` (a ring frame round trip timed beside a pipe
+send of the same bytes) imports it.  It goes away with the benchmark
+change that drops that probe.
 
-Framing discipline
-------------------
-
-Frames reuse the journal's framing exactly
-(:mod:`repro.journal.backends`): ``<u32 length><u32 crc32><payload>``.
-The CRC is what keeps a dead worker honest — a frame torn mid-write by
-a SIGKILL fails its checksum at decode and surfaces as
-:class:`TornFrame` (which the coordinator converts into the existing
-:class:`~repro.errors.WorkerDied`), never as silently corrupt state.
-
-The ring is a byte ring with a persistent write cursor: batches wrap
-around the end via a wrap sentinel (length ``0xFFFFFFFF``).  Reader
-and writer stay in sync without shared cursors because the pipe
-request/reply protocol strictly alternates batches — a batch is fully
-consumed before the next one is written.  One batch is budgeted to at
-most the ring capacity; a frame that cannot fit **spills to the pipe**
-(it stays in-band in the manifest), so an undersized ring degrades to
-pipe behaviour instead of failing.
-
-Accounting
-----------
-
-Every encode updates :data:`repro.storage.serialization.STATS`:
-
-* ``ipc_bytes_framed``  — payload bytes shipped zero-copy via a ring;
-* ``ipc_bytes_copied``  — payload bytes that had to cross in-band
-  (ring-capacity spills; in pipe mode, the whole pickled exchange);
-* ``ipc_bytes_control`` — pipe-side pickle bytes of the epoch control
-  message + manifest in shm mode (protocol overhead, not payload);
-* ``frame_reused``      — frames whose bytes were reused byte-for-byte
-  from an already-cached blob (every ring frame is);
-* ``ring_spills``       — frames that exceeded the ring budget.
-
-Platform caveats
-----------------
-
-POSIX ``shm_open`` segments outlive their creator until unlinked; the
-coordinator owns unlinking (on ``close()`` and on ``WorkerDied``), the
-worker unlinks only on the orphan-defense path, and the shared
-:mod:`multiprocessing` resource tracker is the backstop for a
-SIGKILLed coordinator.  On macOS shm names are length-limited (the
-default names fit) and on Windows segments vanish with their last
-handle, making unlink a no-op — both are fine for this usage.  The
-driver auto-falls back to pipe mode when segment creation fails.
+Frames reuse the journal's framing (:mod:`repro.journal.backends`):
+``<u32 length><u32 crc32><payload>``.  A frame torn mid-write fails its
+checksum on read and raises :class:`TornFrame`.  The ring keeps a
+persistent write cursor; a batch wraps around the end via a wrap
+sentinel (length ``0xFFFFFFFF``) and may use at most the ring capacity.
 """
 
 from __future__ import annotations
@@ -68,9 +23,8 @@ from __future__ import annotations
 import struct
 import warnings
 import zlib
-from dataclasses import replace
 from multiprocessing import shared_memory
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.storage import serialization
 
@@ -80,7 +34,7 @@ _HEADER = struct.Struct("<II")  # <u32 length><u32 crc32>
 #: ring capacity, far below 2**32 - 1.
 _WRAP = 0xFFFFFFFF
 
-#: Default per-direction ring capacity (bytes).
+#: Default ring capacity (bytes).
 DEFAULT_RING_SIZE = 1 << 22
 
 
@@ -91,10 +45,9 @@ class TornFrame(Exception):
 class ShmRing:
     """One single-writer, single-reader byte ring over shared memory.
 
-    The pipe protocol provides the happens-before edge between writer
-    and reader (a batch descriptor only arrives after the frames are in
-    place), so the ring needs no shared cursors: both sides walk the
-    same deterministic frame sequence from offset 0.
+    The caller orders writer and reader (a batch is fully read before
+    the next one is written), so the ring needs no shared cursors: both
+    sides walk the same deterministic frame sequence from offset 0.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, owner: bool):
@@ -214,174 +167,3 @@ class ShmRing:
         # the real error into a masking AttributeError at GC time.
         if getattr(self, "shm", None) is not None:
             self.close()
-
-
-# ---------------------------------------------------------------------------
-# Wire codec: bulk bytes -> ring frames, skeletons -> pipe manifest
-# ---------------------------------------------------------------------------
-
-
-class _Ref:
-    """Manifest placeholder for the i-th ring frame of a batch."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __reduce__(self):
-        return (_Ref, (self.index,))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"_Ref({self.index})"
-
-
-class RingEncoder:
-    """Accumulates one batch: blobs into frames, overflow stays in-band."""
-
-    def __init__(self, ring: ShmRing):
-        self.ring = ring
-        self.frames = 0
-        ring.begin_batch()
-
-    def add(self, blob: Any) -> Any:
-        if not isinstance(blob, bytes):
-            return blob  # non-bytes note values etc. stay in the manifest
-        stats = serialization.STATS
-        if self.ring.try_write(blob):
-            stats["ipc_bytes_framed"] += len(blob)
-            stats["frame_reused"] += 1
-            ref = _Ref(self.frames)
-            self.frames += 1
-            return ref
-        # Ring budget exceeded: the blob rides the pipe pickled in-band.
-        stats["ring_spills"] += 1
-        stats["ipc_bytes_copied"] += len(blob)
-        return blob
-
-
-class RingDecoder:
-    """Reads one batch's frames up front and resolves manifest refs."""
-
-    def __init__(self, ring: ShmRing, count: int):
-        self.frames = [ring.read_frame() for _ in range(count)]
-
-    @classmethod
-    def from_frames(cls, frames: "list[bytes]") -> "RingDecoder":
-        """A decoder over already-materialized frames (no ring read).
-
-        Used by the optimistic-lockstep redo path: the worker retains
-        each epoch's frames at receive time, and a rollback replays the
-        pristine payload against the retained bytes instead of the ring
-        (whose cursor has long moved on).
-        """
-        dec = cls.__new__(cls)
-        dec.frames = list(frames)
-        return dec
-
-    def resolve(self, token: Any) -> Any:
-        if isinstance(token, _Ref):
-            return self.frames[token.index]
-        return token
-
-
-def _map_package(package: Any, fn: Callable[[Any], Any]) -> Any:
-    return replace(package, blob=fn(package.blob),
-                   log_blobs=tuple(fn(b) for b in package.log_blobs))
-
-
-def map_transfer(transfer: Any, fn: Callable[[Any], Any]) -> Any:
-    """A copy of ``transfer`` with every bulk blob passed through ``fn``.
-
-    ``fn`` is :meth:`RingEncoder.add` on the way out (bytes -> frame
-    ref) and :meth:`RingDecoder.resolve` on the way in (frame ref ->
-    bytes); the walk touches exactly the fields the incremental
-    serialization layer caches: the agent blob and per-entry log frames
-    of the package (or the shadow envelope's package) and the piggy-
-    backed record blob.  The original object is never mutated — the
-    coordinator re-ships adopted transfers, so live objects must stay
-    intact.
-    """
-    changes: dict[str, Any] = {}
-    if transfer.package is not None:
-        changes["package"] = _map_package(transfer.package, fn)
-    message = transfer.message
-    if message is not None and hasattr(message.payload, "log_blobs"):
-        changes["message"] = replace(
-            message, payload=_map_package(message.payload, fn))
-    if transfer.record_blob is not None:
-        changes["record_blob"] = fn(transfer.record_blob)
-    return replace(transfer, **changes) if changes else transfer
-
-
-def map_note(data: dict[str, Any], fn: Callable[[Any], Any]
-             ) -> dict[str, Any]:
-    """Journal-note data with every bytes-like value mapped (savepoint
-    notes carry cached entry frames; store notes may carry blob values)."""
-    return {key: fn(value) if isinstance(value, (bytes, _Ref)) else value
-            for key, value in data.items()}
-
-
-def encode_epoch(payload: dict[str, Any], ring: ShmRing) -> dict[str, Any]:
-    """Coordinator -> worker: frame the bulk halves of an epoch command."""
-    enc = RingEncoder(ring)
-    payload["items"] = [(action, map_transfer(t, enc.add))
-                        for action, t in payload["items"]]
-    payload["records"] = {aid: enc.add(blob)
-                          for aid, blob in payload["records"].items()}
-    payload["wire"] = enc.frames
-    return payload
-
-
-def read_frames(ring: ShmRing, count: int) -> "list[bytes]":
-    """Materialize the next ``count`` frames of one batch off ``ring``."""
-    return [ring.read_frame() for _ in range(count)]
-
-
-def resolve_epoch(payload: dict[str, Any],
-                  frames: "list[bytes]") -> dict[str, Any]:
-    """Resolve an epoch manifest against already-materialized frames.
-
-    The ``"wire"`` count must have been popped (its frames are
-    ``frames``).  Split from :func:`decode_epoch` so the worker can
-    keep the frame list for the optimistic-lockstep replay log.
-    """
-    dec = RingDecoder.from_frames(frames)
-    payload["items"] = [(action, map_transfer(t, dec.resolve))
-                        for action, t in payload["items"]]
-    payload["records"] = {aid: dec.resolve(token)
-                          for aid, token in payload["records"].items()}
-    return payload
-
-
-def decode_epoch(payload: dict[str, Any], ring: ShmRing) -> dict[str, Any]:
-    return resolve_epoch(payload, read_frames(ring, payload.pop("wire")))
-
-
-def encode_reply(reply: dict[str, Any], ring: ShmRing) -> dict[str, Any]:
-    """Worker -> coordinator: frame the bulk halves of an epoch reply."""
-    enc = RingEncoder(ring)
-    reply["outbox"] = [map_transfer(t, enc.add) for t in reply["outbox"]]
-    if "record_deltas" in reply:
-        reply["record_deltas"] = {
-            aid: enc.add(blob)
-            for aid, blob in reply["record_deltas"].items()}
-    if "journal" in reply:
-        reply["journal"] = [(kind, map_note(data, enc.add))
-                            for kind, data in reply["journal"]]
-    reply["wire"] = enc.frames
-    return reply
-
-
-def decode_reply(reply: dict[str, Any], ring: ShmRing) -> dict[str, Any]:
-    dec = RingDecoder(ring, reply.pop("wire"))
-    reply["outbox"] = [map_transfer(t, dec.resolve)
-                       for t in reply["outbox"]]
-    if "record_deltas" in reply:
-        reply["record_deltas"] = {
-            aid: dec.resolve(token)
-            for aid, token in reply["record_deltas"].items()}
-    if "journal" in reply:
-        reply["journal"] = [(kind, map_note(data, dec.resolve))
-                            for kind, data in reply["journal"]]
-    return reply

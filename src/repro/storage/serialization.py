@@ -43,19 +43,16 @@ PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: is the per-hop ``pickle.loads`` work lazy hydration avoided).
 #:
 #: The ``ipc_*`` / ``frame_reused`` / ``ring_spills`` family instruments
-#: the multiprocess barrier exchange (see :mod:`repro.node.shmring`):
-#: ``ipc_bytes_framed`` — payload bytes shipped zero-copy as shared-
-#: memory ring frames; ``ipc_bytes_copied`` — payload bytes that had to
-#: be freshly serialized at the IPC boundary (the whole exchange in
-#: pipe mode, only ring-capacity spills in shm mode — ≈0 when every
-#: cached blob fits); ``ipc_bytes_control`` — pipe-side control/manifest
-#: pickle bytes in shm mode; ``frame_reused`` — frames whose bytes were
-#: reused byte-for-byte from a cached blob; ``ring_spills`` — frames
-#: that exceeded the ring budget and fell back to the pipe.
+#: the multiprocess barrier exchange (see :mod:`repro.node.procshard`):
+#: ``ipc_bytes_copied`` — the pickled epoch and reply blobs sent over
+#: the worker pipes.  The pipe is the only barrier wire, so
+#: ``ipc_bytes_framed``, ``ipc_bytes_control``, ``frame_reused`` and
+#: ``ring_spills`` (the accounting of the retired shared-memory ring
+#: wire) stay 0; they are kept so per-layer readers find every key.
 #:
 #: ``teardown.suppressed`` counts errors swallowed during best-effort
 #: teardown (worker shutdown, shm unlink, pipe close): each one also
-#: emits a :class:`ResourceWarning`, so leaked-segment diagnosis has a
+#: emits a :class:`ResourceWarning`, so a teardown failure has a
 #: counter and a message instead of a silent ``pass``.
 STATS: dict[str, int] = {
     "snapshot_fast": 0,

@@ -193,6 +193,28 @@ def test_crash_resume_from_reopened_file_journal(tmp_path):
                         journal_factory=factory)
 
 
+def test_proc_journal_with_retired_wire_config_still_resumes(monkeypatch):
+    """Proc journals written while the process backend had a shared-
+    memory ring wire record its mode and ring capacity in their config;
+    resume ignores both and reproduces the uninterrupted run."""
+    from repro.journal import MemoryJournal, WorldJournal
+
+    record_config = WorldJournal.record_config
+
+    def legacy_record_config(self, **data):
+        data.update({"ipc": "shm", "ring_size": 4096})
+        record_config(self, **data)
+
+    monkeypatch.setattr(WorldJournal, "record_config", legacy_record_config)
+    shared = MemoryJournal()
+    factory = lambda: WorldJournal(shared)  # noqa: E731
+    assert_crash_resume("proc", seed=11, kill_at=0.06,
+                        outage=SCENARIOS["kill-restart-mid"][0],
+                        journal_factory=factory)
+    config = WorldJournal(shared).recover().config
+    assert (config["ipc"], config["ring_size"]) == ("shm", 4096)
+
+
 # -- generated workloads: the fuzzer feeds the same harness -----------------------
 #
 # The fixed scenarios above pin known-interesting schedules; the seeded

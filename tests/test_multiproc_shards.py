@@ -20,6 +20,7 @@ The contract under test (see :mod:`repro.node.procshard`):
   counters match the in-process run's).
 """
 
+import multiprocessing
 import os
 import signal
 
@@ -104,58 +105,6 @@ def test_forced_serial_lockstep_matches_parallel(proc_worlds):
     assert serial.trace_digests() == parallel.trace_digests()
 
 
-def test_pipe_and_shm_wire_formats_are_bit_identical(proc_worlds):
-    shm = run_swarm(build(proc_worlds(n_shards=2, seed=7, ipc="shm")))
-    pipe = run_swarm(build(proc_worlds(n_shards=2, seed=7, ipc="pipe")))
-    assert shm.ipc == "shm" and pipe.ipc == "pipe"
-    assert shm.outcomes() == pipe.outcomes()
-    assert shm.counters() == pipe.counters()
-    assert shm.epochs_run == pipe.epochs_run
-    assert shm.trace_digests() == pipe.trace_digests()
-
-
-def test_tiny_ring_wraps_and_spills_without_changing_results(proc_worlds):
-    from repro.storage import serialization
-
-    reference = run_swarm(build(proc_worlds(n_shards=2, seed=7)))
-    serialization.reset_stats()
-    # A ring far smaller than one barrier's traffic: every batch wraps,
-    # and agent-blob frames overflow the budget and spill to the pipe.
-    tiny = run_swarm(build(proc_worlds(n_shards=2, seed=7,
-                                       ring_size=2048)))
-    assert tiny.ipc == "shm"
-    assert tiny.outcomes() == reference.outcomes()
-    assert tiny.trace_digests() == reference.trace_digests()
-    stats = tiny.serialization_stats()
-    assert stats["ring_spills"] > 0
-    assert stats["ipc_bytes_copied"] > 0  # the spilled bytes
-    assert stats["frame_reused"] > 0  # small frames still ride the ring
-
-
-def test_shm_barrier_copies_no_cached_bytes(proc_worlds):
-    from repro.storage import serialization
-
-    serialization.reset_stats()
-    world = run_swarm(build(proc_worlds(n_shards=2, seed=7)))
-    stats = world.serialization_stats()
-    # The zero-copy claim: with rings sized for the traffic, every bulk
-    # blob crosses as a reused frame and nothing is re-serialised at
-    # the IPC boundary.
-    assert stats["ipc_bytes_copied"] == 0
-    assert stats["ring_spills"] == 0
-    assert stats["ipc_bytes_framed"] > 0
-    assert stats["frame_reused"] > 0
-    # The pipe still carries the control manifests.
-    assert stats["ipc_bytes_control"] > 0
-
-
-def test_ipc_validation(proc_worlds):
-    with pytest.raises(UsageError):
-        ProcShardedWorld(n_shards=2, ipc="sockets")
-    with pytest.raises(UsageError):
-        ProcShardedWorld(n_shards=2, ring_size=8)
-
-
 # -- view deltas ------------------------------------------------------------------
 
 
@@ -224,9 +173,19 @@ def test_workers_kwarg_dispatches_to_process_driver(proc_worlds):
         ShardedWorld(n_shards=2, workers="threads")
 
 
-def test_validation_mirrors_in_process_facade(proc_worlds):
+def test_validation_mirrors_in_process_facade(proc_worlds, monkeypatch):
     with pytest.raises(UsageError):
         ProcShardedWorld(n_shards=0)
+    with monkeypatch.context() as patch:
+        def no_spawn(*_args, **_kwargs):
+            raise AssertionError("a worker process was started")
+
+        patch.setattr(multiprocessing, "get_context", no_spawn)
+        # A keyword the worker kernel does not take (including the
+        # retired wire knob) fails here, not in a child's TypeError.
+        for bad in ({"bogus": 1}, {"ipc": "pipe"}):
+            with pytest.raises(UsageError, match=repr(next(iter(bad)))):
+                ProcShardedWorld(n_shards=2, **bad)
     world = proc_worlds(n_shards=2, seed=0)
     world.add_node("x", shard=1)
     assert world.shard_of("x") == 1

@@ -48,7 +48,8 @@ def harvest_bridge_traffic():
 
 
 def _roundtrip_child(conn):
-    """Spawned auditor: echo a digest of everything it can unpickle."""
+    """Spawned auditor: echo a digest and a re-pickle of everything it
+    can unpickle."""
     while True:
         blob = conn.recv()
         if blob is None:
@@ -61,9 +62,8 @@ def _roundtrip_child(conn):
             package = obj.message.payload
         size = package.size_bytes if package is not None else None
         # Re-pickling must also succeed (the coordinator forwards the
-        # same object on to another worker).
-        capture(obj)
-        conn.send((type(obj).__name__, str(kind), size))
+        # same object on to another worker); the echo comes back too.
+        conn.send((type(obj).__name__, str(kind), size, capture(obj)))
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +80,11 @@ def spawn_auditor():
 
 
 def spawn_roundtrip(auditor, obj, context):
+    """(type name, kind, package size, echoed object) from the auditor."""
     assert_picklable(obj, context)
     auditor.send(capture(obj))
-    return auditor.recv()
+    type_name, kind, size, echo = auditor.recv()
+    return type_name, kind, size, restore(echo)
 
 
 # -- every bridge traffic kind, through a real spawned process ---------------------
@@ -95,11 +97,12 @@ def test_all_bridge_traffic_kinds_survive_spawn_roundtrip(spawn_auditor):
     # audit is vacuous.
     assert kinds == {"package", "shadow", "ledger"}
     for transfer in transfers:
-        type_name, _kind, size = spawn_roundtrip(
+        type_name, _kind, size, echo = spawn_roundtrip(
             spawn_auditor, transfer,
             f"bridge {transfer.kind} transfer to "
             f"{transfer.dest_name or transfer.dest_shard}")
         assert type_name == "_Transfer"
+        assert echo == transfer
         if transfer.kind == "package":
             # The transfer-cost model survives the boundary: the framed
             # payload size the destination charges is the one computed
@@ -128,48 +131,12 @@ def test_workload_agent_packages_survive_spawn_roundtrip(spawn_auditor):
         AgentPackage.pack = classmethod(original)
     assert len(packages) > 10
     for package in packages:
-        type_name, _kind, size = spawn_roundtrip(
+        type_name, _kind, size, _echo = spawn_roundtrip(
             spawn_auditor, package,
             f"package of agent {package.agent_id} "
             f"(step {package.step_index}, {package.kind.value})")
         assert type_name == "AgentPackage"
         assert size == package.size_bytes
-
-
-# -- every traffic kind through real shm rings in a spawned process ----------------
-
-
-def _ring_echo_child(conn):
-    """Spawned echo worker for the shm wire format.
-
-    Mirrors one worker side of the zero-copy barrier: attaches to the
-    coordinator-created rings, decodes each epoch payload from its
-    inbound ring, then re-encodes the same transfers (plus the supplied
-    journal notes) as an epoch reply through its outbound ring — so
-    every object crosses a real process boundary in both framed
-    directions.
-    """
-    from repro.node.shmring import (
-        ShmRing,
-        decode_epoch,
-        encode_reply,
-    )
-    in_name, out_name = conn.recv()
-    ring_in = ShmRing.attach(in_name)
-    ring_out = ShmRing.attach(out_name)
-    try:
-        while True:
-            message = conn.recv()
-            if message is None:
-                return
-            payload = decode_epoch(message["epoch"], ring_in)
-            reply = {"outbox": [t for _action, t in payload["items"]],
-                     "record_deltas": payload["records"],
-                     "journal": message["notes"]}
-            conn.send(encode_reply(reply, ring_out))
-    finally:
-        ring_in.close()
-        ring_out.close()
 
 
 def harvest_journal_notes():
@@ -180,47 +147,18 @@ def harvest_journal_notes():
     return world.drain_journal_notes()
 
 
-def test_bridge_traffic_and_notes_survive_shm_rings_across_spawn():
-    from repro.node.shmring import ShmRing, decode_reply
-
-    transfers = harvest_bridge_traffic()
-    assert {t.kind for t in transfers} == {"package", "shadow", "ledger"}
+def test_journal_notes_survive_spawn_roundtrip(spawn_auditor):
+    """Workers ship buffered journal notes with every epoch reply."""
     notes = harvest_journal_notes()
     kinds = {kind for kind, _data in notes}
     assert "savepoint" in kinds and "store" in kinds
     # Only value-stable notes can be compared across the boundary.
-    notes = [n for n in notes if restore(capture(n)) == n]
-
-    ctx = multiprocessing.get_context("spawn")
-    ring_out = ShmRing.create(1 << 21)  # coordinator -> worker
-    ring_in = ShmRing.create(1 << 21)   # worker -> coordinator
-    parent, child = ctx.Pipe()
-    process = ctx.Process(target=_ring_echo_child, args=(child,),
-                          daemon=True)
-    process.start()
-    child.close()
-    parent.send((ring_out.name, ring_in.name))
-    try:
-        from repro.node.shmring import encode_epoch
-        # Several barrier-sized batches, so the rings wrap in-process.
-        step = 4
-        for start in range(0, len(transfers), step):
-            chunk = transfers[start:start + step]
-            chunk_notes = notes[start:start + step]
-            payload = {"items": [("deliver", t) for t in chunk],
-                       "records": {"ag-x": b"record-blob-%d" % start}}
-            parent.send({"epoch": encode_epoch(payload, ring_out),
-                         "notes": chunk_notes})
-            reply = decode_reply(parent.recv(), ring_in)
-            assert reply["outbox"] == chunk
-            assert reply["record_deltas"] == \
-                {"ag-x": b"record-blob-%d" % start}
-            assert reply["journal"] == chunk_notes
-    finally:
-        parent.send(None)
-        process.join(timeout=10)
-        ring_out.unlink()
-        ring_in.unlink()
+    stable = [n for n in notes if restore(capture(n)) == n]
+    assert {kind for kind, _data in stable} >= {"savepoint", "store"}
+    for note in stable:
+        _type, _kind, _size, echoed = spawn_roundtrip(
+            spawn_auditor, note, f"journal {note[0]} note")
+        assert echoed == note
 
 
 # -- readable failure on contract violations ---------------------------------------

@@ -1,32 +1,13 @@
-"""Shared-memory ring + barrier wire-format unit tests (see
-repro/node/shmring.py).
+"""Shared-memory ring primitive unit tests (see repro/node/shmring.py).
 
 The corruption matrix mirrors test_journal.py's torn-tail discipline:
 any damaged frame — header or payload — must surface as TornFrame,
 never as silently corrupt state.
 """
 
-import pickle
-
 import pytest
 
-from repro.agent.packages import AgentPackage, PackageKind
-from repro.net.messages import Message
-from repro.node.sharded import _Transfer
-from repro.node.shmring import (
-    _HEADER,
-    _WRAP,
-    RingDecoder,
-    RingEncoder,
-    ShmRing,
-    TornFrame,
-    decode_epoch,
-    decode_reply,
-    encode_epoch,
-    encode_reply,
-    map_transfer,
-)
-from repro.storage import serialization
+from repro.node.shmring import _HEADER, _WRAP, ShmRing, TornFrame
 
 
 @pytest.fixture
@@ -177,99 +158,3 @@ def test_attach_sees_writes():
         b.close()
     finally:
         a.unlink()
-
-
-# -- wire codec ---------------------------------------------------------------
-
-
-def make_package(tag: bytes) -> AgentPackage:
-    return AgentPackage(kind=PackageKind.STEP, agent_id="ag-1",
-                        blob=b"agent:" + tag, step_index=2,
-                        log_blobs=(b"frame-0:" + tag, b"frame-1:" + tag),
-                        payload_bytes=99, work_id=7)
-
-
-def make_transfers() -> list[_Transfer]:
-    package = _Transfer(at=1.0, seq=0, kind="package", dest_shard=1,
-                        dest_name="n1", package=make_package(b"pkg"),
-                        record_blob=b"record-bytes")
-    shadow = _Transfer(at=1.5, seq=1, kind="shadow", dest_shard=0,
-                       dest_name="n0",
-                       message=Message(src="n1", dst="n0", kind="shadow",
-                                       payload=make_package(b"shadow"),
-                                       size_bytes=123),
-                       max_retries=2)
-    ledger = _Transfer(at=2.0, seq=2, kind="ledger", dest_shard=1,
-                       ledger_write=(41, "n0"))
-    return [package, shadow, ledger]
-
-
-def assert_same_transfer(decoded: _Transfer, original: _Transfer):
-    assert decoded == original  # dataclass equality, all fields deep
-
-
-def test_epoch_payload_round_trip_is_zero_copy(ring):
-    serialization.reset_stats()
-    transfers = make_transfers()
-    payload = {"items": [("deliver", t) for t in transfers],
-               "records": {"ag-1": b"record-a", "ag-2": b"record-b"},
-               "barrier": 3.0}
-    encoded = encode_epoch(dict(payload), ring)
-    assert encoded["wire"] > 0
-    # The originals were never mutated: re-shipped adopted transfers
-    # must keep their real bytes.
-    assert transfers[0].package.blob == b"agent:pkg"
-    blob = pickle.dumps(encoded)  # manifest crosses the pipe pickled
-    decoded = decode_epoch(pickle.loads(blob), ring)
-    assert decoded["barrier"] == 3.0
-    assert decoded["records"] == payload["records"]
-    for (_, got), want in zip(decoded["items"], transfers):
-        assert_same_transfer(got, want)
-    stats = serialization.stats()
-    assert stats["ring_spills"] == 0
-    assert stats["ipc_bytes_copied"] == 0
-    assert stats["frame_reused"] == encoded["wire"]
-    assert stats["ipc_bytes_framed"] > 0
-
-
-def test_reply_round_trip_with_journal_notes(ring):
-    serialization.reset_stats()
-    transfers = make_transfers()
-    notes = [("savepoint", {"agent": "ag-1", "sp": "sp-3",
-                            "virtual": False, "frame": b"sp-frame"}),
-             ("store", {"store": "s", "op": "put", "key": "k",
-                        "value": {"not": "bytes"}}),
-             ("queue", {"node": "n0", "op": "enqueue", "item": 4,
-                        "bytes": b"item-bytes"})]
-    reply = {"outbox": transfers,
-             "record_deltas": {"ag-1": b"delta-bytes"},
-             "journal": notes, "ok": True, "state": {"now": 1.0}}
-    encoded = encode_reply(dict(reply), ring)
-    decoded = decode_reply(pickle.loads(pickle.dumps(encoded)), ring)
-    for got, want in zip(decoded["outbox"], transfers):
-        assert_same_transfer(got, want)
-    assert decoded["record_deltas"] == {"ag-1": b"delta-bytes"}
-    assert decoded["journal"] == notes
-    assert serialization.stats()["ipc_bytes_copied"] == 0
-
-
-def test_spill_keeps_blob_in_band(tiny_ring):
-    serialization.reset_stats()
-    enc = RingEncoder(tiny_ring)
-    big = b"B" * 1000  # cannot ever fit a 64-byte ring
-    small = b"s"
-    assert enc.add(big) is big  # spilled: stays in the manifest
-    ref = enc.add(small)
-    assert not isinstance(ref, bytes)
-    dec = RingDecoder(tiny_ring, enc.frames)
-    assert dec.resolve(big) is big
-    assert dec.resolve(ref) == small
-    stats = serialization.stats()
-    assert stats["ring_spills"] == 1
-    assert stats["ipc_bytes_copied"] == len(big)
-    assert stats["ipc_bytes_framed"] == len(small)
-
-
-def test_map_transfer_identity_without_blobs():
-    ledger = make_transfers()[2]
-    assert map_transfer(ledger, lambda b: b) is ledger
