@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from repro.errors import UsageError
-
-_AGENT_SEQ = itertools.count(1)
+from repro.scope import current as current_scope
 
 CONTROL_KEY = "__control__"
 
@@ -47,7 +45,7 @@ class MobileAgent:
     """
 
     def __init__(self, agent_id: Optional[str] = None):
-        self.agent_id = agent_id or f"agent-{next(_AGENT_SEQ)}"
+        self.agent_id = agent_id or f"agent-{next(current_scope().agent_ids)}"
         self.sro: dict[str, Any] = {}
         self.wro: dict[str, Any] = {}
         self.step_count = 0

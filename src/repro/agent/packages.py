@@ -47,34 +47,18 @@ from repro.log.rollback_log import (
     RollbackLog,
     savepoint_index_bytes,
 )
+from repro.scope import current as current_scope
 from repro.storage.serialization import capture, restore
 
 
-_WORK_IDS = itertools.count(1)
-
-#: Width of one process's work-id namespace (see
-#: :func:`set_work_id_namespace`).  Far above any realistic number of
-#: work units a single run mints.
-WORK_ID_STRIDE = 10 ** 9
-
-
 def reset_work_ids() -> None:
-    """Restart the work-id sequence (test isolation only)."""
-    global _WORK_IDS
-    _WORK_IDS = itertools.count(1)
+    """Restart the current scope's work-id sequence (test isolation).
 
-
-def set_work_id_namespace(index: int) -> None:
-    """Move this process's work-id sequence into a disjoint namespace.
-
-    A multiprocess sharded run mints packages in every worker process;
-    work ids arbitrate exactly-once execution globally (they key the
-    step ledger), so each worker claims the half-open range
-    ``[1 + index * WORK_ID_STRIDE, (index + 1) * WORK_ID_STRIDE)``
-    instead of the shared in-process counter.
+    Work ids arbitrate exactly-once execution globally (they key the
+    step ledger); each shard of a process-backed run mints them from
+    its own scope's namespace (see :mod:`repro.scope`).
     """
-    global _WORK_IDS
-    _WORK_IDS = itertools.count(1 + index * WORK_ID_STRIDE)
+    current_scope().work_ids = itertools.count(1)
 
 
 class PackageKind(str, enum.Enum):
@@ -129,7 +113,7 @@ class AgentPackage:
     # the placement of the primary in a sharded world — shadows carry
     # it so a cross-shard alternate knows which kernel's outage it is
     # watching for without a topology lookup (None when unsharded).
-    work_id: int = field(default_factory=lambda: next(_WORK_IDS))
+    work_id: int = field(default_factory=lambda: next(current_scope().work_ids))
     primary: Optional[str] = None
     primary_shard: Optional[int] = None
     promoted: bool = False

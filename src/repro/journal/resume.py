@@ -44,7 +44,7 @@ def resume_world(journal: WorldJournal):
     Re-opens a journal written by a crashed (or killed) run: rebuilds
     the world from the config record (any backend — ``World``,
     ``ShardedWorld``, ``ProcShardedWorld`` — with its recorded knobs,
-    including ``lockstep`` and the IPC settings), re-applies the op
+    including ``lockstep`` and the start method), re-applies the op
     channel (topology, launches, crash/kill plans), deterministically
     re-executes the committed barrier sequence, verifies the event
     digest of every replayed barrier, then re-arms the journal so the

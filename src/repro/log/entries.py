@@ -29,27 +29,19 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from repro.scope import current as current_scope
 from repro.storage import serialization
-
-_SP_SEQ = itertools.count(1)
 
 
 def reset_savepoint_ids() -> None:
-    """Restart the savepoint id sequence (test isolation only)."""
-    global _SP_SEQ
-    _SP_SEQ = itertools.count(1)
-
-
-def set_savepoint_id_namespace(index: int, stride: int = 10 ** 9) -> None:
-    """Move this process's auto savepoint names into a disjoint range.
+    """Restart the current scope's savepoint id sequence (test isolation).
 
     Auto-generated savepoint ids must be unique *within one agent's
-    log*; an agent of a multiprocess sharded run appends entries in
-    whichever worker process hosts it at the time, so each worker mints
-    from its own range to keep the names collision-free across hops.
+    log*; each shard of a process-backed run mints them from its own
+    scope's namespace (see :mod:`repro.scope`), so the names stay
+    collision-free as an agent hops between shards.
     """
-    global _SP_SEQ
-    _SP_SEQ = itertools.count(1 + index * stride)
+    current_scope().savepoint_ids = itertools.count(1)
 
 
 class Recoverability:
@@ -120,11 +112,11 @@ class LogEntry:
         """The serialised form of this entry, cached after first use."""
         cached = self.__dict__.get("_blob")
         if cached is not None:
-            serialization.STATS["entry_blob_reused"] += 1
+            current_scope().stats["entry_blob_reused"] += 1
             return cached
         blob = serialization.capture(self)
         self.__dict__["_blob"] = blob
-        serialization.STATS["entry_blob_serialized"] += 1
+        current_scope().stats["entry_blob_serialized"] += 1
         return blob
 
     def blob_size(self) -> int:
@@ -180,7 +172,7 @@ class SavepointEntry(LogEntry):
     @staticmethod
     def fresh_id(prefix: str = "sp") -> str:
         """Generate a unique savepoint identifier."""
-        return f"{prefix}-{next(_SP_SEQ)}"
+        return f"{prefix}-{next(current_scope().savepoint_ids)}"
 
 
 @dataclass

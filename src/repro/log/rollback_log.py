@@ -55,7 +55,7 @@ from repro.log.entries import (
     SavepointEntry,
 )
 from repro.log.modes import LoggingMode, SRODiff, sro_apply, sro_compose
-from repro.storage import serialization
+from repro.scope import current as current_scope
 from repro.storage.serialization import restore, snapshot
 from repro.tx.manager import Transaction
 
@@ -125,7 +125,7 @@ class RollbackLog:
         log._entries = [None] * len(blobs)
         log._frames = list(blobs)
         log._payload_bytes = sum(len(blob) for blob in blobs)
-        serialization.STATS["entry_hydration_deferred"] += len(blobs)
+        current_scope().stats["entry_hydration_deferred"] += len(blobs)
         if index_state is not None:
             sp_items, eos_count = index_state
             log._sp_index = {sp_id: (pos, eos_at, virtual)
@@ -154,7 +154,7 @@ class RollbackLog:
         O(n) pointer copy; no pickling happens here — frames are
         maintained incrementally by the mutating operations.
         """
-        serialization.STATS["entry_blob_reused"] += len(self._frames)
+        current_scope().stats["entry_blob_reused"] += len(self._frames)
         return tuple(self._frames)
 
     def payload_bytes(self) -> int:
@@ -169,7 +169,7 @@ class RollbackLog:
             entry = restore(frame)
             entry.seed_blob(frame)
             self._entries[index] = entry
-            serialization.STATS["entry_hydrated"] += 1
+            current_scope().stats["entry_hydrated"] += 1
         return entry
 
     def _hydrate_all(self) -> None:

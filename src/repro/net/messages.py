@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
-_MSG_IDS = itertools.count(1)
+from repro.scope import current as current_scope
 
 
 @dataclass
@@ -24,5 +23,5 @@ class Message:
     kind: str
     payload: Any
     size_bytes: int
-    msg_id: int = field(default_factory=lambda: next(_MSG_IDS))
+    msg_id: int = field(default_factory=lambda: next(current_scope().message_ids))
     retries: int = 0

@@ -1,21 +1,30 @@
-"""True multiprocess shard workers: one kernel per worker process.
+"""True multiprocess shards: shard 0 in the coordinator, one worker each
+for the rest.
 
 :class:`~repro.node.sharded.ShardedWorld` partitions a world across N
 kernels but runs them all in one Python process — N-way logical
 concurrency, one core.  :class:`ProcShardedWorld` (also reachable as
 ``ShardedWorld(workers="process")``) keeps the exact same lockstep
-epoch protocol and moves each shard kernel into a
-:mod:`multiprocessing` worker process, so epochs of independent shards
-execute on real cores in parallel.
+epoch protocol and runs N shards on N−1 :mod:`multiprocessing` worker
+processes plus the coordinator process itself, so epochs of
+independent shards execute on real cores in parallel.
+``ProcShardedWorld(n_shards=1)`` spawns no worker at all.
 
 Architecture
 ------------
 
-The coordinator owns no kernel.  It drives the same barrier loop as
-the in-process driver (:func:`~repro.node.sharded.next_epoch_barrier`
-is shared), but each "advance shard i to the barrier" becomes a
-command over that worker's pipe and each barrier flush becomes an
-explicit exchange:
+Shards 1..N−1 each run in a worker process behind a pipe.  Shard 0
+runs inside the coordinator, through the very command server a worker
+runs (:class:`_WorkerServer`, reached via :class:`_LocalHandle`): its
+commands and replies still travel as pickles, so no object is shared
+between coordinator and shard state, and it executes under its own
+:class:`~repro.scope.Scope`, so its id sequences and serialization
+counters are exactly a worker's and never mix with the coordinator's
+(or with another world living in the same process).  The coordinator
+drives the same barrier loop as the in-process driver
+(:func:`~repro.node.sharded.next_epoch_barrier` is shared), but each
+"advance shard i to the barrier" becomes a command to that shard's
+server and each barrier flush becomes an explicit exchange:
 
 * **collect** — every worker's epoch reply carries its bridge outbox
   (agent packages, shadow copies, ledger mirrors — the same
@@ -39,6 +48,16 @@ worker ships per-epoch record deltas, the coordinator merges them (in
 shard order, updating record objects in place so references returned
 by :meth:`launch` stay live) and re-broadcasts changed records to the
 other workers with their next command.
+
+A running shard with nothing to do at a barrier — nothing staged, no
+revival, no pending records, and no event due by the barrier — gets no
+turn at all: in-process its kernel would only move its clock.  The
+coordinator moves its copy of that clock instead, and the shard's next
+state-bearing command carries the barrier as a ``catch_up`` it runs to
+before anything else, so a launch between barriers sees the barrier
+clock and an optimistic redo replays the catch-up.  A launch also
+carries the owner's inbox routed at the last barrier and applies it
+first, exactly as the in-process flush already scheduled it.
 
 Entangled workloads and the serial turn schedule
 ------------------------------------------------
@@ -101,11 +120,11 @@ paper's own discipline — speculate, detect, roll back:
   twin would have — with deterministic kernels, it *is* the serial
   execution, and its outbox/dumps/record deltas are accepted as-is.
 * **roll back** — any mismatched shard is rolled back to its epoch
-  savepoint and re-executed: the worker rebuilds a fresh kernel,
-  replays its pristine command log (resetting its id namespaces, so
-  the rebuild is bit-identical to the original history) and then runs
-  the conflicted epoch with the authoritative serial-turn views.
-  Validation continues in shard order, so later shards validate
+  savepoint and re-executed: the shard rebuilds a fresh kernel under a
+  fresh scope and replays its pristine command log (the fresh id
+  sequences make the rebuild bit-identical to the original history),
+  then runs the conflicted epoch with the authoritative serial-turn
+  views.  Validation continues in shard order, so later shards validate
   against the *post-redo* state — a conflict cascades exactly to the
   shards whose reads it invalidated, never the whole world.
 
@@ -136,6 +155,9 @@ module (the registry is rebuilt per process from imports).  Violations
 surface at ship time through
 :func:`~repro.storage.serialization.assert_picklable`, which names the
 offending attribute instead of burying it in a worker traceback.
+Shard 0 shares the coordinator's registry, so a compensation
+registered after import resolves there but not on the workers: the
+spawn picklability audit, not a shard-0 run, is the contract check.
 
 A worker process that dies outright (crash, OOM kill, SIGKILL) is
 surfaced as :class:`~repro.errors.WorkerDied` — an explicit permanent
@@ -146,9 +168,11 @@ from __future__ import annotations
 
 import inspect
 import multiprocessing
+import operator
 import pickle
 import traceback
 import warnings
+from collections import deque
 from typing import Any, Optional
 
 from repro.errors import LockConflict, UsageError, WorkerDied, WorkerError
@@ -163,6 +187,8 @@ from repro.node.sharded import (
     next_epoch_barrier,
     outcomes_of,
 )
+from repro.scope import Scope, entered
+from repro.scope import current as current_scope
 from repro.storage import serialization
 from repro.storage.serialization import assert_picklable, capture, restore
 from repro.tx.locks import LockManager
@@ -195,7 +221,7 @@ def _teardown_step(what: str, fn, *exc_types: type) -> bool:
     try:
         fn()
     except exc_types as exc:
-        serialization.STATS["teardown.suppressed"] += 1
+        current_scope().stats["teardown.suppressed"] += 1
         warnings.warn(
             f"suppressed teardown failure in {what}: "
             f"{type(exc).__name__}: {exc}",
@@ -211,9 +237,7 @@ _RECORD_FIELDS = ("status", "steps_committed", "step_attempts",
                   "compensation_txs", "agent_transfers", "transfer_bytes",
                   "finished_at", "failure")
 
-
-def _record_fingerprint(record: Any) -> tuple:
-    return tuple(getattr(record, f) for f in _RECORD_FIELDS)
+_record_fingerprint = operator.attrgetter(*_RECORD_FIELDS)
 
 
 def _record_progress(record: Any) -> tuple:
@@ -419,46 +443,58 @@ _LOGGED_OPS = frozenset((
     "set_alternates", "launch", "crash_plans", "kill", "enable_digest"))
 
 
-def _build_shard(config: dict[str, Any]
-                 ) -> "tuple[RemoteShardContext, ShardWorld]":
-    """Build (or rebuild) one worker's context + kernel from its config.
+def _build_shard(config: dict[str, Any],
+                 stats: Optional[dict[str, int]] = None
+                 ) -> "tuple[Scope, RemoteShardContext, ShardWorld]":
+    """Build (or rebuild) one shard's scope, context and kernel.
 
-    Also (re)sets the process's id namespaces: the module counters are
-    deterministic functions of the shard index, so calling this again
-    before an optimistic-rollback replay restores the exact id
-    sequences the original history consumed.
+    The kernel is built under a fresh :class:`~repro.scope.Scope` whose
+    id sequences start in the shard's namespace: work ids arbitrate
+    exactly-once globally, auto savepoint names must stay unique within
+    a migrating agent's log, and offset item ids keep debug output
+    unambiguous.  The sequences are deterministic functions of the
+    shard index, so a rebuild before an optimistic-rollback replay
+    restores the exact ids the original history consumed.  ``stats``
+    keeps a rebuilt shard counting into its old counter table.
     """
-    from repro.agent import packages
-    from repro.log import entries
-    from repro.storage import queues
-
     shard = config["shard_index"]
-    # Disjoint id namespaces: work ids arbitrate exactly-once globally,
-    # auto savepoint names must stay unique within a migrating agent's
-    # log, and offset item ids keep debug output unambiguous.
-    packages.set_work_id_namespace(shard)
-    queues.set_item_id_namespace(shard)
-    entries.set_savepoint_id_namespace(shard)
-
-    ctx = RemoteShardContext(shard, config["n_shards"])
-    world = ShardWorld(shard_index=shard, sharded=ctx,
-                       seed=config["seed"] + 100_003 * shard,
-                       journal_capture=config.get("journal_capture", False),
-                       **config["world_kwargs"])
+    scope = Scope(shard, stats)
+    with entered(scope):
+        ctx = RemoteShardContext(shard, config["n_shards"])
+        world = ShardWorld(shard_index=shard, sharded=ctx,
+                           seed=config["seed"] + 100_003 * shard,
+                           journal_capture=config.get("journal_capture",
+                                                      False),
+                           **config["world_kwargs"])
     world.journal_shard = shard  # notes self-tag with their origin
     ctx.world = world
-    return ctx, world
+    return scope, ctx, world
 
 
 class _WorkerServer:
-    """The command loop of one shard worker process."""
+    """The command server of one shard: its scope, context and kernel.
 
-    def __init__(self, conn, ctx: RemoteShardContext, world: ShardWorld,
-                 config: Optional[dict[str, Any]] = None):
+    A worker process runs it behind its pipe (:meth:`serve`); the
+    coordinator runs shard 0's through a :class:`_LocalHandle`.  Either
+    way every command arrives and leaves as a pickle and executes under
+    the shard's own scope (:meth:`serve_one`).
+    """
+
+    def __init__(self, config: dict[str, Any], conn=None):
         self.conn = conn
-        self.ctx = ctx
-        self.world = world
-        self._config = config or {}
+        self._config = config
+        self.stopped = False
+        self.scope, self.ctx, self.world = _build_shard(config)
+        self._reset_tracking()
+        #: Optimistic lockstep only: the pristine history of every
+        #: state-bearing command — the pipe blobs exactly as received —
+        #: which is what makes every epoch a savepoint (rollback =
+        #: rebuild the kernel and replay the log).  None under the
+        #: other schedules: no retention.
+        self._spec_log: Optional[list] = \
+            [] if config.get("lockstep") == "optimistic" else None
+
+    def _reset_tracking(self) -> None:
         self._record_prints: dict[str, tuple] = {}
         #: Kernel event count at the last full record scan; None once
         #: an inbox item or revival may have touched a record since.
@@ -466,12 +502,6 @@ class _WorkerServer:
         #: What the turn dumps last published (claims as the ledger
         #: version they were read at), so a dump ships only what moved.
         self._published: dict[str, Any] = {}
-        #: Optimistic lockstep only: the pristine history of every
-        #: state-bearing command — the pipe blobs exactly as received —
-        #: which is what makes every epoch a savepoint (rollback =
-        #: rebuild the kernel and replay the log).  None under the other schedules: no retention.
-        self._spec_log: Optional[list] = \
-            [] if self._config.get("lockstep") == "optimistic" else None
 
     # -- record delta tracking ------------------------------------------------------
 
@@ -530,6 +560,12 @@ class _WorkerServer:
         }
 
     def handle(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
+        catch_up = payload.get("catch_up")
+        if catch_up is not None:
+            # The coordinator skipped this shard's idle turns (nothing
+            # was due); bring its clock to the last skipped barrier
+            # before anything else, as those turns would have.
+            self.world.sim.run_epoch(catch_up)
         world, ctx = self.world, self.ctx
         if op == "epoch":
             return self._handle_epoch(payload)
@@ -552,6 +588,9 @@ class _WorkerServer:
             ctx.ft_alternates[payload["node"]] = tuple(payload["alternates"])
             return {}
         if op == "launch":
+            # The inbox routed at the last barrier first: the in-process
+            # flush scheduled it before any launch between barriers.
+            self._apply_inbox(payload["records"], payload["items"])
             # One bundle pickle: preserves object sharing between the
             # agent's own state and the launch arguments (e.g. the
             # start-node string also being plan[0]), so the package the
@@ -573,26 +612,17 @@ class _WorkerServer:
         if op == "fetch":
             return {"value": self._fetch(payload)}
         if op == "shutdown":
+            self.stopped = True
             return {}
         raise UsageError(f"unknown worker command {op!r}")
 
-    def _handle_epoch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        world, ctx = self.world, self.ctx
-        # Speculative epoch: log every foreign-view consult so the
-        # coordinator can validate the execution against the views a
-        # serial turn would have served.
-        ctx.read_log = [] if payload.get("spec") else None
-        self._merge_records(payload["records"])
-        if payload["views"] is not None:
-            ctx.update_views(payload["views"])
-        ctx.last_flush_at = payload["last_flush_at"]
-        if payload["items"] or payload["revive"] is not None:
+    def _apply_inbox(self, records: dict[str, bytes], items: list) -> None:
+        """Merge broadcast records, then apply routed bridge items."""
+        world = self.world
+        self._merge_records(records)
+        if items:
             self._scanned_at = None
-        # Inbox first, revival second: the in-process driver flushes the
-        # bridge (scheduling deliveries, even into a frozen kernel) at
-        # the end of one loop iteration and revives at the start of the
-        # next, so the event sequence numbers must follow that order.
-        for action, transfer in payload["items"]:
+        for action, transfer in items:
             if action == "give-up":
                 apply_give_up(world, transfer)
                 continue
@@ -605,7 +635,23 @@ class _WorkerServer:
                             else transfer.message.payload.agent_id)
                 self._merge_records({agent_id: transfer.record_blob})
             apply_transfer(world, transfer)
+
+    def _handle_epoch(self, payload: dict[str, Any]) -> dict[str, Any]:
+        world, ctx = self.world, self.ctx
+        # Speculative epoch: log every foreign-view consult so the
+        # coordinator can validate the execution against the views a
+        # serial turn would have served.
+        ctx.read_log = [] if payload.get("spec") else None
+        if payload["views"] is not None:
+            ctx.update_views(payload["views"])
+        ctx.last_flush_at = payload["last_flush_at"]
+        # Inbox first, revival second: the in-process driver flushes the
+        # bridge (scheduling deliveries, even into a frozen kernel) at
+        # the end of one loop iteration and revives at the start of the
+        # next, so the event sequence numbers must follow that order.
+        self._apply_inbox(payload["records"], payload["items"])
         if payload["revive"] is not None:
+            self._scanned_at = None
             restart_at, backlog = payload["revive"]
             world.schedule_revival(restart_at, backlog)
         if payload["run"] and not world.sim.suspended:
@@ -648,28 +694,31 @@ class _WorkerServer:
         log entry rewritten to the corrected command — so a *later*
         rollback's replay reproduces this redone history, not the
         mis-speculated one.  Then the savepoint restore: a fresh kernel
-        (fresh metrics, RNG, id namespaces) replays the whole log —
-        deterministically bit-identical to the original history, since
-        every replayed command carries inputs the coordinator validated
-        (or corrected) against the serial schedule — and finally the
-        corrected epoch executes with fresh views.
+        under a fresh scope (fresh metrics, RNG, id sequences) replays
+        the whole log — deterministically bit-identical to the original
+        history, since every replayed command carries inputs the
+        coordinator validated (or corrected) against the serial
+        schedule — and finally the corrected epoch executes with fresh
+        views.  The shard's serialization counters keep running: the
+        replayed work really happened.
         """
         op, epoch_payload = pickle.loads(self._spec_log.pop())
         epoch_payload["views"] = payload["views"]
         epoch_payload["spec"] = False
         self._spec_log.append(_dumps((op, epoch_payload)))
-        self.ctx, self.world = _build_shard(self._config)
-        self._record_prints = {}
-        self._scanned_at = None
-        self._published = {}
-        for past in self._spec_log[:-1]:
-            past_op, past_payload = pickle.loads(past)
-            self.handle(past_op, past_payload)
-            if self.world._journal_capture:
-                # The replayed prefix was journaled the first time it
-                # executed; its re-derived notes must not ship again.
-                self.world.drain_journal_notes()
-        return self._handle_epoch(epoch_payload)
+        self.scope, self.ctx, self.world = _build_shard(
+            self._config, stats=self.scope.stats)
+        self._reset_tracking()
+        with entered(self.scope):
+            for past in self._spec_log[:-1]:
+                past_op, past_payload = pickle.loads(past)
+                self.handle(past_op, past_payload)
+                if self.world._journal_capture:
+                    # The replayed prefix was journaled the first time
+                    # it executed; its re-derived notes must not ship
+                    # again.
+                    self.world.drain_journal_notes()
+            return self.handle(op, epoch_payload)
 
     def _fetch(self, payload: dict[str, Any]) -> Any:
         world = self.world
@@ -686,8 +735,7 @@ class _WorkerServer:
         if what == "queue_length":
             return len(world.node(payload["node"]).queue)
         if what == "ser_stats":
-            from repro.storage.serialization import stats
-            return stats()
+            return dict(self.scope.stats)
         if what == "record_deltas":
             return self._record_deltas()
         if what == "views":
@@ -696,20 +744,12 @@ class _WorkerServer:
             return world.sim.trace_digest()
         raise UsageError(f"unknown fetch {what!r}")
 
-    # -- loop -----------------------------------------------------------------------
+    # -- serving --------------------------------------------------------------------
 
-    def serve(self) -> None:
-        """Run the command loop until shutdown or the parent is gone."""
-        while True:
-            while not self.conn.poll(0.5):
-                # Orphan defense: a SIGKILLed coordinator can't run the
-                # daemon-reaping atexit hook, and under ``fork`` sibling
-                # workers keep the pipe open so no EOF ever arrives.
-                # Poll the parent's liveness instead and exit on our own.
-                parent = multiprocessing.parent_process()
-                if parent is None or not parent.is_alive():
-                    return
-            raw = self.conn.recv_bytes()
+    def serve_one(self, raw: bytes) -> bytes:
+        """Execute one pickled command under the shard's scope; return
+        the pickled reply (an error reply when the command raised)."""
+        with entered(self.scope):
             op, payload = pickle.loads(raw)
             if self._spec_log is not None and op in _LOGGED_OPS:
                 # Retain the pristine command BEFORE executing it: this
@@ -729,18 +769,28 @@ class _WorkerServer:
                          "error": f"{type(exc).__name__}: {exc}",
                          "traceback": traceback.format_exc()}
             blob = _dumps(reply)
-            if op in ("epoch", "redo"):
-                serialization.STATS["ipc_bytes_copied"] += len(blob)
-            self.conn.send_bytes(blob)
-            if op == "shutdown":
-                return
+        if op in ("epoch", "redo"):
+            self.scope.stats["ipc_bytes_copied"] += len(blob)
+        return blob
+
+    def serve(self) -> None:
+        """Run the pipe loop until shutdown or the parent is gone."""
+        while not self.stopped:
+            while not self.conn.poll(0.5):
+                # Orphan defense: a SIGKILLed coordinator can't run the
+                # daemon-reaping atexit hook, and under ``fork`` sibling
+                # workers keep the pipe open so no EOF ever arrives.
+                # Poll the parent's liveness instead and exit on our own.
+                parent = multiprocessing.parent_process()
+                if parent is None or not parent.is_alive():
+                    return
+            self.conn.send_bytes(self.serve_one(self.conn.recv_bytes()))
 
 
 def _worker_entry(conn, config: dict[str, Any]) -> None:
     """Entry point of one shard worker process."""
-    ctx, world = _build_shard(config)
     try:
-        _WorkerServer(conn, ctx, world, config=config).serve()
+        _WorkerServer(config, conn).serve()
     except (EOFError, KeyboardInterrupt):  # coordinator went away
         pass
 
@@ -750,13 +800,18 @@ def _worker_entry(conn, config: dict[str, Any]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _WorkerHandle:
-    """Coordinator-side pipe + process wrapper for one shard worker."""
+class _ShardHandle:
+    """Coordinator-side end of one shard's command channel.
 
-    def __init__(self, shard: int, process, conn):
+    :meth:`send` pickles a command, :meth:`recv` unpickles its reply and
+    mirrors the shard's clock state; subclasses move the bytes.
+    """
+
+    #: The worker process (None for the coordinator-hosted shard).
+    process = None
+
+    def __init__(self, shard: int):
         self.shard = shard
-        self.process = process
-        self.conn = conn
         self.peek: Optional[float] = None
         self.now: float = 0.0
         self.suspended = False
@@ -764,33 +819,35 @@ class _WorkerHandle:
         #: Journal payload notes shipped with replies, awaiting the
         #: coordinator's ingest (drained at each epoch collect).
         self.journal_notes: list[tuple[str, dict]] = []
+        #: The last barrier of an idle turn the coordinator skipped;
+        #: rides the shard's next state-bearing command.
+        self.catch_up: Optional[float] = None
 
-    def _died(self) -> WorkerDied:
-        return WorkerDied(self.shard, self.process.exitcode)
+    def _transmit(self, blob: bytes) -> None:
+        raise NotImplementedError
+
+    def _receive(self) -> bytes:
+        raise NotImplementedError
 
     def send(self, op: str, payload: dict[str, Any]) -> None:
+        if self.catch_up is not None and op in _LOGGED_OPS:
+            payload = dict(payload, catch_up=self.catch_up)
+            self.catch_up = None
         blob = _dumps((op, payload))
         if op == "epoch":
-            serialization.STATS["ipc_bytes_copied"] += len(blob)
-        try:
-            self.conn.send_bytes(blob)
-        except (BrokenPipeError, OSError):
-            raise self._died() from None
+            current_scope().stats["ipc_bytes_copied"] += len(blob)
+        self._transmit(blob)
 
     def recv(self) -> dict[str, Any]:
-        while not self.conn.poll(0.1):
-            if not self.process.is_alive():
-                raise self._died()
-        try:
-            reply = pickle.loads(self.conn.recv_bytes())
-        except (EOFError, OSError):
-            raise self._died() from None
+        reply = pickle.loads(self._receive())
         if not reply.get("ok"):
             raise WorkerError(self.shard, reply.get("error", "unknown"),
                               reply.get("traceback", ""))
         state = reply["state"]
         self.peek = state["peek"]
-        self.now = state["now"]
+        # Never backwards: a shard whose idle turns were skipped still
+        # reports its old clock until its next state-bearing command.
+        self.now = max(self.now, state["now"])
         self.suspended = state["suspended"]
         self.events = state["events"]
         notes = reply.get("journal")
@@ -802,6 +859,65 @@ class _WorkerHandle:
                 ) -> dict[str, Any]:
         self.send(op, payload or {})
         return self.recv()
+
+
+class _WorkerHandle(_ShardHandle):
+    """The pipe and process of one shard worker."""
+
+    def __init__(self, shard: int, process, conn):
+        super().__init__(shard)
+        self.process = process
+        self.conn = conn
+
+    def _died(self) -> WorkerDied:
+        return WorkerDied(self.shard, self.process.exitcode)
+
+    def _transmit(self, blob: bytes) -> None:
+        try:
+            self.conn.send_bytes(blob)
+        except (BrokenPipeError, OSError):
+            raise self._died() from None
+
+    def _receive(self) -> bytes:
+        while not self.conn.poll(0.1):
+            if not self.process.is_alive():
+                raise self._died()
+        try:
+            return self.conn.recv_bytes()
+        except (EOFError, OSError):
+            raise self._died() from None
+
+
+class _LocalHandle(_ShardHandle):
+    """The shard the coordinator process hosts itself (shard 0).
+
+    Runs the same :class:`_WorkerServer` a worker process runs, and
+    keeps the pickle round trip in both directions, so no object is
+    ever shared between coordinator and shard state.  A command
+    executes when its reply is collected, not when it is sent: a
+    parallel or optimistic cycle dispatches every worker first and then
+    runs this shard while they work.
+    """
+
+    def __init__(self, shard: int, config: dict[str, Any]):
+        super().__init__(shard)
+        self.server = _WorkerServer(config)
+        self._queued: deque[bytes] = deque()
+
+    def _transmit(self, blob: bytes) -> None:
+        self._queued.append(blob)
+
+    def _receive(self) -> bytes:
+        return self.server.serve_one(self._queued.popleft())
+
+
+def _shard_barrier(handle: _ShardHandle, barrier: Optional[float],
+                   cap_to_now: bool) -> Optional[float]:
+    """Where one shard's turn stops: the barrier, or its own clock when
+    a run capped at ``until`` finds it already past (``cap_to_now``)."""
+    if cap_to_now and barrier is not None:
+        return max(barrier, handle.now)
+    return barrier
 
 
 class NodeProxy:
@@ -858,7 +974,8 @@ class NodeProxy:
 
 
 class ProcShardedWorld:
-    """A sharded world whose kernels run in worker processes.
+    """A sharded world whose kernels run in worker processes (and one in
+    the coordinator).
 
     The facade mirrors :class:`~repro.node.sharded.ShardedWorld` where
     workloads and equivalence checks need it (``add_node`` / ``launch``
@@ -870,8 +987,10 @@ class ProcShardedWorld:
     processes are daemonic but prompt teardown keeps test runs tidy.
 
     Args:
-        n_shards: Number of shard kernels (= worker processes).
-        seed: Root seed; worker ``i`` runs at ``seed + 100_003 * i``.
+        n_shards: Number of shard kernels.  Shard 0 runs inside this
+            process; each other shard gets a worker process
+            (``n_shards=1`` spawns none).
+        seed: Root seed; shard ``i`` runs at ``seed + 100_003 * i``.
         epoch: Virtual-time length of one lockstep epoch (defaults to
             the network latency).
         start_method: :mod:`multiprocessing` start method
@@ -966,20 +1085,24 @@ class ProcShardedWorld:
         self._staged_items: list[list] = [[] for _ in range(n_shards)]
 
         mp = multiprocessing.get_context(start_method)
-        self._handles: list[_WorkerHandle] = []
-        for index in range(n_shards):
+        config = {"n_shards": n_shards, "seed": seed,
+                  "world_kwargs": world_kwargs,
+                  "journal_capture": journal is not None,
+                  "lockstep": lockstep}
+        # Workers start before shard 0 is built, so a forked child never
+        # inherits the coordinator-hosted kernel.
+        self._handles: list[_ShardHandle] = []
+        for index in range(1, n_shards):
             parent_conn, child_conn = mp.Pipe()
-            config = {"shard_index": index, "n_shards": n_shards,
-                      "seed": seed, "world_kwargs": world_kwargs,
-                      "journal_capture": journal is not None,
-                      "lockstep": lockstep}
             process = mp.Process(target=_worker_entry,
-                                 args=(child_conn, config),
+                                 args=(child_conn,
+                                       dict(config, shard_index=index)),
                                  name=f"repro-shard-{index}",
                                  daemon=True)
             process.start()
             child_conn.close()
             self._handles.append(_WorkerHandle(index, process, parent_conn))
+        self._handles.insert(0, _LocalHandle(0, dict(config, shard_index=0)))
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -995,13 +1118,14 @@ class ProcShardedWorld:
         if self._closed:
             return
         self._closed = True
-        for handle in self._handles:
+        workers = [h for h in self._handles if h.process is not None]
+        for handle in workers:
             # A dead worker is the one expected failure of a shutdown
             # send.
             _teardown_step(f"shutdown send to shard {handle.shard}",
                            lambda h=handle: h.send("shutdown", {}),
                            WorkerDied)
-        for handle in self._handles:
+        for handle in workers:
             handle.process.join(timeout=5)
             if handle.process.is_alive():
                 _teardown_step(f"terminate of shard {handle.shard}",
@@ -1105,11 +1229,14 @@ class ProcShardedWorld:
     # -- agent management --------------------------------------------------------------
 
     def launch(self, agent, at: str, method: str, **launch_kwargs: Any):
-        """Launch ``agent`` at node ``at`` (in whichever worker hosts it).
+        """Launch ``agent`` at node ``at`` (in whichever shard hosts it).
 
-        Returns the coordinator's live :class:`~repro.node.runtime.
-        AgentRecord` copy — merged in place at every barrier, so the
-        reference stays current across :meth:`run` calls.
+        Launch is a ship: the owning shard runs a restored copy of the
+        agent, never the caller's object.  Returns the coordinator's
+        live :class:`~repro.node.runtime.AgentRecord` copy — merged in
+        place at every barrier, so the reference stays current across
+        :meth:`run` calls; results are read through it and
+        :meth:`outcomes`.
         """
         from repro.agent.packages import Protocol
         protocol = launch_kwargs.get("protocol", Protocol.BASIC)
@@ -1122,8 +1249,14 @@ class ProcShardedWorld:
             # The journal reuses the ship bundle verbatim, so replay
             # re-launches byte-identical launch state.
             self.journal.record_op("launch", bundle=bundle)
+        # The owner's inbox routed at the last barrier ships along and
+        # applies first: in-process, that flush already scheduled it.
         reply = self._handles[owner].request(
-            "launch", {"bundle": bundle})
+            "launch", {"bundle": bundle,
+                       "records": self._pending_records[owner],
+                       "items": self._staged_items[owner]})
+        self._pending_records[owner] = {}
+        self._staged_items[owner] = []
         self._merge_record_blob(reply["record"], origin=owner)
         return self.agents[agent.agent_id]
 
@@ -1218,7 +1351,7 @@ class ProcShardedWorld:
         if journal is not None and journal.armed and journal.buffered():
             journal.commit_epoch(self.now, self._journal_digest())
 
-    def _ingest_journal(self, handle: _WorkerHandle) -> None:
+    def _ingest_journal(self, handle: _ShardHandle) -> None:
         """Buffer a worker's shipped payload notes into the journal."""
         notes = handle.journal_notes
         if not notes:
@@ -1473,11 +1606,8 @@ class ProcShardedWorld:
                        run: bool, max_events: int, revives: dict,
                        cap_to_now: bool, schedule: str) -> dict[str, Any]:
         handle = self._handles[shard]
-        shard_barrier = barrier
-        if cap_to_now and barrier is not None:
-            shard_barrier = max(barrier, handle.now)
         return {
-            "barrier": shard_barrier,
+            "barrier": _shard_barrier(handle, barrier, cap_to_now),
             "run": run and (not handle.suspended or shard in revives),
             "max_events": max_events,
             "items": self._staged_items[shard],
@@ -1495,19 +1625,29 @@ class ProcShardedWorld:
                cap_to_now: bool = False) -> None:
         """One coordinated cycle: scatter commands, collect, merge.
 
-        Targets every shard that must act this cycle (running kernels,
-        kernels with staged inbox items, kernels being revived).  In
-        serial mode each worker's turn completes — and its dumps merge
-        into the canonical views — before the next worker starts, which
+        Targets every shard that must act this cycle (running kernels
+        with an event due by the barrier, kernels with staged inbox
+        items or records, kernels being revived).  A running kernel with
+        nothing due gets no turn: its clock alone would move, so the
+        coordinator moves its copy and the shard catches up with its
+        next state-bearing command (see :meth:`_ShardHandle.send`).  In
+        serial mode each shard's turn completes — and its dumps merge
+        into the canonical views — before the next shard starts, which
         is what keeps entangled runs identical to the in-process
         schedule.  Optimistic mode runs all turns concurrently and
         repairs mis-speculation afterwards (see ``_cycle_optimistic``).
         """
-        targets = [
-            shard for shard in range(self.n_shards)
-            if (run and not self._handles[shard].suspended)
-            or self._staged_items[shard] or shard in revives
-            or self._pending_records[shard]]
+        targets = []
+        for shard, handle in enumerate(self._handles):
+            if self._staged_items[shard] or shard in revives \
+                    or self._pending_records[shard]:
+                targets.append(shard)
+            elif run and not handle.suspended:
+                until = _shard_barrier(handle, barrier, cap_to_now)
+                if handle.peek is not None and handle.peek <= until:
+                    targets.append(shard)
+                else:
+                    handle.catch_up = handle.now = until
         if schedule == "serial":
             for shard in targets:
                 self._dispatch(shard, barrier, run, max_events, revives,
@@ -1672,11 +1812,12 @@ class ProcShardedWorld:
                       "resource": resource})["value"]
 
     def serialization_stats(self) -> dict[str, Any]:
-        """Summed per-worker serialization STATS counters.
+        """Summed per-shard serialization counters.
 
-        The coordinator process's own IPC accounting (it encodes the
-        scatter half of every barrier) is folded in on top of the
-        worker sums, so both directions of the exchange are visible.
+        Each shard counts in its own scope, shard 0 included.  The
+        coordinator's own IPC accounting (it encodes the scatter half of
+        every barrier) is folded in on top of the shard sums, so both
+        directions of the exchange are visible.
         Optimistic-lockstep speculation accounting rides along under
         ``spec.*`` keys: ``spec.epochs_speculated`` /
         ``spec.epochs_rolled_back`` / ``spec.shards_rolled_back``
@@ -1698,7 +1839,7 @@ class ProcShardedWorld:
         return dict(sorted(merged.items()))
 
     def shard_serialization_stats(self, shard: int) -> dict[str, int]:
-        """One worker process's own serialization STATS counters."""
+        """One shard's own serialization counters (its scope's table)."""
         return self._handles[shard].request(
             "fetch", {"what": "ser_stats"})["value"]
 

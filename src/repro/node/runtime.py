@@ -150,6 +150,11 @@ class World:
             raised by the respective methods, not the constructor.
     """
 
+    # Launch canonicalizes the agent through one capture/restore
+    # round trip; shards of a sharded world leave that to their
+    # coordinator, which already did it.
+    _canonical_launch = True
+
     def __init__(self, seed: int = 0,
                  timing: TimingModel = DEFAULT_TIMING,
                  net_params: NetworkParams = DEFAULT_NETWORK,
@@ -520,20 +525,33 @@ class World:
         back to its very beginning (itinerary agents use this for the
         savepoint "before the execution of [the first sub-itinerary]
         starts").  Returns the live :class:`AgentRecord`.
+
+        Launch is a ship: the world runs a restored copy of ``agent``
+        (one capture/restore round trip, exactly what the process
+        backend and journal replay run), never the caller's object, so
+        the agent's pickled size cannot depend on caller-side object
+        identity.  Read results through the returned record and
+        :meth:`outcomes`.
         """
         from repro.log.entries import SavepointEntry
         from repro.log.modes import sro_image_hashed
-        from repro.storage.serialization import capture, snapshot
+        from repro.storage.serialization import capture, restore, snapshot
 
         node = self.node(at)
-        if self._owns_ops and self.journal is not None \
-                and self.journal.armed:
-            # One bundle pickle before launch mutates the agent's
-            # control state, mirroring the worker-process contract.
-            self.journal.record_op("launch", bundle=capture(
-                (agent, at, method,
-                 {"mode": mode, "protocol": protocol,
-                  "initial_savepoints": initial_savepoints})))
+        if self._canonical_launch:
+            # Launch is a ship: run the restored bundle, exactly as the
+            # worker-process backend and journal replay do, so the
+            # agent's pickled size never depends on caller-side object
+            # identity (e.g. interned SRO keys).
+            bundle = capture((agent, at, method,
+                              {"mode": mode, "protocol": protocol,
+                               "initial_savepoints": initial_savepoints}))
+            if self._owns_ops and self.journal is not None \
+                    and self.journal.armed:
+                self.journal.record_op("launch", bundle=bundle)
+            agent, at, method, kwargs = restore(bundle)
+            mode, protocol = kwargs["mode"], kwargs["protocol"]
+            initial_savepoints = kwargs["initial_savepoints"]
         agent.set_control(at, method)
         log = RollbackLog(self.logging_mode)
         transition = self.logging_mode is LoggingMode.TRANSITION

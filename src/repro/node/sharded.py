@@ -411,6 +411,8 @@ class ShardWorld(World):
     ledger-replicated variant).
     """
 
+    _canonical_launch = False
+
     def __init__(self, shard_index: int, sharded: "ShardedWorld",
                  **world_kwargs: Any):
         # Set before super().__init__: the FT factory runs inside it
@@ -894,14 +896,19 @@ class ShardedWorld:
 
     def launch(self, agent: "MobileAgent", at: str, method: str,
                **launch_kwargs: Any) -> AgentRecord:
-        """Launch ``agent`` at node ``at`` (in whichever shard hosts it)."""
+        """Launch ``agent`` at node ``at`` (in whichever shard hosts it).
+
+        Launch is a ship: the shard runs a restored copy of ``agent``,
+        never the caller's object (see :meth:`World.launch`); read
+        results through the returned record and :meth:`outcomes`.
+        """
+        from repro.storage.serialization import capture, restore
+        # Launch is a ship: the shard runs the restored bundle, as a
+        # worker process does, and replay re-launches the same bytes.
+        bundle = capture((agent, at, method, launch_kwargs))
         if self.journal is not None and self.journal.armed:
-            # Captured before the launch mutates the agent (control
-            # backref, itinerary cursor), so replay re-launches the
-            # pristine bundle.
-            from repro.storage.serialization import capture
-            self.journal.record_op("launch", bundle=capture(
-                (agent, at, method, launch_kwargs)))
+            self.journal.record_op("launch", bundle=bundle)
+        agent, at, method, launch_kwargs = restore(bundle)
         return self.world_of(at).launch(agent, at=at, method=method,
                                         **launch_kwargs)
 

@@ -26,7 +26,7 @@ import zlib
 from multiprocessing import shared_memory
 from typing import Optional
 
-from repro.storage import serialization
+from repro.scope import current as current_scope
 
 _HEADER = struct.Struct("<II")  # <u32 length><u32 crc32>
 #: Sentinel length marking "batch wraps to offset 0 here".  A real
@@ -137,7 +137,7 @@ class ShmRing:
                 # and the munmap itself can fail (OSError).  Closing must
                 # stay best-effort, but not silent: a pinned mapping is
                 # exactly the kind of leak that needs a diagnosis trail.
-                serialization.STATS["teardown.suppressed"] += 1
+                current_scope().stats["teardown.suppressed"] += 1
                 warnings.warn(
                     f"suppressed shm close failure for ring {name}: "
                     f"{type(exc).__name__}: {exc}",
@@ -154,7 +154,7 @@ class ShmRing:
             except FileNotFoundError:
                 pass  # already unlinked by the other side / the tracker
             except OSError as exc:  # pragma: no cover - platform teardown
-                serialization.STATS["teardown.suppressed"] += 1
+                current_scope().stats["teardown.suppressed"] += 1
                 warnings.warn(
                     f"suppressed shm unlink failure for ring {shm.name}: "
                     f"{type(exc).__name__}: {exc} — segment may be leaked",

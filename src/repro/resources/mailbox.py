@@ -13,14 +13,12 @@ example of compensation windows closing over time.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 from repro.errors import CompensationFailed
 from repro.resources.base import TransactionalResource
+from repro.scope import current as current_scope
 from repro.tx.manager import Transaction
-
-_MSG_SEQ = itertools.count(1)
 
 
 class MessageBoard(TransactionalResource):
@@ -38,7 +36,7 @@ class MessageBoard(TransactionalResource):
         The id is the parameter a retraction needs — a pure resource
         compensation (no agent state required).
         """
-        message_id = f"{self.name}-m{next(_MSG_SEQ)}"
+        message_id = f"{self.name}-m{next(current_scope().mailbox_ids)}"
         self.write(tx, ("msg", message_id), {
             "topic": topic, "body": body, "sender": sender,
             "state": "unread",

@@ -18,16 +18,14 @@ reversible object.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import CompensationFailed, UsageError
 from repro.resources.base import TransactionalResource
 from repro.resources.cash import Coin, Mint, purse_value
+from repro.scope import current as current_scope
 from repro.tx.manager import Transaction
-
-_RECEIPTS = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -123,7 +121,8 @@ class Shop(TransactionalResource):
         self.mint.redeem(tx, coins)
         change = self.mint.issue(tx, paid - cost, 1) if paid > cost else []
         self.write(tx, "till", self.read(tx, "till", 0) + cost)
-        receipt = Receipt(receipt_id=f"{self.name}-r{next(_RECEIPTS)}",
+        serial = next(current_scope().receipt_ids)
+        receipt = Receipt(receipt_id=f"{self.name}-r{serial}",
                           shop=self.name, item=item, quantity=quantity,
                           paid=cost, time=now)
         self.write(tx, ("receipt", receipt.receipt_id), {

@@ -24,27 +24,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import UsageError
+from repro.scope import current as current_scope
 from repro.storage.serialization import size_of
 from repro.tx.manager import Transaction
 
-_ITEM_IDS = itertools.count(1)
-
-
 def reset_item_ids() -> None:
-    """Restart the queue item id sequence (test isolation only)."""
-    global _ITEM_IDS
-    _ITEM_IDS = itertools.count(1)
+    """Restart the current scope's queue item id sequence (test isolation).
 
-
-def set_item_id_namespace(index: int, stride: int = 10 ** 9) -> None:
-    """Move this process's item-id sequence into a disjoint namespace.
-
-    Item ids only need to be unique per node queue, but the shard
-    workers of a multiprocess run offset them anyway so that ids in
-    logs, labels and debug dumps never collide across processes.
+    Item ids only need to be unique per node queue, but each shard of a
+    process-backed run mints them from its own scope's namespace (see
+    :mod:`repro.scope`), so ids in logs, labels and debug dumps never
+    collide across shards.
     """
-    global _ITEM_IDS
-    _ITEM_IDS = itertools.count(1 + index * stride)
+    current_scope().item_ids = itertools.count(1)
 
 
 @dataclass
@@ -53,7 +45,7 @@ class QueueItem:
 
     payload: Any
     size_bytes: int
-    item_id: int = field(default_factory=lambda: next(_ITEM_IDS))
+    item_id: int = field(default_factory=lambda: next(current_scope().item_ids))
     attempts: int = 0
 
 

@@ -20,9 +20,10 @@ Two kinds of copies dominate the hot path:
   touching pickle at all and falls back to the round trip the moment it
   meets a type it does not understand.
 
-Module-level :data:`STATS` counters make the cache/fast-path behaviour
-observable from benches and tests without threading a metrics object
-through every call site.
+Per-scope counters (:data:`STATS` in the process-default scope, see
+:mod:`repro.scope`) make the cache/fast-path behaviour observable from
+benches and tests without threading a metrics object through every
+call site.
 """
 
 from __future__ import annotations
@@ -30,61 +31,38 @@ from __future__ import annotations
 import pickle
 from typing import Any, TypeVar
 
+from repro.scope import DEFAULT as DEFAULT_SCOPE
+from repro.scope import current as current_scope
+
 T = TypeVar("T")
 
 PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Instrumentation for the incremental-serialization subsystem.  Keys:
-#: ``snapshot_fast`` / ``snapshot_pickle`` — structural vs round-trip
-#: snapshots; ``entry_blob_serialized`` / ``entry_blob_reused`` — log
-#: entry pickles actually performed vs satisfied from an entry's cache;
-#: ``entry_hydration_deferred`` / ``entry_hydrated`` — frames adopted
-#: lazily at unpack vs actually unpickled later on first read (the gap
-#: is the per-hop ``pickle.loads`` work lazy hydration avoided).
-#:
-#: The ``ipc_*`` / ``frame_reused`` / ``ring_spills`` family instruments
-#: the multiprocess barrier exchange (see :mod:`repro.node.procshard`):
-#: ``ipc_bytes_copied`` — the pickled epoch and reply blobs sent over
-#: the worker pipes.  The pipe is the only barrier wire, so
-#: ``ipc_bytes_framed``, ``ipc_bytes_control``, ``frame_reused`` and
-#: ``ring_spills`` (the accounting of the retired shared-memory ring
-#: wire) stay 0; they are kept so per-layer readers find every key.
-#:
-#: ``teardown.suppressed`` counts errors swallowed during best-effort
-#: teardown (worker shutdown, shm unlink, pipe close): each one also
-#: emits a :class:`ResourceWarning`, so a teardown failure has a
-#: counter and a message instead of a silent ``pass``.
-STATS: dict[str, int] = {
-    "snapshot_fast": 0,
-    "snapshot_pickle": 0,
-    "entry_blob_serialized": 0,
-    "entry_blob_reused": 0,
-    "entry_hydration_deferred": 0,
-    "entry_hydrated": 0,
-    "ipc_bytes_framed": 0,
-    "ipc_bytes_copied": 0,
-    "ipc_bytes_control": 0,
-    "frame_reused": 0,
-    "ring_spills": 0,
-    "teardown.suppressed": 0,
-}
+#: Instrumentation for the incremental-serialization subsystem and the
+#: process backend's barrier exchange: the counter table of the
+#: process-default :class:`~repro.scope.Scope` (keys documented at
+#: :data:`repro.scope.STAT_KEYS`).  Code that counts goes through
+#: ``current_scope().stats`` instead, so a shard server's work lands in
+#: its own scope's table; outside a shard server that table is this one.
+STATS: dict[str, int] = DEFAULT_SCOPE.stats
 
 #: The IPC-accounting subset of :data:`STATS` — the keys the process-
 #: backed world facade folds from the coordinator process into its
-#: summed per-worker stats (both barrier directions stay visible).
+#: summed per-shard stats (both barrier directions stay visible).
 IPC_STAT_KEYS = ("ipc_bytes_framed", "ipc_bytes_copied",
                  "ipc_bytes_control", "frame_reused", "ring_spills")
 
 
 def reset_stats() -> None:
-    """Zero the :data:`STATS` counters (test/bench isolation)."""
-    for key in STATS:
-        STATS[key] = 0
+    """Zero the current scope's counters (test/bench isolation)."""
+    counters = current_scope().stats
+    for key in counters:
+        counters[key] = 0
 
 
 def stats() -> dict[str, int]:
-    """A point-in-time copy of the :data:`STATS` counters."""
-    return dict(STATS)
+    """A point-in-time copy of the current scope's counters."""
+    return dict(current_scope().stats)
 
 
 def capture(obj: Any) -> bytes:
@@ -233,7 +211,7 @@ def snapshot(obj: T) -> T:
     try:
         copy = _structural_copy(obj, {})
     except _NeedsPickle:
-        STATS["snapshot_pickle"] += 1
+        current_scope().stats["snapshot_pickle"] += 1
         return restore(capture(obj))
-    STATS["snapshot_fast"] += 1
+    current_scope().stats["snapshot_fast"] += 1
     return copy

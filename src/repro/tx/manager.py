@@ -25,16 +25,13 @@ in-process undo log this is the same state transition).
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import TYPE_CHECKING, Callable, Hashable
 
 from repro.errors import TransactionAborted, UsageError
+from repro.scope import current as current_scope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.tx.locks import LockManager
-
-_TXID = itertools.count(1)
-
 
 class TxState(enum.Enum):
     """Life cycle of a transaction."""
@@ -58,7 +55,7 @@ class Transaction:
     """
 
     def __init__(self, kind: str, home: str):
-        self.txid: int = next(_TXID)
+        self.txid: int = next(current_scope().txids)
         self.kind = kind
         self.home = home
         self.state = TxState.ACTIVE

@@ -26,7 +26,17 @@ picklable — the worker-process contract.
 
 import pytest
 
+# Imported at module load, not inside a test: perf.agents registers its
+# compensations on import, and the per-test registry snapshot keeps only
+# registrations that predate the test.
+from perf.agents import PerfAgent
+from perf.inputs import make_inputs
+from perf.kernel import launch_all, lay_out, new_world
+from perf.measure import Tracer
+
 from tests.helpers import (
+    FT_RING,
+    LinearAgent,
     build_ft_ring,
     launch_ft_tours,
     run_crash_resume_scenario,
@@ -213,6 +223,154 @@ def test_proc_journal_with_retired_wire_config_still_resumes(monkeypatch):
                         journal_factory=factory)
     config = WorldJournal(shared).recover().config
     assert (config["ipc"], config["ring_size"]) == ("shm", 4096)
+
+
+# -- launch is a ship: mid-run launches and the repo benchmark's inputs ------------
+
+
+def _stepped_run_with_late_launches(backend):
+    """Drive the FT ring with ``step_epoch`` and launch one 3-hop FT
+    tour per shard after calls 5, 17 and 29 — launches that land
+    between barriers, while their owners hold a routed inbox."""
+    from repro import ProcShardedWorld
+    from repro.agent.packages import Protocol
+
+    world = build_ft_ring(backend, seed=5, n_shards=3)
+    try:
+        world.enable_trace_digest()
+        launch_ft_tours(world, n_agents=1)
+        calls = 0
+        while world.step_epoch() or calls < 29:
+            calls += 1
+            if calls in (5, 17, 29):
+                for shard in range(3):
+                    start = FT_RING.index(shard_nodes(shard)[0])
+                    plan = [FT_RING[(start + j) % len(FT_RING)]
+                            for j in range(3)]
+                    world.launch(LinearAgent(f"late-{calls}-{shard}", plan),
+                                 at=plan[0], method="step",
+                                 protocol=Protocol.FAULT_TOLERANT)
+        return (world.outcomes(), world.events_processed(),
+                world.epochs_run, world.trace_digests())
+    finally:
+        if isinstance(world, ProcShardedWorld):
+            world.close()
+
+
+def test_mid_run_launch_queues_behind_the_routed_inbox():
+    """A launch between barriers must land after the owner's inbox
+    routed at the last barrier, as the in-process flush scheduled it."""
+    inproc = _stepped_run_with_late_launches("sharded")
+    proc = _stepped_run_with_late_launches("proc")
+    assert len(inproc[0]) == 10
+    assert all(o["status"] == "finished" for o in proc[0].values())
+    assert proc == inproc
+
+
+def _perf_world(inputs, inproc, journal=None):
+    world = new_world(inputs, inproc=inproc, journal=journal)
+    lay_out(world, inputs)
+    launch_all(world, inputs, Tracer(inputs.workload, enabled=False))
+    return world
+
+
+def _perf_observed(world):
+    return {"outcomes": world.outcomes(), "counters": world.counters(),
+            "epochs": world.epochs_run,
+            "events": world.events_processed()}
+
+
+def test_pinned_ft_crossshard_input_set_equal_on_both_sharded_backends():
+    """Input set (seed 11, variant 7) of the repo benchmark's
+    ``ft-crossshard`` workload — every hop cross-shard, the next two
+    ring nodes as alternates, shard 1 killed at 0.08 and restarted at
+    2.0.  Its agents' SRO key aliases an interned string, so their
+    first package was 8 bytes shorter in-process than on the process
+    backend until launch became a ship on every backend."""
+    inputs = make_inputs("ft-crossshard", 11, 7)
+    results = {}
+    for inproc in (True, False):
+        world = _perf_world(inputs, inproc)
+        try:
+            world.enable_trace_digest()
+            world.run()
+            results[inproc] = (_perf_observed(world), world.trace_digests())
+        finally:
+            if not inproc:
+                world.close()
+    assert results[True] == results[False]
+    assert all(o["status"] == "finished"
+               for o in results[False][0]["outcomes"].values())
+
+
+def test_pinned_ft_crossshard_input_set_resumes_identically(tmp_path):
+    """The same inputs in-process, killed mid-barrier and resumed from
+    a reopened file journal, equal the uninterrupted run."""
+    from repro.errors import WorldKilled
+    from repro.journal import FileJournal, WorldJournal, resume_world
+
+    inputs = make_inputs("ft-crossshard", 11, 7)
+    world = _perf_world(inputs, inproc=True)
+    world.run()
+    uninterrupted = _perf_observed(world)
+    assert all(o["status"] == "finished"
+               for o in uninterrupted["outcomes"].values())
+
+    path = tmp_path / "world.journal"
+    journal = WorldJournal(FileJournal(path))
+    world = _perf_world(inputs, inproc=True, journal=journal)
+    world.kill_world(at=0.5, phase="barrier")
+    with pytest.raises(WorldKilled):
+        world.run()
+    journal.close()
+    journal = WorldJournal(FileJournal(path))
+    try:
+        resumed = resume_world(journal)
+        resumed.run()
+        assert _perf_observed(resumed) == uninterrupted
+    finally:
+        journal.close()
+
+
+def test_aliased_key_agent_first_package_size_equal_on_all_backends():
+    """An agent whose SRO key aliases an interned string pickles shorter
+    before its first round trip than after; every backend launches the
+    round-tripped agent, so the first package is the same size."""
+    from repro import ProcShardedWorld, ShardedWorld, World
+    from repro.storage.serialization import capture, restore
+
+    inputs = make_inputs("ft-crossshard", 11, 7)
+    spec = inputs.agents[0]
+    agent = PerfAgent(spec)
+    assert len(capture(agent)) < len(capture(restore(capture(agent))))
+    at = spec.steps[0].node
+    sizes = {}
+    for backend in ("world", "sharded", "proc"):
+        if backend == "world":
+            world = World(seed=1)
+        elif backend == "sharded":
+            world = ShardedWorld(n_shards=2, seed=1)
+        else:
+            world = ProcShardedWorld(n_shards=2, seed=1)
+        try:
+            for name in inputs.ring:
+                # Shard 0 hosts the launch node on both sharded backends.
+                if backend == "world":
+                    world.add_node(name)
+                else:
+                    world.add_node(name, shard=0 if name == at else 1)
+            world.launch(PerfAgent(spec), at=at, method="run")
+            if backend == "world":
+                kernel = world
+            elif backend == "sharded":
+                kernel = world.world_of(at)
+            else:
+                kernel = world._handles[0].server.world
+            sizes[backend] = kernel.node(at).queue.head().size_bytes
+        finally:
+            if backend == "proc":
+                world.close()
+    assert sizes["world"] == sizes["sharded"] == sizes["proc"]
 
 
 # -- generated workloads: the fuzzer feeds the same harness -----------------------

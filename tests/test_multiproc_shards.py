@@ -105,6 +105,138 @@ def test_forced_serial_lockstep_matches_parallel(proc_worlds):
     assert serial.trace_digests() == parallel.trace_digests()
 
 
+# -- shard 0 in the coordinator -------------------------------------------------
+
+
+def test_coordinator_hosts_shard_zero(proc_worlds):
+    """N shards run on N-1 worker processes; one shard spawns none."""
+    before = set(multiprocessing.active_children())
+    world = proc_worlds(n_shards=3, seed=0)
+    spawned = set(multiprocessing.active_children()) - before
+    assert len(spawned) == 2
+    assert world._handles[0].process is None
+    solo = proc_worlds(n_shards=1, seed=0)
+    assert set(multiprocessing.active_children()) - before == spawned
+    build(solo)
+    run_swarm(solo, n_agents=2)
+    assert all(o["status"] == "finished" for o in solo.outcomes().values())
+
+
+def _ft_ring_digests(world):
+    return world.outcomes(), world.trace_digests()
+
+
+def test_hosted_shard_leaves_a_live_in_process_world_alone():
+    """Half-run an in-process world, run a process-backed world to the
+    end in the same process, then finish the first: it ends exactly as
+    a solo run, and the coordinator's counters hold none of shard 0's
+    work (its scope keeps ids and counters to itself)."""
+    from repro.scope import Scope, entered
+    from repro.storage import serialization
+
+    def started():
+        world = build_ft_ring("sharded", seed=5)
+        world.enable_trace_digest()
+        launch_ft_tours(world)
+        return world
+
+    with entered(Scope()) as solo_scope:
+        solo = started()
+        solo.run()
+        expected = _ft_ring_digests(solo)
+    with entered(Scope()) as scope:
+        first = started()
+        first.run(until=0.5)
+        before = serialization.stats()
+        proc = build_ft_ring("proc", seed=5)
+        try:
+            launch_ft_tours(proc)
+            proc.run()
+            assert all(o["status"] == "finished"
+                       for o in proc.outcomes().values())
+            assert proc.serialization_stats()["entry_blob_serialized"] > 0
+        finally:
+            proc.close()
+        after = serialization.stats()
+        first.run()
+        assert _ft_ring_digests(first) == expected
+    # Only the coordinator's own IPC accounting moved.
+    assert {k: v for k, v in after.items()
+            if k not in serialization.IPC_STAT_KEYS} == \
+        {k: v for k, v in before.items()
+         if k not in serialization.IPC_STAT_KEYS}
+    assert {k: v for k, v in scope.stats.items()
+            if k not in serialization.IPC_STAT_KEYS} == \
+        {k: v for k, v in solo_scope.stats.items()
+         if k not in serialization.IPC_STAT_KEYS}
+
+
+def test_same_seed_twice_in_one_process_is_identical():
+    """A second world of the same seed in the same process starts from
+    fresh shard scopes: equal digests, equal per-shard counters, and
+    nothing absorbed into the coordinator's counters."""
+    from repro.storage import serialization
+
+    runs = []
+    for _ in range(2):
+        world = build_ft_ring("proc", seed=5)
+        try:
+            world.enable_trace_digest()
+            launch_ft_tours(world)
+            world.run()
+            stats = world.serialization_stats()
+            runs.append((world.trace_digests(), {
+                k: v for k, v in stats.items()
+                if k not in serialization.IPC_STAT_KEYS}))
+        finally:
+            world.close()
+    assert runs[0] == runs[1]
+    assert runs[0][1]["entry_blob_serialized"] > 0
+    assert all(v == 0 for k, v in serialization.stats().items()
+               if k not in serialization.IPC_STAT_KEYS)
+
+
+def test_idle_turns_are_skipped_with_identical_digests():
+    """Shards with nothing due at a barrier get no epoch command, and
+    the run stays bit-identical to the in-process one.  After every
+    step — and a fetch, which a skipped shard answers with its old
+    clock — each shard's clock as the coordinator sees it equals the
+    in-process kernel's."""
+    inproc = build_ft_ring("sharded", seed=5)
+    inproc.enable_trace_digest()
+    inproc.kill_shard(1, at=0.08, restart_at=2.0)
+    launch_ft_tours(inproc)
+
+    world = build_ft_ring("proc", seed=5)
+    sent = {"epoch": 0}
+
+    def spy(send):
+        def wrapped(op, payload):
+            if op == "epoch":
+                sent["epoch"] += 1
+            send(op, payload)
+        return wrapped
+
+    try:
+        for handle in world._handles:
+            handle.send = spy(handle.send)
+        world.enable_trace_digest()
+        world.kill_shard(1, at=0.08, restart_at=2.0)
+        launch_ft_tours(world)
+        while inproc.step_epoch():
+            assert world.step_epoch()
+            world.counters()
+            assert [h.now for h in world._handles] == \
+                [shard.sim.now for shard in inproc.shards]
+        assert not world.step_epoch()
+        assert world.trace_digests() == inproc.trace_digests()
+        assert world.outcomes() == inproc.outcomes()
+        assert world.epochs_run == inproc.epochs_run
+        assert sent["epoch"] < world.epochs_run * world.n_shards
+    finally:
+        world.close()
+
+
 # -- view deltas ------------------------------------------------------------------
 
 
