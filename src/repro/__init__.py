@@ -45,7 +45,6 @@ from repro.exactly_once.fault_tolerant import FTParams
 from repro.journal import (
     FileJournal,
     MemoryJournal,
-    SqliteJournal,
     WorldJournal,
     open_backend,
     resume_world,
@@ -148,7 +147,6 @@ __all__ = [
     "WorldJournal",
     "MemoryJournal",
     "FileJournal",
-    "SqliteJournal",
     "open_backend",
     "resume_world",
     "serialization_stats",

@@ -137,8 +137,7 @@ def run_case_on(case: FuzzCase, backend: str) -> dict[str, Any]:
             result["events"] = world.events_processed()
         return result
     finally:
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
 
 
 def _account_total(record: dict[str, Any], account: str) -> int:

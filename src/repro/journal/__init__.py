@@ -2,7 +2,7 @@
 
 See :mod:`repro.journal.journal` for the write side (group commit at
 epoch barriers), :mod:`repro.journal.backends` for the storage
-backends (in-memory, CRC-framed append-only file, sqlite) and
+backends (in-memory, CRC-framed append-only file) and
 :mod:`repro.journal.resume` for recovery by deterministic replay.
 """
 
@@ -10,7 +10,6 @@ from repro.journal.backends import (
     FileJournal,
     JournalBackend,
     MemoryJournal,
-    SqliteJournal,
     open_backend,
 )
 from repro.journal.journal import RecoveredRun, WorldJournal
@@ -18,5 +17,5 @@ from repro.journal.resume import resume_world
 
 __all__ = [
     "WorldJournal", "RecoveredRun", "resume_world", "JournalBackend",
-    "MemoryJournal", "FileJournal", "SqliteJournal", "open_backend",
+    "MemoryJournal", "FileJournal", "open_backend",
 ]

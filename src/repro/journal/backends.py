@@ -24,7 +24,6 @@ part of the recovery path.
 from __future__ import annotations
 
 import os
-import sqlite3
 import struct
 import zlib
 from typing import Optional
@@ -198,89 +197,6 @@ class FileJournal(JournalBackend):
         return os.path.getsize(self.path)
 
 
-class SqliteJournal(JournalBackend):
-    """Sqlite-backed journal: one row per record, CRC column per row.
-
-    The torn-tail rule carries over: a CRC-failed *last* row is the
-    interrupted write and is discarded; a failed earlier row raises
-    :class:`~repro.errors.JournalCorrupt`.  Durability rides sqlite's
-    own transaction machinery (:meth:`sync` commits).
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._db = sqlite3.connect(self.path)
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS records ("
-            " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-            " crc INTEGER NOT NULL,"
-            " payload BLOB NOT NULL)")
-        self._db.commit()
-
-    def append(self, payload: bytes) -> None:
-        self._db.execute(
-            "INSERT INTO records (crc, payload) VALUES (?, ?)",
-            (zlib.crc32(payload), sqlite3.Binary(payload)))
-
-    def sync(self) -> None:
-        self._db.commit()
-
-    def read_all(self) -> tuple[list[bytes], bool]:
-        rows = self._db.execute(
-            "SELECT crc, payload FROM records ORDER BY seq").fetchall()
-        payloads: list[bytes] = []
-        for i, (crc, payload) in enumerate(rows):
-            payload = bytes(payload)
-            if zlib.crc32(payload) != crc:
-                if i == len(rows) - 1:
-                    return payloads, True  # torn final row
-                raise JournalCorrupt(
-                    f"{self.path}: record {i} failed its CRC check "
-                    f"before the journal tail — refusing to recover")
-            payloads.append(payload)
-        return payloads, False
-
-    def truncate_records(self, count: int) -> None:
-        keep = self._db.execute(
-            "SELECT seq FROM records ORDER BY seq").fetchall()[:count]
-        floor = keep[-1][0] if keep else 0
-        self._db.execute("DELETE FROM records WHERE seq > ?", (floor,))
-        self._db.commit()
-
-    def tear_tail(self, nbytes: int) -> None:
-        row = self._db.execute(
-            "SELECT seq, payload FROM records ORDER BY seq DESC LIMIT 1"
-        ).fetchone()
-        if row is None:
-            return
-        seq, payload = row
-        torn = bytes(payload)[:max(0, len(payload) - nbytes)]
-        self._db.execute("UPDATE records SET payload = ? WHERE seq = ?",
-                         (sqlite3.Binary(torn), seq))
-        self._db.commit()
-
-    def corrupt_record(self, index: int) -> None:
-        rows = self._db.execute(
-            "SELECT seq, payload FROM records ORDER BY seq").fetchall()
-        seq, payload = rows[index]
-        payload = bytearray(payload)
-        payload[0] ^= 0xFF
-        self._db.execute("UPDATE records SET payload = ? WHERE seq = ?",
-                         (sqlite3.Binary(bytes(payload)), seq))
-        self._db.commit()
-
-    def close(self) -> None:
-        self._db.commit()
-        self._db.close()
-
-    @property
-    def size_bytes(self) -> int:
-        row = self._db.execute(
-            "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM records"
-        ).fetchone()
-        return int(row[0])
-
-
 def _offset_of(buf: bytes, count: int) -> int:
     """Byte offset just past the first ``count`` framed records."""
     offset = 0
@@ -293,11 +209,8 @@ def _offset_of(buf: bytes, count: int) -> int:
 
 
 def open_backend(spec: Optional[str] = None, **kwargs) -> JournalBackend:
-    """Convenience factory: ``None``/``"memory"``, a ``.db``/``.sqlite``
-    path (sqlite), or any other path (append-only file)."""
+    """Convenience factory: ``None``/``"memory"`` or a path (append-only
+    file)."""
     if spec is None or spec == "memory":
         return MemoryJournal()
-    path = os.fspath(spec)
-    if path.endswith((".db", ".sqlite")):
-        return SqliteJournal(path)
-    return FileJournal(path, **kwargs)
+    return FileJournal(os.fspath(spec), **kwargs)

@@ -33,7 +33,7 @@ re-serialized wholesale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.errors import JournalCorrupt, UsageError
@@ -104,10 +104,9 @@ class WorldJournal:
     never reaches the backend.
 
     Args:
-        backend: A :class:`~repro.journal.MemoryJournal`,
-            :class:`~repro.journal.FileJournal` or
-            :class:`~repro.journal.SqliteJournal` (or anything with
-            the backend protocol); defaults to an in-RAM backend.
+        backend: A :class:`~repro.journal.MemoryJournal` or
+            :class:`~repro.journal.FileJournal` (or anything with the
+            backend protocol); defaults to an in-RAM backend.
 
     ``armed`` gates every write: a journal attached to a world being
     rebuilt for resume stays disarmed while the journaled prefix

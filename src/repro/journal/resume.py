@@ -92,8 +92,7 @@ def resume_world(journal: WorldJournal):
         if frontier is not None:
             _verify_frontier(world, frontier)
     except BaseException:
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
         raise
     journal.rearm(recovered)
     return world

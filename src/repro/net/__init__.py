@@ -18,15 +18,11 @@ Architecture (bottom up):
   per-message latency at high agent counts while preserving
   delivery semantics (retries, partitions, per-kind metrics,
   split-on-give-up).
-
-``Network`` remains as an alias of :class:`SimTransport` for scenarios
-written against the pre-refactor monolithic class.
 """
 
 from repro.net.batching import BatchingTransport
 from repro.net.messages import Message
-from repro.net.network import Network, SimTransport
+from repro.net.network import SimTransport
 from repro.net.transport import Transport
 
-__all__ = ["Transport", "SimTransport", "BatchingTransport", "Network",
-           "Message"]
+__all__ = ["Transport", "SimTransport", "BatchingTransport", "Message"]

@@ -152,8 +152,3 @@ class SimTransport:
                 on_delivered(message)
 
         self.sim.schedule(delay, _deliver, label=f"deliver:{message.kind}")
-
-
-#: Backwards-compatible alias — the fabric was called ``Network`` before
-#: the Transport refactor; existing scenarios keep working.
-Network = SimTransport

@@ -1,0 +1,364 @@
+"""The lockstep walk every world backend shares.
+
+:class:`~repro.node.runtime.World` (one kernel),
+:class:`~repro.node.sharded.ShardedWorld` (N kernels in this process)
+and :class:`~repro.node.procshard.ProcShardedWorld` (N kernels, N−1 of
+them in worker processes) all advance on one deterministic grid of
+epoch barriers, and :class:`LockstepWorld` walks it for all three.
+Each barrier is a coordinated checkpoint — the point where the journal
+commits what the run has done — and :meth:`LockstepWorld._step` is the
+one place that decides the cut: which barrier comes next, which shard
+revivals fall inside it, where a kill lands and when the group commit
+runs.  The same seed therefore gives the same barrier sequence, commit
+markers and trace digests on every backend by construction.
+
+A backend supplies only the hooks that differ:
+
+* :meth:`~LockstepWorld._next_times` — pending event times and the
+  running kernels' clocks, which a barrier may not fall behind;
+* :meth:`~LockstepWorld._advance` — revive the due shards and run every
+  live kernel to the barrier;
+* :meth:`~LockstepWorld._route` — exchange cross-kernel traffic at the
+  barrier;
+* :meth:`~LockstepWorld._idle_step` — work left when no kernel has an
+  event due (a bridge flush, a staged inbox);
+* :meth:`~LockstepWorld._stop_at` — what a run capped at ``until`` does
+  when the next event lies past the cap;
+* :meth:`~LockstepWorld._journal_digest` — the execution digest each
+  commit marker carries.
+
+The defaults drive the kernels :meth:`~LockstepWorld._kernels` returns
+in this process; the process backend overrides the kernel-facing hooks
+to drive its shards over their command channels instead.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Optional
+
+from repro.errors import UsageError, WorldKilled
+
+
+def next_epoch_barrier(soonest: float, epoch: float,
+                       floor_now: float) -> float:
+    """The next barrier on the epoch grid at-or-after ``soonest``.
+
+    The grid point covering the earliest pending event, nudged up one
+    grid step on float round-down, and never behind ``floor_now`` (the
+    fastest running kernel's clock — a revival may be due before it,
+    but barriers cannot move backwards).
+    """
+    barrier = epoch * math.ceil(soonest / epoch)
+    if barrier < soonest:  # float guard: stay at-or-after the event
+        barrier += epoch
+    while barrier < floor_now:
+        barrier += epoch
+    return barrier
+
+
+def outcomes_of(agents: dict[str, Any]) -> dict[str, dict[str, Any]]:
+    """Canonical per-agent outcomes, for cross-configuration checks.
+
+    Status, result, committed-step and rollback counts — everything
+    that must be identical between runs of the same seeded workload on
+    any execution backend (unsharded, in-process shards, process-backed
+    shards); timing may differ by bridge staleness, outcomes may not.
+    """
+    return {
+        agent_id: {
+            "status": record.status.value,
+            "result": record.result,
+            "failure": record.failure,
+            "steps_committed": record.steps_committed,
+            "rollbacks_completed": record.rollbacks_completed,
+        }
+        for agent_id, record in sorted(agents.items())
+    }
+
+
+def aggregate_counters(summaries: list[dict[str, Any]],
+                       exclude_prefixes: tuple[str, ...] = ()
+                       ) -> dict[str, int]:
+    """Sum per-kernel metric summaries, dropping excluded families."""
+    totals: dict[str, int] = {}
+    for summary in summaries:
+        for key, value in summary.items():
+            if any(key.startswith(p) or key.startswith(f"bytes.{p}")
+                   for p in exclude_prefixes):
+                continue
+            totals[key] = totals.get(key, 0) + value
+    return dict(sorted(totals.items()))
+
+
+class LockstepWorld:
+    """The barrier walk, journal/kill seams and inspection facade.
+
+    Subclasses set ``journal`` and ``agents`` and supply the hooks
+    listed in the module docstring.
+    """
+
+    #: Whether facade-level ops are journaled here; a shard kernel of a
+    #: sharded world leaves them to its coordinator.
+    _owns_ops = True
+    _closed = False
+    _kill_plan: Optional[tuple[float, str]] = None
+    #: Barriers walked (executed, routed and committed) so far.
+    epochs_run = 0
+
+    # -- hooks -----------------------------------------------------------------------
+
+    def _kernels(self) -> list:
+        """The in-process worlds whose kernels the default hooks drive."""
+        raise NotImplementedError
+
+    def _epoch_length(self) -> float:
+        """Spacing of the barrier grid."""
+        raise NotImplementedError
+
+    def _next_times(self) -> tuple[list[float], list[float]]:
+        """Pending event times and clocks of the running kernels."""
+        running = [w.sim for w in self._kernels() if not w.sim.suspended]
+        return ([t for t in (sim.peek_time() for sim in running)
+                 if t is not None],
+                [sim.now for sim in running])
+
+    def _due_restarts(self) -> list:
+        """Outages with a pending restart of a dead kernel (none here)."""
+        return []
+
+    def _advance(self, barrier: float, revivals: list,
+                 max_events: int) -> None:
+        """Revive ``revivals`` and run every live kernel to ``barrier``."""
+        for world in self._kernels():
+            if not world.sim.suspended:
+                world.sim.run_epoch(barrier, max_events=max_events)
+
+    def _route(self, barrier: float) -> None:
+        """Exchange cross-kernel traffic at ``barrier`` (none here)."""
+
+    def _idle_step(self, max_events: int) -> bool:
+        """Work left with no event due; True when some was done."""
+        return False
+
+    def _stop_at(self, until: float, max_events: int) -> None:
+        """End a run capped at ``until`` whose next event lies past it:
+        every running kernel's clock moves to the cap, nothing routes."""
+        for world in self._kernels():
+            if not world.sim.suspended:
+                world.sim.run_epoch(max(until, world.sim.now))
+
+    def _journal_digest(self) -> tuple:
+        """Per-kernel event counts at the barrier — the commit digest."""
+        return tuple(w.sim.events_processed for w in self._kernels())
+
+    def _journal_config(self) -> dict[str, Any]:
+        """The config record a resume rebuilds this world from."""
+        raise NotImplementedError
+
+    def _apply_crash_plans(self, plans: list) -> None:
+        """Hand each plan to the kernel hosting its node."""
+        raise NotImplementedError
+
+    # -- the walk ----------------------------------------------------------------------
+
+    def _step(self, until: Optional[float], max_events: int,
+              replay=None) -> bool:
+        """One barrier of the lockstep walk; False when nothing is left.
+
+        Picks the next barrier on the epoch grid — skipping grid points
+        no kernel has work before, never behind the running clocks,
+        capped at ``until``, or taken verbatim from ``replay`` (the
+        resume driver's journaled barrier sequence) — revives the
+        shards whose restart falls inside the epoch, advances every
+        live kernel to the barrier, routes the traffic that crossed
+        kernels and group-commits the journal, with the ``kill_world``
+        check around the commit.  Scheduled restarts count as work, so
+        a walk never ends with a revival pending.
+        """
+        if self._closed:
+            raise UsageError("world is closed")
+        times, clocks = self._next_times()
+        due = self._due_restarts()
+        times += [outage.restart_at for outage in due]
+        if not times:
+            if self._idle_step(max_events):
+                return True
+            self._journal_final_commit()
+            return False
+        soonest = min(times)
+        if until is not None and soonest > until:
+            self._stop_at(until, max_events)
+            return False
+        if replay is not None:
+            barrier = next(replay, None)
+            if barrier is None:
+                return False  # replayed prefix complete
+        else:
+            # A revival may be due before the running clocks (they ran
+            # on while the dead kernel froze); barriers never move back.
+            barrier = next_epoch_barrier(soonest, self._epoch_length(),
+                                         max(clocks, default=self.now))
+            if until is not None and barrier > until:
+                barrier = until
+        revivals = [outage for outage in due if outage.restart_at <= barrier]
+        for outage in revivals:
+            outage.revived = True
+        self._advance(barrier, revivals, max_events)
+        kill = self._kill_due(barrier)
+        if kill == "barrier":
+            # Mid-barrier crash: the epoch ran and its payload notes
+            # are buffered, but the marker is torn and nothing is
+            # routed — recovery falls back one barrier.
+            self._journal_commit(barrier, torn=True)
+            raise WorldKilled(barrier, kill)
+        self._route(barrier)
+        self.epochs_run += 1
+        self._journal_commit(barrier)
+        if kill is not None:
+            raise WorldKilled(barrier, kill)
+        return True
+
+    # -- journal / kill seams --------------------------------------------------------
+
+    def _record_journal_config(self, journal: Any, pristine: bool) -> None:
+        """Write the config record (once).  A journal attached to a
+        world that already ran carries a ``live_attach`` marker, which
+        makes it telemetry-only: resume refuses it."""
+        if journal.armed and not journal.config_written:
+            config = self._journal_config()
+            if not pristine:
+                config["live_attach"] = {
+                    "events_processed": self.events_processed(),
+                    "at": self.now}
+            journal.record_config(**config)
+
+    def _journal_op(self, op: str, **data: Any) -> None:
+        """Journal a facade-level op (no-op unless this world owns ops)."""
+        journal = self.journal
+        if self._owns_ops and journal is not None and journal.armed:
+            journal.record_op(op, **data)
+
+    def _journal_commit(self, barrier: float, torn: bool = False) -> None:
+        journal = self.journal
+        if journal is None or not journal.armed:
+            return
+        digest = self._journal_digest()
+        if torn:
+            journal.commit_torn(barrier, digest)
+        else:
+            journal.commit_epoch(barrier, digest)
+
+    def _journal_final_commit(self) -> None:
+        journal = self.journal
+        if journal is not None and journal.armed and journal.buffered():
+            journal.commit_epoch(self.now, self._journal_digest())
+
+    def _kill_due(self, barrier: float) -> Optional[str]:
+        plan = self._kill_plan
+        if plan is not None and barrier >= plan[0]:
+            return plan[1]
+        return None
+
+    def kill_world(self, at: float, phase: str = "commit") -> None:
+        """Hard-stop the coordinator at the first epoch barrier >= ``at``.
+
+        Fault injection for crash-resume testing — the simulated
+        analogue of SIGKILLing the driving process (unlike a sharded
+        world's ``kill_shard``, which models one kernel dying inside a
+        run that keeps going).  ``phase="commit"`` kills right after
+        the barrier's journal commit; ``"barrier"`` kills *mid-barrier*
+        — the epoch has executed (and, in a sharded world, its traffic
+        been collected) but the commit marker is torn and nothing is
+        routed, so recovery must fall back to the previous barrier.
+        The kill itself is deliberately never journaled: it is the
+        crash being recovered from.  The run raises
+        :class:`~repro.errors.WorldKilled`.
+        """
+        if phase not in ("commit", "barrier"):
+            raise UsageError(f"unknown kill phase {phase!r} "
+                             f"(use 'commit' or 'barrier')")
+        if at < self.now:
+            raise UsageError(f"cannot kill the world in the past "
+                             f"(at={at}, now={self.now})")
+        self._kill_plan = (float(at), phase)
+
+    # -- the facade ----------------------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        """The lockstep virtual clock (all kernels agree at barriers)."""
+        return max(world.sim.now for world in self._kernels())
+
+    def record_of(self, agent_id: str) -> Any:
+        record = self.agents.get(agent_id)
+        if record is None:
+            raise UsageError(f"no agent {agent_id!r}")
+        return record
+
+    def add_nodes(self, *names: str) -> list:
+        """Create several nodes at once (round-robin across shards)."""
+        return [self.add_node(n) for n in names]
+
+    def apply_crash_plans(self, plans) -> None:
+        """Schedule node-level outages on whichever kernels host the
+        nodes — the facade twin of ``failures.apply_plan``."""
+        plans = list(plans)
+        journal = self.journal
+        if self._owns_ops and journal is not None and journal.armed:
+            from repro.storage.serialization import capture
+            journal.record_op("crash_plans", blob=capture(plans))
+        self._apply_crash_plans(plans)
+
+    def resource_state(self, node: str, resource: str) -> Any:
+        """The named resource hosted by ``node``: the live object
+        in-process, a pickled snapshot on the process backend."""
+        return self.node(node).get_resource(resource)
+
+    def outcomes(self) -> dict[str, dict[str, Any]]:
+        """Canonical per-agent outcomes (see :func:`outcomes_of`)."""
+        return outcomes_of(self.agents)
+
+    def all_done(self) -> bool:
+        """True when no agent is still running."""
+        from repro.node.runtime import AgentStatus
+        return all(r.status is not AgentStatus.RUNNING
+                   for r in self.agents.values())
+
+    def counters(self, exclude_prefixes: tuple[str, ...] = ()
+                 ) -> dict[str, int]:
+        """Counters/byte totals summed over every kernel's metrics.
+
+        ``exclude_prefixes`` drops families that legitimately differ
+        between shard counts (e.g. ``bridge.`` traffic exists only when
+        N > 1).
+        """
+        return aggregate_counters(
+            [world.metrics.summary() for world in self._kernels()],
+            exclude_prefixes)
+
+    def timelines(self) -> list[list]:
+        """Each kernel's live :class:`~repro.sim.metrics.Metrics`
+        timeline (grows as the run proceeds)."""
+        return [world.metrics.timeline for world in self._kernels()]
+
+    def events_processed(self) -> int:
+        """Total kernel events fired across every kernel."""
+        return sum(world.sim.events_processed for world in self._kernels())
+
+    def enable_trace_digest(self) -> None:
+        """Turn on every kernel's event-stream digest."""
+        for world in self._kernels():
+            world.sim.enable_trace_digest()
+
+    def trace_digests(self) -> list[Optional[int]]:
+        """Per-kernel event-stream digests (see Simulator)."""
+        return [world.sim.trace_digest() for world in self._kernels()]
+
+    def close(self) -> None:
+        """Release the world; a closed world refuses to step.
+
+        Idempotent.  Only the process backend holds anything to
+        release (its worker processes).
+        """
+        self._closed = True

@@ -21,10 +21,10 @@ between coordinator and shard state, and it executes under its own
 :class:`~repro.scope.Scope`, so its id sequences and serialization
 counters are exactly a worker's and never mix with the coordinator's
 (or with another world living in the same process).  The coordinator
-drives the same barrier loop as the in-process driver
-(:func:`~repro.node.sharded.next_epoch_barrier` is shared), but each
-"advance shard i to the barrier" becomes a command to that shard's
-server and each barrier flush becomes an explicit exchange:
+walks the very barrier loop the in-process driver walks
+(:class:`~repro.node.lockstep.LockstepWorld`), but its hooks turn each
+"advance shard i to the barrier" into a command to that shard's
+server and each barrier flush into an explicit exchange:
 
 * **collect** — every worker's epoch reply carries its bridge outbox
   (agent packages, shadow copies, ledger mirrors — the same
@@ -177,15 +177,14 @@ from typing import Any, Optional
 
 from repro.errors import LockConflict, UsageError, WorkerDied, WorkerError
 from repro.node.runtime import World
+from repro.node.lockstep import aggregate_counters
 from repro.node.sharded import (
     CrossShardBridge,
+    ShardCoordinator,
     ShardWorld,
     _ShardOutage,
-    aggregate_counters,
     apply_give_up,
     apply_transfer,
-    next_epoch_barrier,
-    outcomes_of,
 )
 from repro.scope import Scope, entered
 from repro.scope import current as current_scope
@@ -973,7 +972,7 @@ class NodeProxy:
             "fetch", {"what": "queue_length", "node": self.name})["value"]
 
 
-class ProcShardedWorld:
+class ProcShardedWorld(ShardCoordinator):
     """A sharded world whose kernels run in worker processes (and one in
     the coordinator).
 
@@ -1030,48 +1029,24 @@ class ProcShardedWorld:
                  lockstep: str = "auto",
                  journal: Optional[Any] = None,
                  **world_kwargs: Any):
-        if n_shards < 1:
-            raise UsageError(f"need at least 1 shard, got {n_shards}")
-        if lockstep not in ("auto", "serial", "parallel", "optimistic"):
-            raise UsageError(f"unknown lockstep mode {lockstep!r}")
+        # First, so a facade whose construction failed closes cleanly.
+        self._handles: list[_ShardHandle] = []
+        self._init_coordinator(n_shards, seed, epoch, lockstep, journal,
+                               world_kwargs)
         unknown = sorted(set(world_kwargs) - _WORLD_KWARGS)
         if unknown:
             raise UsageError(f"unknown world keyword {unknown[0]!r} "
                              f"(a worker kernel takes "
                              f"{', '.join(sorted(_WORLD_KWARGS))})")
-        net_params = world_kwargs.get("net_params")
-        if epoch is None:
-            epoch = net_params.latency if net_params is not None else 0.005
-        if epoch <= 0:
-            raise UsageError(f"epoch must be positive, got {epoch}")
         assert_picklable(world_kwargs, "world configuration")
-        self.n_shards = n_shards
-        self.seed = seed
-        self.epoch = epoch
-        self.lockstep = lockstep
-        self.journal = journal
-        self._kill_plan: Optional[tuple[float, str]] = None
         if journal is not None and journal.armed \
                 and not journal.config_written:
             journal.record_config(backend="proc", seed=seed,
-                                  n_shards=n_shards, epoch=epoch,
+                                  n_shards=n_shards, epoch=self.epoch,
                                   start_method=start_method,
                                   lockstep=lockstep,
                                   world_kwargs=capture(world_kwargs))
-        self.bridge = CrossShardBridge(n_shards)
-        self.last_flush_at = float("-inf")
-        self.epochs_run = 0
-        # Optimistic-lockstep accounting (folded into
-        # ``serialization_stats()`` under ``spec.*`` keys).
-        self.spec_epochs_speculated = 0
-        self.spec_epochs_rolled_back = 0
-        self.spec_shards_rolled_back = 0
-        self.agents: dict[str, Any] = {}
-        self.ft_alternates: dict[str, tuple[str, ...]] = {}
-        self._node_shard: dict[str, int] = {}
-        self._outages: list[_ShardOutage] = []
         self._entangled = False
-        self._closed = False
         # Barrier-merged global state (see the module docstring).
         self._suspended = [False] * n_shards
         self._claims: list[dict] = [{} for _ in range(n_shards)]
@@ -1091,7 +1066,6 @@ class ProcShardedWorld:
                   "lockstep": lockstep}
         # Workers start before shard 0 is built, so a forked child never
         # inherits the coordinator-hosted kernel.
-        self._handles: list[_ShardHandle] = []
         for index in range(1, n_shards):
             parent_conn, child_conn = mp.Pipe()
             process = mp.Process(target=_worker_entry,
@@ -1117,7 +1091,7 @@ class ProcShardedWorld:
         """
         if self._closed:
             return
-        self._closed = True
+        super().close()
         workers = [h for h in self._handles if h.process is not None]
         for handle in workers:
             # A dead worker is the one expected failure of a shutdown
@@ -1140,37 +1114,103 @@ class ProcShardedWorld:
         self.close()
 
     def __del__(self):  # pragma: no cover - best-effort teardown
-        # GC can collect a half-constructed facade (failed spawn) before
-        # ``_closed`` exists; anything beyond that is close()'s job and
+        # GC can collect a facade whose __init__ never ran (nothing to
+        # close) or failed part-way (close the workers it did start);
         # close() already narrows + surfaces its own failures.
-        if getattr(self, "_closed", None) is False:
+        if not self._closed and "_handles" in vars(self):
             _teardown_step("ProcShardedWorld.__del__ close", self.close,
                            OSError, RuntimeError)
 
-    # -- topology -----------------------------------------------------------------
+    # -- the coordinator hooks ------------------------------------------------------
 
-    def add_node(self, name: str, shard: Optional[int] = None) -> NodeProxy:
-        """Create node ``name`` in ``shard`` (round-robin by default)."""
-        if name in self._node_shard:
-            raise UsageError(f"node {name!r} already exists")
-        if shard is None:
-            shard = len(self._node_shard) % self.n_shards
-        if not 0 <= shard < self.n_shards:
-            raise UsageError(f"no shard {shard} (have {self.n_shards})")
-        self._journal_op("add_node", name=name, shard=shard)
+    def _place(self, name: str, shard: int) -> NodeProxy:
         for handle in self._handles:
             handle.request("add_node", {"name": name, "shard": shard})
-        self._node_shard[name] = shard
         return NodeProxy(self, name, shard)
 
-    def add_nodes(self, *names: str) -> list[NodeProxy]:
-        return [self.add_node(n) for n in names]
+    def _shard_now(self, shard: int) -> float:
+        return self._handles[shard].now
 
-    def shard_of(self, name: str) -> int:
-        shard = self._node_shard.get(name)
-        if shard is None:
-            raise UsageError(f"no node {name!r}")
-        return shard
+    def _schedule_kill(self, shard: int, at: float) -> None:
+        self._entangled = True
+        self._handles[shard].request("kill", {"at": at})
+
+    def shard_suspended(self, shard: int) -> bool:
+        """True while ``shard``'s kernel is halted by an outage."""
+        return self._suspended[shard]
+
+    def _next_times(self) -> tuple[list[float], list[float]]:
+        running = [h for h in self._handles if not h.suspended]
+        times = [h.peek for h in running if h.peek is not None]
+        # Routed-but-unshipped inbox items will schedule kernel events
+        # the moment they are applied; the in-process driver sees
+        # those through the destination's peek right after its flush,
+        # so barrier selection must account for them here or the two
+        # drivers walk different barrier sequences.
+        for shard, items in enumerate(self._staged_items):
+            if self._suspended[shard]:
+                continue  # frozen kernel: events wait for a revival
+            now = self._handles[shard].now
+            times += [max(transfer.at, now)
+                      for action, transfer in items
+                      if action == "deliver"
+                      and transfer.kind in ("package", "shadow")]
+        return times, [h.now for h in running]
+
+    def _advance(self, barrier: float, revivals: list[_ShardOutage],
+                 max_events: int) -> None:
+        revives: dict[int, tuple] = {}
+        for outage in revivals:
+            self._suspended[outage.shard] = False
+            revives[outage.shard] = (
+                outage.restart_at, self.bridge.take_backlog(outage.shard))
+        self._cycle(barrier=barrier, run=True, max_events=max_events,
+                    revives=revives)
+
+    def _flush(self, barrier: float) -> int:
+        """Route the pending bridge traffic into the staged inboxes; they
+        ship with each shard's next command (the scatter)."""
+        routed = 0
+        for shard, action, transfer in self.bridge.route(
+                list(self._suspended)):
+            self._staged_items[shard].append((action, transfer))
+            routed += 1
+        return routed
+
+    def _idle_step(self, max_events: int) -> bool:
+        if any(self._staged_items):
+            # Ship the routed inboxes; applying them may wake kernels
+            # (durable deliveries, retained retries).
+            self._cycle(barrier=None, run=False, max_events=max_events,
+                        revives={})
+            return True
+        if super()._idle_step(max_events):
+            return True
+        self._sync_records()
+        return False
+
+    def _stop_at(self, until: float, max_events: int) -> None:
+        # Cap every running kernel's clock at `until`; no flush (as
+        # in-process), but staged inboxes from the last flush still
+        # ship with the command.
+        self._cycle(barrier=until, run=True, max_events=max_events,
+                    revives={}, cap_to_now=True)
+        self._sync_records()
+
+    def _journal_digest(self) -> tuple:
+        """Per-shard event counts at the barrier — the commit digest."""
+        return tuple(handle.events for handle in self._handles)
+
+    def _apply_crash_plans(self, plans: list) -> None:
+        self._entangled = True
+        by_shard: dict[int, list] = {}
+        for plan in plans:
+            by_shard.setdefault(self.shard_of(plan.node), []).append(plan)
+        for shard, shard_plans in by_shard.items():
+            self._handles[shard].request("crash_plans",
+                                         {"plans": shard_plans})
+
+    # -- topology -----------------------------------------------------------------
 
     def node(self, name: str) -> NodeProxy:
         return NodeProxy(self, name, self.shard_of(name))
@@ -1184,47 +1224,6 @@ class ProcShardedWorld:
         for handle in self._handles:
             handle.request("set_alternates",
                            {"node": node, "alternates": alternates})
-
-    # -- failure injection -----------------------------------------------------------
-
-    def apply_crash_plans(self, plans) -> None:
-        """Schedule node-level outages, routed to the owning workers."""
-        plans = list(plans)
-        if self.journal is not None and self.journal.armed:
-            self.journal.record_op("crash_plans", blob=capture(plans))
-        self._entangled = True
-        by_shard: dict[int, list] = {}
-        for plan in plans:
-            by_shard.setdefault(self.shard_of(plan.node), []).append(plan)
-        for shard, shard_plans in by_shard.items():
-            self._handles[shard].request("crash_plans",
-                                         {"plans": shard_plans})
-
-    def kill_shard(self, shard: int, at: float,
-                   restart_at: Optional[float] = None) -> None:
-        """Schedule a whole-kernel outage of ``shard`` at time ``at``.
-
-        Same contract as :meth:`~repro.node.sharded.ShardedWorld.
-        kill_shard` — the kill event runs inside the worker's kernel.
-        """
-        self._entangled = True
-        if not 0 <= shard < self.n_shards:
-            raise UsageError(f"no shard {shard} (have {self.n_shards})")
-        handle = self._handles[shard]
-        if at < handle.now:
-            raise UsageError(f"cannot kill shard {shard} in the past "
-                             f"(at={at}, now={handle.now})")
-        if restart_at is not None and restart_at <= at:
-            raise UsageError(f"restart_at ({restart_at}) must be after "
-                             f"the kill time ({at})")
-        self._journal_op("kill_shard", shard=shard, at=at,
-                         restart_at=restart_at)
-        self._outages.append(_ShardOutage(shard=shard, at=at,
-                                          restart_at=restart_at))
-        handle.request("kill", {"at": at})
-
-    def shard_alive(self, shard: int) -> bool:
-        return not self._suspended[shard]
 
     # -- agent management --------------------------------------------------------------
 
@@ -1245,10 +1244,9 @@ class ProcShardedWorld:
         assert_picklable(agent, f"agent {agent.agent_id!r}")
         owner = self.shard_of(at)
         bundle = capture((agent, at, method, launch_kwargs))
-        if self.journal is not None and self.journal.armed:
-            # The journal reuses the ship bundle verbatim, so replay
-            # re-launches byte-identical launch state.
-            self.journal.record_op("launch", bundle=bundle)
+        # The journal reuses the ship bundle verbatim, so replay
+        # re-launches byte-identical launch state.
+        self._journal_op("launch", bundle=bundle)
         # The owner's inbox routed at the last barrier ships along and
         # applies first: in-process, that flush already scheduled it.
         reply = self._handles[owner].request(
@@ -1259,17 +1257,6 @@ class ProcShardedWorld:
         self._staged_items[owner] = []
         self._merge_record_blob(reply["record"], origin=owner)
         return self.agents[agent.agent_id]
-
-    def record_of(self, agent_id: str):
-        record = self.agents.get(agent_id)
-        if record is None:
-            raise UsageError(f"no agent {agent_id!r}")
-        return record
-
-    def all_done(self) -> bool:
-        from repro.node.runtime import AgentStatus
-        return all(r.status is not AgentStatus.RUNNING
-                   for r in self.agents.values())
 
     def _merge_record_blob(self, blob: bytes, origin: int) -> None:
         record = restore(blob)
@@ -1307,11 +1294,6 @@ class ProcShardedWorld:
         """The lockstep virtual clock (all shards agree at barriers)."""
         return max(handle.now for handle in self._handles)
 
-    def _due_restarts(self) -> list[_ShardOutage]:
-        return [o for o in self._outages
-                if o.restart_at is not None and not o.revived
-                and self._suspended[o.shard]]
-
     def _schedule(self) -> str:
         """The epoch schedule this cycle runs under.
 
@@ -1328,29 +1310,6 @@ class ProcShardedWorld:
 
     # -- world-journal seams (see repro.journal) ------------------------------------
 
-    def _journal_op(self, op: str, **data: Any) -> None:
-        if self.journal is not None and self.journal.armed:
-            self.journal.record_op(op, **data)
-
-    def _journal_digest(self) -> tuple:
-        """Per-shard event counts at the barrier — the commit digest."""
-        return tuple(handle.events for handle in self._handles)
-
-    def _journal_commit(self, barrier: float, torn: bool = False) -> None:
-        journal = self.journal
-        if journal is None or not journal.armed:
-            return
-        digest = self._journal_digest()
-        if torn:
-            journal.commit_torn(barrier, digest)
-        else:
-            journal.commit_epoch(barrier, digest)
-
-    def _journal_final_commit(self) -> None:
-        journal = self.journal
-        if journal is not None and journal.armed and journal.buffered():
-            journal.commit_epoch(self.now, self._journal_digest())
-
     def _ingest_journal(self, handle: _ShardHandle) -> None:
         """Buffer a worker's shipped payload notes into the journal."""
         notes = handle.journal_notes
@@ -1363,161 +1322,6 @@ class ProcShardedWorld:
         for kind, data in notes:
             data.setdefault("shard", handle.shard)
             journal.buffer(kind, **data)
-
-    def _kill_due(self, barrier: float) -> Optional[str]:
-        plan = self._kill_plan
-        if plan is not None and barrier >= plan[0]:
-            return plan[1]
-        return None
-
-    def kill_world(self, at: float, phase: str = "commit") -> None:
-        """Hard-stop the coordinator at the first epoch barrier >= ``at``.
-
-        Same contract as :meth:`~repro.node.sharded.ShardedWorld.
-        kill_world`: ``phase="commit"`` stops right after the barrier's
-        journal commit; ``"barrier"`` stops between the barrier collect
-        and the scatter — the workers executed the epoch and their
-        outboxes were adopted, but the marker is torn and the routed
-        inboxes never ship.  Never journaled: it is the crash being
-        recovered from.
-        """
-        if phase not in ("commit", "barrier"):
-            raise UsageError(f"unknown kill phase {phase!r} "
-                             f"(use 'commit' or 'barrier')")
-        if at < self.now:
-            raise UsageError(f"cannot kill the world in the past "
-                             f"(at={at}, now={self.now})")
-        self._kill_plan = (float(at), phase)
-
-    def run(self, until: Optional[float] = None,
-            max_epochs: int = 1_000_000,
-            max_events_per_epoch: int = 10_000_000,
-            _replay: Optional[list] = None) -> None:
-        """Run all workers in lockstep epochs until drained (or ``until``).
-
-        The same barrier walk as :meth:`~repro.node.sharded.
-        ShardedWorld.run`, with each epoch executed as a
-        collect/route/scatter cycle over the worker pipes — in parallel
-        for independent workloads, as serial shard-order turns for
-        entangled ones (see the module docstring).
-
-        With a journal attached each routed barrier gets a group
-        commit, with the ``kill_world`` check around it (the
-        mid-barrier phase falls between the collect and the scatter).
-        ``_replay`` (resume driver only) walks the journaled barrier
-        sequence verbatim instead of re-deriving it, and returns once
-        exhausted.
-        """
-        if self._closed:
-            raise UsageError("world is closed")
-        schedule = self._schedule()
-        replay = iter(_replay) if _replay is not None else None
-        for _ in range(max_epochs):
-            if not self._step(until, max_events_per_epoch, schedule,
-                              replay):
-                return
-        raise UsageError(
-            f"sharded run exceeded {max_epochs} epochs; likely livelock")
-
-    def _step(self, until: Optional[float], max_events_per_epoch: int,
-              schedule: str, replay) -> bool:
-        """One iteration of the lockstep loop; False when nothing is left."""
-        running = [h for h in self._handles if not h.suspended]
-        next_times = [t for t in (h.peek for h in running)
-                      if t is not None]
-        next_times += [o.restart_at for o in self._due_restarts()]
-        # Routed-but-unshipped inbox items will schedule kernel
-        # events the moment they are applied; the in-process driver
-        # sees those through the destination's peek right after its
-        # flush, so barrier selection must account for them here or
-        # the two drivers walk different barrier sequences.
-        for shard, items in enumerate(self._staged_items):
-            if self._suspended[shard]:
-                continue  # frozen kernel: events wait for a revival
-            now = self._handles[shard].now
-            next_times += [max(transfer.at, now)
-                           for action, transfer in items
-                           if action == "deliver"
-                           and transfer.kind in ("package", "shadow")]
-        if not next_times:
-            if any(self._staged_items):
-                # Ship the routed inboxes; applying them may wake
-                # kernels (durable deliveries, retained retries).
-                self._cycle(barrier=None, schedule=schedule, run=False,
-                            max_events=max_events_per_epoch, revives={})
-                return True
-            if self.bridge.pending():
-                # Retained shadow retries and forwards committed on
-                # the last epoch's final event must still resolve.
-                self._route(self.now)
-                return True
-            self._sync_records()
-            self._journal_final_commit()
-            return False
-        soonest = min(next_times)
-        if until is not None and soonest > until:
-            # Cap every running kernel's clock at `until`; no flush
-            # (mirrors the in-process driver), but staged inboxes
-            # from the last flush still ship with the command.
-            self._cycle(barrier=until, schedule=schedule, run=True,
-                        max_events=max_events_per_epoch, revives={},
-                        cap_to_now=True)
-            self._sync_records()
-            return False
-        if replay is not None:
-            barrier = next(replay, None)
-            if barrier is None:
-                return False  # replayed prefix complete
-        else:
-            floor_now = max((h.now for h in running), default=self.now)
-            barrier = next_epoch_barrier(soonest, self.epoch,
-                                         floor_now)
-            if until is not None and barrier > until:
-                barrier = until
-        revives: dict[int, tuple] = {}
-        for outage in self._due_restarts():
-            if outage.restart_at <= barrier:
-                outage.revived = True
-                self._suspended[outage.shard] = False
-                revives[outage.shard] = (
-                    outage.restart_at,
-                    self.bridge.take_backlog(outage.shard))
-        self._cycle(barrier=barrier, schedule=schedule, run=True,
-                    max_events=max_events_per_epoch, revives=revives)
-        kill = self._kill_due(barrier)
-        if kill == "barrier":
-            # Mid-barrier crash: the workers executed the epoch and
-            # their outboxes were collected, but the marker is torn
-            # and the routed inboxes never ship — recovery falls
-            # back one barrier.
-            self._journal_commit(barrier, torn=True)
-            from repro.errors import WorldKilled
-            raise WorldKilled(barrier, "barrier")
-        self._route(barrier)
-        self.epochs_run += 1
-        self._journal_commit(barrier)
-        if kill == "commit":
-            from repro.errors import WorldKilled
-            raise WorldKilled(barrier, "commit")
-        return True
-
-    def step_epoch(self, max_events_per_epoch: int = 10_000_000) -> bool:
-        """Advance one lockstep iteration; False once every worker is idle.
-
-        The reentrant twin of :meth:`run` (same contract as
-        :meth:`~repro.node.sharded.ShardedWorld.step_epoch`): each call
-        walks one iteration of the identical deterministic barrier
-        sequence — advancing the workers, routing the bridge, group-
-        committing the journal — or resolves a pending staged-inbox
-        ship/bridge flush without advancing the clock (still True).
-        False means drained: records synced, journal final-committed.
-        Idle calls are repeatable; a later :meth:`launch` makes the
-        next call True again.
-        """
-        if self._closed:
-            raise UsageError("world is closed")
-        return self._step(None, max_events_per_epoch, self._schedule(),
-                          None)
 
     def attach_journal(self, journal: "WorldJournal") -> None:
         """Not supported on the process-backed facade — constructor only.
@@ -1546,16 +1350,6 @@ class ProcShardedWorld:
                 continue  # a dead shard's last state is already merged
             for _agent_id, blob in deltas.items():
                 self._merge_record_blob(blob, origin=handle.shard)
-
-    def _route(self, barrier: float) -> None:
-        routed = 0
-        for shard, action, transfer in self.bridge.route(
-                list(self._suspended)):
-            self._staged_items[shard].append((action, transfer))
-            routed += 1
-        self.last_flush_at = barrier
-        if routed and self.journal is not None and self.journal.armed:
-            self.journal.buffer("bridge", moved=routed, barrier=barrier)
 
     def _views_for(self, shard: int) -> dict[str, Any]:
         locks: dict[int, dict] = {}
@@ -1620,7 +1414,7 @@ class ProcShardedWorld:
             "spec": schedule == "optimistic",
         }
 
-    def _cycle(self, barrier: Optional[float], schedule: str, run: bool,
+    def _cycle(self, barrier: Optional[float], run: bool,
                max_events: int, revives: dict,
                cap_to_now: bool = False) -> None:
         """One coordinated cycle: scatter commands, collect, merge.
@@ -1637,6 +1431,7 @@ class ProcShardedWorld:
         schedule.  Optimistic mode runs all turns concurrently and
         repairs mis-speculation afterwards (see ``_cycle_optimistic``).
         """
+        schedule = self._schedule()
         targets = []
         for shard, handle in enumerate(self._handles):
             if self._staged_items[shard] or shard in revives \
@@ -1785,10 +1580,6 @@ class ProcShardedWorld:
 
     # -- results ------------------------------------------------------------------------
 
-    def outcomes(self) -> dict[str, dict[str, Any]]:
-        """Canonical per-agent outcomes (same shape as ShardedWorld's)."""
-        return outcomes_of(self.agents)
-
     def counters(self, exclude_prefixes: tuple[str, ...] = ()
                  ) -> dict[str, int]:
         """Aggregate counters/byte totals fetched from every worker."""
@@ -1811,18 +1602,13 @@ class ProcShardedWorld:
             "fetch", {"what": "resource", "node": node,
                       "resource": resource})["value"]
 
-    def serialization_stats(self) -> dict[str, Any]:
+    def _serialization_counters(self) -> dict[str, Any]:
         """Summed per-shard serialization counters.
 
         Each shard counts in its own scope, shard 0 included.  The
         coordinator's own IPC accounting (it encodes the scatter half of
         every barrier) is folded in on top of the shard sums, so both
         directions of the exchange are visible.
-        Optimistic-lockstep speculation accounting rides along under
-        ``spec.*`` keys: ``spec.epochs_speculated`` /
-        ``spec.epochs_rolled_back`` / ``spec.shards_rolled_back``
-        counters plus the derived ``spec.conflict_rate`` (rolled-back
-        over speculated epochs; 0.0 when nothing speculated).
         """
         merged = dict(aggregate_counters(
             [h.request("fetch", {"what": "ser_stats"})["value"]
@@ -1830,13 +1616,7 @@ class ProcShardedWorld:
         own = serialization.stats()
         for key in serialization.IPC_STAT_KEYS:
             merged[key] = merged.get(key, 0) + own.get(key, 0)
-        merged["spec.epochs_speculated"] = self.spec_epochs_speculated
-        merged["spec.epochs_rolled_back"] = self.spec_epochs_rolled_back
-        merged["spec.shards_rolled_back"] = self.spec_shards_rolled_back
-        merged["spec.conflict_rate"] = (
-            self.spec_epochs_rolled_back / self.spec_epochs_speculated
-            if self.spec_epochs_speculated else 0.0)
-        return dict(sorted(merged.items()))
+        return merged
 
     def shard_serialization_stats(self, shard: int) -> dict[str, int]:
         """One shard's own serialization counters (its scope's table)."""
@@ -1853,6 +1633,11 @@ class ProcShardedWorld:
         return [h.request("fetch", {"what": "trace_digest"})["value"]
                 for h in self._handles]
 
+    def timelines(self) -> list[list]:
+        """None: shard timelines stay in their own processes (the
+        service reports ``agent`` / ``epoch`` events instead)."""
+        return []
+
     # -- ledger inspection (tests / benches) ----------------------------------------------
 
     def ledger_claims(self) -> dict[int, dict[int, str]]:
@@ -1863,19 +1648,3 @@ class ProcShardedWorld:
             for work_id, holder in dump.items():
                 claims.setdefault(work_id, {})[handle.shard] = holder
         return claims
-
-    def ledger_quorum_agrees(self) -> bool:
-        """Do the live replicas agree on every claim, with a majority?"""
-        alive = {shard for shard in range(self.n_shards)
-                 if not self._suspended[shard]}
-        if not alive:
-            return True
-        need = len(alive) // 2 + 1
-        for replicas in self.ledger_claims().values():
-            holders = [holder for shard, holder in replicas.items()
-                       if shard in alive]
-            if not holders:
-                continue  # only dead replicas hold it — unresolvable now
-            if len(set(holders)) != 1 or len(holders) < need:
-                return False
-        return True

@@ -46,6 +46,7 @@ from repro.log.rollback_log import RollbackLog
 from repro.net.batching import BatchingTransport
 from repro.net.network import SimTransport
 from repro.net.transport import Transport
+from repro.node.lockstep import LockstepWorld
 from repro.node.node import Node
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
@@ -108,7 +109,7 @@ class RetryPolicy:
     backoff: float = 0.1
 
 
-class World:
+class World(LockstepWorld):
     """A complete simulated mobile-agent system (single kernel).
 
     One discrete-event kernel hosting every node: agents migrate, take
@@ -117,7 +118,9 @@ class World:
     execution of the same workloads see
     :class:`~repro.node.sharded.ShardedWorld` (in-process shards) and
     :class:`~repro.node.procshard.ProcShardedWorld` (one worker
-    process per shard) — all three run seeded workloads bit-identically.
+    process per shard) — all three run seeded workloads bit-identically,
+    walking the one barrier loop of
+    :class:`~repro.node.lockstep.LockstepWorld`.
 
     Args:
         seed: Root of every RNG stream; equal seeds give bit-identical
@@ -181,7 +184,6 @@ class World:
         self._journal_capture = journal is not None or journal_capture
         self._journal_notes: list[tuple[str, dict]] = []
         self._owns_ops = journal is not None
-        self._kill_plan: Optional[tuple[float, str]] = None
         self.sim = Simulator(seed)
         self.metrics = Metrics()
         self.timing = timing
@@ -226,19 +228,8 @@ class World:
         }
         if self._journal_capture:
             self._wire_ledger_hook()
-        if journal is not None and journal.armed \
-                and not journal.config_written:
-            from repro.storage.serialization import capture
-            journal.record_config(
-                backend="world", seed=seed,
-                journal_epoch=self.journal_epoch,
-                world_kwargs=capture({
-                    "timing": timing, "net_params": net_params,
-                    "logging_mode": self.logging_mode,
-                    "retry_policy": self.retry_policy,
-                    "ft_params": self.ft_params,
-                    "registry": None if self.registry is GLOBAL_REGISTRY
-                    else self.registry}))
+        if journal is not None:
+            self._record_journal_config(journal, pristine=True)
 
     def _make_fault_tolerance(self):
         """FT driver factory; the sharded world installs the bridged one."""
@@ -279,62 +270,10 @@ class World:
         notes, self._journal_notes = self._journal_notes, []
         return notes
 
-    def _journal_op(self, op: str, **data: Any) -> None:
-        """Journal a facade-level op (no-op unless this world owns ops)."""
-        if self._owns_ops and self.journal is not None \
-                and self.journal.armed:
-            self.journal.record_op(op, **data)
-
     def _journal_setup(self, op: str, **data: Any) -> None:
         """Journal a once-per-target setup op from any owner."""
         if self.journal is not None and self.journal.armed:
             self.journal.record_op(op, **data)
-
-    def _journal_digest(self) -> tuple:
-        """Cheap execution digest committed with each epoch marker."""
-        return (self.sim.events_processed,)
-
-    def _journal_commit(self, barrier: float, torn: bool = False) -> None:
-        journal = self.journal
-        if journal is None or not journal.armed:
-            return
-        digest = self._journal_digest()
-        if torn:
-            journal.commit_torn(barrier, digest)
-        else:
-            journal.commit_epoch(barrier, digest)
-
-    def _journal_final_commit(self) -> None:
-        journal = self.journal
-        if journal is not None and journal.armed and journal.buffered():
-            journal.commit_epoch(self.sim.now, self._journal_digest())
-
-    def _kill_due(self, barrier: float) -> Optional[str]:
-        plan = self._kill_plan
-        if plan is not None and barrier >= plan[0]:
-            return plan[1]
-        return None
-
-    def kill_world(self, at: float, phase: str = "commit") -> None:
-        """Hard-stop the coordinator at the first epoch barrier >= ``at``.
-
-        Fault injection for crash-resume testing — the simulated
-        analogue of SIGKILLing the driving process.  ``phase="commit"``
-        kills right after the barrier's journal commit; ``"barrier"``
-        kills *mid-barrier* — the epoch has executed (and, in a sharded
-        world, its traffic collected) but the commit marker is torn and
-        the bridge never scatters, so recovery must fall back to the
-        previous barrier.  The kill itself is deliberately never
-        journaled: it is the crash being recovered from.  The run
-        raises :class:`~repro.errors.WorldKilled`.
-        """
-        if phase not in ("commit", "barrier"):
-            raise UsageError(f"unknown kill phase {phase!r} "
-                             f"(use 'commit' or 'barrier')")
-        if at < self.sim.now:
-            raise UsageError(f"cannot kill the world in the past "
-                             f"(at={at}, now={self.sim.now})")
-        self._kill_plan = (float(at), phase)
 
     def _wire_journal_hooks(self, node: Node) -> None:
         """Point a node's durable structures at the journal seams."""
@@ -393,29 +332,9 @@ class World:
             self.journal_epoch = journal_epoch
         pristine = (self.sim.events_processed == 0 and not self.nodes
                     and not self.agents)
-        self.journal = journal
-        self._journal_capture = True
+        self._wire_capture(journal)
         self._owns_ops = True
-        for node in self.nodes.values():
-            self._wire_journal_hooks(node)
-        self._wire_ledger_hook()
-        if journal.armed and not journal.config_written:
-            from repro.storage.serialization import capture
-            config: dict[str, Any] = dict(
-                backend="world", seed=self.sim._seed,
-                journal_epoch=self.journal_epoch,
-                world_kwargs=capture({
-                    "timing": self.timing, "net_params": self.net_params,
-                    "logging_mode": self.logging_mode,
-                    "retry_policy": self.retry_policy,
-                    "ft_params": self.ft_params,
-                    "registry": None if self.registry is GLOBAL_REGISTRY
-                    else self.registry}))
-            if not pristine:
-                config["live_attach"] = {
-                    "events_processed": self.sim.events_processed,
-                    "at": self.sim.now}
-            journal.record_config(**config)
+        self._record_journal_config(journal, pristine)
 
     def detach_journal(self) -> "WorldJournal":
         """Stop journaling: final group commit, unhook, hand back.
@@ -431,7 +350,35 @@ class World:
         if self.journal is None:
             raise UsageError("world has no journal attached")
         self._journal_final_commit()
-        journal, self.journal = self.journal, None
+        journal = self.journal
+        self._unwire_capture()
+        return journal
+
+    def _journal_config(self) -> dict[str, Any]:
+        from repro.storage.serialization import capture
+        return dict(
+            backend="world", seed=self.sim._seed,
+            journal_epoch=self.journal_epoch,
+            world_kwargs=capture({
+                "timing": self.timing, "net_params": self.net_params,
+                "logging_mode": self.logging_mode,
+                "retry_policy": self.retry_policy,
+                "ft_params": self.ft_params,
+                "registry": None if self.registry is GLOBAL_REGISTRY
+                else self.registry}))
+
+    def _wire_capture(self, journal: "WorldJournal") -> None:
+        """Buffer payload notes into ``journal`` from every existing
+        node and the step ledger on."""
+        self.journal = journal
+        self._journal_capture = True
+        for node in self.nodes.values():
+            self._wire_journal_hooks(node)
+        self._wire_ledger_hook()
+
+    def _unwire_capture(self) -> None:
+        """Drop the journal and every capture hook."""
+        self.journal = None
         self._journal_capture = False
         self._owns_ops = False
         self._journal_notes.clear()
@@ -439,7 +386,6 @@ class World:
             node.stable.on_mutate = None
             node.queue.on_journal = None
         self.ft.ledger.on_mutate = None
-        return journal
 
     # -- topology -------------------------------------------------------------------
 
@@ -454,10 +400,6 @@ class World:
         if self._journal_capture:
             self._wire_journal_hooks(node)
         return node
-
-    def add_nodes(self, *names: str) -> list[Node]:
-        """Create several nodes at once."""
-        return [self.add_node(n) for n in names]
 
     def node(self, name: str) -> Node:
         node = self.nodes.get(name)
@@ -546,9 +488,7 @@ class World:
             bundle = capture((agent, at, method,
                               {"mode": mode, "protocol": protocol,
                                "initial_savepoints": initial_savepoints}))
-            if self._owns_ops and self.journal is not None \
-                    and self.journal.armed:
-                self.journal.record_op("launch", bundle=bundle)
+            self._journal_op("launch", bundle=bundle)
             agent, at, method, kwargs = restore(bundle)
             mode, protocol = kwargs["mode"], kwargs["protocol"]
             initial_savepoints = kwargs["initial_savepoints"]
@@ -601,12 +541,6 @@ class World:
                            protocol=protocol,
                            initial_savepoints=agent.initial_savepoints())
 
-    def record_of(self, agent_id: str) -> AgentRecord:
-        record = self.agents.get(agent_id)
-        if record is None:
-            raise UsageError(f"no agent {agent_id!r}")
-        return record
-
     def record_or_none(self, agent_id: str) -> Optional[AgentRecord]:
         """Like :meth:`record_of` but tolerant of unknown agents.
 
@@ -621,40 +555,19 @@ class World:
 
     # -- backend-neutral inspection / injection -----------------------------------------------
     #
-    # The same three methods exist on ShardedWorld and ProcShardedWorld,
-    # so a workload or equivalence check can drive any execution backend
-    # (one kernel, N in-process kernels, N worker processes) through one
-    # call surface.
+    # The same methods exist on ShardedWorld and ProcShardedWorld (the
+    # rest of the shared surface — outcomes, counters, digests, the
+    # clock — lives on LockstepWorld), so a workload or equivalence
+    # check can drive any execution backend (one kernel, N in-process
+    # kernels, N worker processes) through one call surface.
 
-    def resource_state(self, node: str, resource: str) -> Any:
-        """The named resource hosted by ``node`` (live object here)."""
-        return self.node(node).get_resource(resource)
-
-    def outcomes(self) -> dict[str, dict[str, Any]]:
-        """Canonical per-agent outcomes (same shape as ShardedWorld's)."""
-        from repro.node.sharded import outcomes_of
-        return outcomes_of(self.agents)
-
-    def apply_crash_plans(self, plans) -> None:
-        """Schedule node-level outages (facade twin of ``failures.apply_plan``)."""
-        if self._owns_ops and self.journal is not None \
-                and self.journal.armed:
-            from repro.storage.serialization import capture
-            self.journal.record_op("crash_plans", blob=capture(list(plans)))
+    def _apply_crash_plans(self, plans: list) -> None:
         self.failures.apply_plan(plans)
 
     def serialization_stats(self) -> dict[str, int]:
         """This process's :data:`repro.storage.serialization.STATS` copy."""
         from repro.storage.serialization import stats
         return stats()
-
-    def enable_trace_digest(self) -> None:
-        """Turn on the kernel's event-stream digest."""
-        self.sim.enable_trace_digest()
-
-    def trace_digests(self) -> list:
-        """The kernel event-stream digest, as a one-element list."""
-        return [self.sim.trace_digest()]
 
     # -- execution ------------------------------------------------------------------------------
 
@@ -686,34 +599,26 @@ class World:
             # Idle advance to ``until``, matching the plain path.
             self.sim.run(until=until, max_events=max_events)
 
-    def _step(self, until: Optional[float], max_events: int) -> bool:
-        """One barrier of the epoch-ized run loop; False when drained."""
-        from repro.node.sharded import next_epoch_barrier
-        soonest = self.sim.peek_time()
-        if soonest is None or (until is not None and soonest > until):
-            self._journal_final_commit()
-            return False
-        barrier = next_epoch_barrier(soonest, self.journal_epoch,
-                                     self.sim.now)
-        if until is not None and barrier > until:
-            barrier = until
-        self.sim.run_epoch(barrier, max_events=max_events)
-        kill = self._kill_due(barrier)
-        self._journal_commit(barrier, torn=(kill == "barrier"))
-        if kill is not None:
-            from repro.errors import WorldKilled
-            raise WorldKilled(barrier, kill)
-        return True
+    # The lockstep walk (LockstepWorld._step) over this one kernel.
+
+    def _kernels(self) -> list["World"]:
+        return [self]
+
+    def _epoch_length(self) -> float:
+        return self.journal_epoch
+
+    def _stop_at(self, until: float, max_events: int) -> None:
+        # The caller (run) idle-advances the clock to ``until``.
+        self._journal_final_commit()
 
     def step_epoch(self, max_events: int = 10_000_000) -> bool:
         """Advance exactly one epoch barrier; False once the world is idle.
 
         The reentrant twin of :meth:`run`: each call executes the next
         barrier of the *same* deterministic epoch grid the journaled run
-        loop walks (``journal_epoch`` spacing, shared
-        :func:`~repro.node.sharded.next_epoch_barrier` arithmetic), with
-        the same group commit and ``kill_world`` check per barrier —
-        ``run()`` is exactly ``while world.step_epoch(): pass``, so a
+        loop walks (``journal_epoch`` spacing, the lockstep walk every
+        backend shares), with the same group commit and ``kill_world``
+        check per barrier — ``run()`` is exactly ``while world.step_epoch(): pass``, so a
         stepped run and a straight run of the same seed produce
         identical event order, outcomes and trace digests.  Long-lived
         hosts (the service gateway) interleave launches and telemetry
@@ -722,11 +627,6 @@ class World:
         the next call return True again.
         """
         return self._step(None, max_events)
-
-    def all_done(self) -> bool:
-        """True when no agent is still running."""
-        return all(r.status is not AgentStatus.RUNNING
-                   for r in self.agents.values())
 
     # -- outcome hooks (called by drivers) ----------------------------------------------------------
 

@@ -11,9 +11,11 @@ Lockstep epochs
 ---------------
 
 Virtual clocks stay consistent through barrier synchronisation: the
-driver picks the next epoch barrier (a multiple of ``epoch``), advances
-every shard's kernel exactly to it (:meth:`Simulator.run_epoch`), then
-exchanges the traffic that crossed shard boundaries during the epoch.
+lockstep walk every backend shares
+(:class:`~repro.node.lockstep.LockstepWorld`) picks the next epoch
+barrier (a multiple of ``epoch``), advances every shard's kernel
+exactly to it (:meth:`Simulator.run_epoch`), then exchanges the
+traffic that crossed shard boundaries during the epoch.
 A cross-shard migration commits in its source shard with the same
 transfer / 2PC-round / stable-write charges as a remote migration in a
 plain world; the durable enqueue at the destination is carried by the
@@ -75,11 +77,11 @@ accepts.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import UsageError
+from repro.node.lockstep import LockstepWorld
 from repro.node.runtime import LEDGER_NODE, AgentRecord, World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -89,58 +91,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.messages import Message
     from repro.node.node import Node
     from repro.tx.manager import Transaction
-
-
-def next_epoch_barrier(soonest: float, epoch: float,
-                       floor_now: float) -> float:
-    """The next barrier on the epoch grid at-or-after ``soonest``.
-
-    Shared by the in-process and multiprocess epoch drivers so both
-    walk exactly the same barrier sequence: the grid point covering the
-    earliest pending event, nudged up one grid step on float round-down,
-    and never behind ``floor_now`` (the fastest running kernel's clock —
-    a revival may be due before it, but barriers cannot move backwards).
-    """
-    barrier = epoch * math.ceil(soonest / epoch)
-    if barrier < soonest:  # float guard: stay at-or-after the event
-        barrier += epoch
-    while barrier < floor_now:
-        barrier += epoch
-    return barrier
-
-
-def outcomes_of(agents: dict[str, AgentRecord]) -> dict[str, dict[str, Any]]:
-    """Canonical per-agent outcomes, for cross-configuration checks.
-
-    Status, result, committed-step and rollback counts — everything
-    that must be identical between runs of the same seeded workload on
-    any execution backend (unsharded, in-process shards, process-backed
-    shards); timing may differ by bridge staleness, outcomes may not.
-    """
-    return {
-        agent_id: {
-            "status": record.status.value,
-            "result": record.result,
-            "failure": record.failure,
-            "steps_committed": record.steps_committed,
-            "rollbacks_completed": record.rollbacks_completed,
-        }
-        for agent_id, record in sorted(agents.items())
-    }
-
-
-def aggregate_counters(summaries: list[dict[str, Any]],
-                       exclude_prefixes: tuple[str, ...] = ()
-                       ) -> dict[str, int]:
-    """Sum per-shard metric summaries, dropping excluded families."""
-    totals: dict[str, int] = {}
-    for summary in summaries:
-        for key, value in summary.items():
-            if any(key.startswith(p) or key.startswith(f"bytes.{p}")
-                   for p in exclude_prefixes):
-                continue
-            totals[key] = totals.get(key, 0) + value
-    return dict(sorted(totals.items()))
 
 
 @dataclass
@@ -521,7 +471,231 @@ class ShardWorld(World):
                                    self.sim.now))
 
 
-class ShardedWorld:
+class ShardCoordinator(LockstepWorld):
+    """What the in-process and the process-backed sharded drivers share.
+
+    Node placement, whole-shard outage scheduling (validation, the
+    outage record the lockstep walk selects revivals from), the bridge
+    flush at each barrier with its ``bridge`` audit note, the bounded
+    ``run`` / ``step_epoch`` loop, the ``spec.*`` serialization stats
+    and the ledger quorum check.  A driver supplies ``_place`` (create
+    a node in a shard), ``_shard_now`` and ``_schedule_kill`` (one
+    shard's clock and kill event), ``shard_suspended``, ``_flush``
+    (route the pending bridge traffic at a barrier, returning how much
+    moved), ``_serialization_counters`` and ``ledger_claims``, plus the
+    hooks of :class:`~repro.node.lockstep.LockstepWorld`.
+    """
+
+    #: Optimistic-lockstep accounting; only the process backend
+    #: speculates, so these stay zero on in-process shards.
+    spec_epochs_speculated = 0
+    spec_epochs_rolled_back = 0
+    spec_shards_rolled_back = 0
+
+    def _init_coordinator(self, n_shards: int, seed: int,
+                          epoch: Optional[float], lockstep: str,
+                          journal: Optional["WorldJournal"],
+                          world_kwargs: dict[str, Any]) -> None:
+        """Validate the shared knobs and set the shared state."""
+        if n_shards < 1:
+            raise UsageError(f"need at least 1 shard, got {n_shards}")
+        if lockstep not in ("auto", "serial", "parallel", "optimistic"):
+            raise UsageError(f"unknown lockstep mode {lockstep!r}")
+        net_params = world_kwargs.get("net_params")
+        if epoch is None:
+            epoch = net_params.latency if net_params is not None else 0.005
+        if epoch <= 0:
+            raise UsageError(f"epoch must be positive, got {epoch}")
+        self.n_shards = n_shards
+        self.seed = seed
+        self.epoch = epoch
+        self.lockstep = lockstep
+        self.journal = journal
+        self.bridge = CrossShardBridge(n_shards)
+        #: Virtual time of the most recent bridge flush — the takeover
+        #: watchdog's mirror-settlement guard reads it.
+        self.last_flush_at = float("-inf")
+        #: Step-alternate policy shared by every shard's FT driver: the
+        #: shipping shard must know the alternates of destinations it
+        #: does not host.
+        self.ft_alternates: dict[str, tuple[str, ...]] = {}
+        #: Per-agent records: every shard's view of an agent merges here.
+        self.agents: dict[str, AgentRecord] = {}
+        self._node_shard: dict[str, int] = {}
+        self._outages: list[_ShardOutage] = []
+
+    # -- topology -------------------------------------------------------------------
+
+    def add_node(self, name: str, shard: Optional[int] = None) -> Any:
+        """Create node ``name`` in ``shard`` (round-robin by default)."""
+        if name in self._node_shard:
+            raise UsageError(f"node {name!r} already exists")
+        if shard is None:
+            shard = len(self._node_shard) % self.n_shards
+        if not 0 <= shard < self.n_shards:
+            raise UsageError(f"no shard {shard} (have {self.n_shards})")
+        self._journal_op("add_node", name=name, shard=shard)
+        node = self._place(name, shard)
+        self._node_shard[name] = shard
+        return node
+
+    def shard_of(self, name: str) -> int:
+        """Index of the shard hosting node ``name``."""
+        shard = self._node_shard.get(name)
+        if shard is None:
+            raise UsageError(f"no node {name!r}")
+        return shard
+
+    # -- whole-shard failure injection ------------------------------------------------
+
+    def kill_shard(self, shard: int, at: float,
+                   restart_at: Optional[float] = None) -> None:
+        """Schedule a whole-kernel outage of ``shard`` at time ``at``.
+
+        At the kill instant every node hosted by the shard crashes
+        (in-flight transactions abort with full undo) and the shard's
+        kernel suspends — it stops advancing, so nothing in it runs
+        while the surviving shards promote cross-shard shadows.  With
+        ``restart_at`` the kernel resumes at that time: its nodes
+        recover, the ledger replica catches up from the bridge's mirror
+        backlog, and the recovery rescan re-dispatches the durable
+        queues (stale primaries then discard themselves against the
+        replicated ledger).  Without it the shard stays dead for the
+        rest of the run.
+        """
+        if not 0 <= shard < self.n_shards:
+            raise UsageError(f"no shard {shard} (have {self.n_shards})")
+        now = self._shard_now(shard)
+        if at < now:
+            raise UsageError(f"cannot kill shard {shard} in the past "
+                             f"(at={at}, now={now})")
+        if restart_at is not None and restart_at <= at:
+            raise UsageError(f"restart_at ({restart_at}) must be after "
+                             f"the kill time ({at})")
+        self._journal_op("kill_shard", shard=shard, at=at,
+                         restart_at=restart_at)
+        self._outages.append(_ShardOutage(shard=shard, at=at,
+                                          restart_at=restart_at))
+        self._schedule_kill(shard, at)
+
+    def shard_alive(self, shard: int) -> bool:
+        """False while ``shard``'s kernel is suspended by an outage."""
+        return not self.shard_suspended(shard)
+
+    # -- the lockstep walk's sharded hooks --------------------------------------------
+
+    def _epoch_length(self) -> float:
+        return self.epoch
+
+    def _due_restarts(self) -> list[_ShardOutage]:
+        """Outages with a pending restart of an already-dead kernel."""
+        return [o for o in self._outages
+                if o.restart_at is not None and not o.revived
+                and self.shard_suspended(o.shard)]
+
+    def _route(self, barrier: float) -> None:
+        moved = self._flush(barrier)
+        self.last_flush_at = barrier
+        if moved and self.journal is not None and self.journal.armed:
+            self.journal.buffer("bridge", moved=moved, barrier=barrier)
+
+    def _idle_step(self, max_events: int) -> bool:
+        if not self.bridge.pending():
+            return False
+        # Retained shadow retries and forwards committed on the last
+        # epoch's final event must still resolve.
+        self._route(self.now)
+        return True
+
+    def run(self, until: Optional[float] = None,
+            max_epochs: int = 1_000_000,
+            max_events_per_epoch: int = 10_000_000,
+            _replay: Optional[list] = None) -> None:
+        """Run all shards in lockstep epochs until drained (or ``until``).
+
+        Each iteration is one step of the shared lockstep walk (see
+        :mod:`repro.node.lockstep`): pick the next barrier on the epoch
+        grid (skipping grid points no shard has work before — the
+        barrier sequence is a pure function of event times and outage
+        schedules, so runs stay deterministic), revive shards whose
+        restart falls inside the epoch, advance every live shard to the
+        barrier, then flush the bridge.  Suspended kernels are skipped —
+        a dead shard stops advancing — but their scheduled restarts
+        count as work, so a run never terminates with a revival pending.
+
+        With a journal attached each flushed barrier gets a group
+        commit, with the ``kill_world`` check around it.  ``_replay``
+        (resume driver only) walks the journaled barrier sequence
+        verbatim instead of re-deriving it, and returns once exhausted.
+        """
+        replay = iter(_replay) if _replay is not None else None
+        for _ in range(max_epochs):
+            if not self._step(until, max_events_per_epoch, replay):
+                return
+        raise UsageError(
+            f"sharded run exceeded {max_epochs} epochs; likely livelock")
+
+    def step_epoch(self, max_events_per_epoch: int = 10_000_000) -> bool:
+        """Advance one lockstep iteration; False once every shard is idle.
+
+        The reentrant twin of :meth:`run` (which is exactly
+        ``while self.step_epoch(): pass`` bounded by ``max_epochs``):
+        each call picks the next barrier on the same deterministic grid,
+        advances every live kernel to it, flushes the bridge and group-
+        commits the journal, so a stepped run reproduces a straight
+        run's event order, outcomes and trace digests bit for bit.  A
+        call may also resolve a pending bridge flush (or, on the process
+        backend, ship a staged inbox) without advancing the clock —
+        still True — and returns False only when every live kernel is
+        drained and nothing is left to bridge.  Idle calls are
+        repeatable; a later ``launch`` makes the next call True.
+        """
+        return self._step(None, max_events_per_epoch)
+
+    def serialization_stats(self) -> dict[str, Any]:
+        """Serialization counters, with the speculation accounting.
+
+        The ``spec.*`` keys of optimistic lockstep ride along:
+        ``spec.epochs_speculated`` / ``spec.epochs_rolled_back`` /
+        ``spec.shards_rolled_back`` counters plus the derived
+        ``spec.conflict_rate`` (rolled-back over speculated epochs; 0.0
+        when nothing speculated).
+        """
+        merged = self._serialization_counters()
+        merged["spec.epochs_speculated"] = self.spec_epochs_speculated
+        merged["spec.epochs_rolled_back"] = self.spec_epochs_rolled_back
+        merged["spec.shards_rolled_back"] = self.spec_shards_rolled_back
+        merged["spec.conflict_rate"] = (
+            self.spec_epochs_rolled_back / self.spec_epochs_speculated
+            if self.spec_epochs_speculated else 0.0)
+        return dict(sorted(merged.items()))
+
+    # -- ledger inspection (tests / benches) -------------------------------------------------
+
+    def ledger_quorum_agrees(self) -> bool:
+        """Do the live replicas agree on every claim, with a majority?
+
+        The post-run invariant of the bridged ledger: each claimed
+        ``work_id`` has exactly one holder across the live replicas,
+        and a majority of them hold it (dead replicas may be behind —
+        they catch up at restart).
+        """
+        alive = {shard for shard in range(self.n_shards)
+                 if not self.shard_suspended(shard)}
+        if not alive:
+            return True
+        need = len(alive) // 2 + 1
+        for replicas in self.ledger_claims().values():
+            holders = [holder for shard, holder in replicas.items()
+                       if shard in alive]
+            if not holders:
+                continue  # only dead replicas hold it — unresolvable now
+            if len(set(holders)) != 1 or len(holders) < need:
+                return False
+        return True
+
+
+class ShardedWorld(ShardCoordinator):
     """A simulated mobile-agent system partitioned across N kernels.
 
     The facade mirrors :class:`~repro.node.runtime.World` where it
@@ -581,55 +755,26 @@ class ShardedWorld:
                  journal: Optional["WorldJournal"] = None,
                  lockstep: str = "auto",
                  **world_kwargs: Any):
-        if n_shards < 1:
-            raise UsageError(f"need at least 1 shard, got {n_shards}")
-        if lockstep not in ("auto", "serial", "parallel", "optimistic"):
-            raise UsageError(f"unknown lockstep mode {lockstep!r}")
-        self.n_shards = n_shards
-        self.seed = seed
-        #: Accepted for facade parity with :class:`ProcShardedWorld`.
-        #: In-process shards always execute sequentially against live
-        #: sibling state, so every schedule — including
-        #: ``"optimistic"`` — already *is* the serial schedule here:
-        #: there is nothing to speculate against and nothing to roll
-        #: back (``spec.*`` stats stay zero).
-        self.lockstep = lockstep
-        net_params = world_kwargs.get("net_params")
-        if epoch is None:
-            epoch = net_params.latency if net_params is not None else 0.005
-        if epoch <= 0:
-            raise UsageError(f"epoch must be positive, got {epoch}")
-        self.epoch = epoch
-        self.journal = journal
+        # ``lockstep`` is accepted for facade parity with
+        # ProcShardedWorld.  In-process shards always execute
+        # sequentially against live sibling state, so every schedule —
+        # including "optimistic" — already *is* the serial schedule
+        # here: nothing to speculate against, nothing to roll back
+        # (``spec.*`` stats stay zero).
+        self._init_coordinator(n_shards, seed, epoch, lockstep, journal,
+                               world_kwargs)
         self._world_kwargs = dict(world_kwargs)
-        self._kill_plan: Optional[tuple[float, str]] = None
-        if journal is not None and journal.armed \
-                and not journal.config_written:
-            from repro.storage.serialization import capture
-            journal.record_config(backend="sharded", seed=seed,
-                                  n_shards=n_shards, epoch=epoch,
-                                  lockstep=lockstep,
-                                  world_kwargs=capture(world_kwargs))
-        self.bridge = CrossShardBridge(n_shards)
-        self._node_shard: dict[str, int] = {}
-        #: Step-alternate policy shared by every shard's FT driver: the
-        #: shipping shard must know the alternates of destinations it
-        #: does not host.
-        self.ft_alternates: dict[str, tuple[str, ...]] = {}
-        #: Virtual time of the most recent bridge flush — the takeover
-        #: watchdog's mirror-settlement guard reads it.
-        self.last_flush_at = float("-inf")
-        self._outages: list[_ShardOutage] = []
-        #: Per-agent records, shared by every shard world: an agent may
-        #: migrate to any shard, and whichever shard executes its steps
-        #: updates the same record.
-        self.agents: dict[str, AgentRecord] = {}
+        if journal is not None:
+            self._record_journal_config(journal, pristine=True)
         self.shards: list[ShardWorld] = []
         for index in range(n_shards):
             world = ShardWorld(shard_index=index, sharded=self,
                                seed=seed + 100_003 * index,
                                journal_capture=journal is not None,
                                **world_kwargs)
+            # One record table for every shard: an agent may migrate
+            # to any shard, and whichever shard executes its steps
+            # updates the same record.
             world.agents = self.agents
             # The shards buffer payload notes straight into the
             # coordinator's journal (attached after construction so
@@ -638,33 +783,43 @@ class ShardedWorld:
             world.journal = journal
             world.journal_shard = index
             self.shards.append(world)
-        self.epochs_run = 0
+
+    # -- the coordinator hooks ------------------------------------------------------
+
+    def _kernels(self) -> list[ShardWorld]:
+        return self.shards
+
+    def _place(self, name: str, shard: int) -> "Node":
+        return self.shards[shard].add_node(name)
+
+    def _shard_now(self, shard: int) -> float:
+        return self.shards[shard].sim.now
+
+    def _schedule_kill(self, shard: int, at: float) -> None:
+        self.shards[shard].schedule_kill(at)
+
+    def _advance(self, barrier: float, revivals: list[_ShardOutage],
+                 max_events: int) -> None:
+        for outage in revivals:
+            self.shards[outage.shard].schedule_revival(
+                outage.restart_at, self.bridge.take_backlog(outage.shard))
+        super()._advance(barrier, revivals, max_events)
+
+    def _flush(self, barrier: float) -> int:
+        return self.bridge.flush(self.shards, barrier)
+
+    def _apply_crash_plans(self, plans: list) -> None:
+        for plan in plans:
+            self.world_of(plan.node).failures.apply_plan([plan])
+
+    def _journal_config(self) -> dict[str, Any]:
+        from repro.storage.serialization import capture
+        return dict(backend="sharded", seed=self.seed,
+                    n_shards=self.n_shards, epoch=self.epoch,
+                    lockstep=self.lockstep,
+                    world_kwargs=capture(self._world_kwargs))
 
     # -- topology -------------------------------------------------------------------
-
-    def add_node(self, name: str, shard: Optional[int] = None) -> "Node":
-        """Create node ``name`` in ``shard`` (round-robin by default)."""
-        if name in self._node_shard:
-            raise UsageError(f"node {name!r} already exists")
-        if shard is None:
-            shard = len(self._node_shard) % self.n_shards
-        if not 0 <= shard < self.n_shards:
-            raise UsageError(f"no shard {shard} (have {self.n_shards})")
-        self._journal_op("add_node", name=name, shard=shard)
-        node = self.shards[shard].add_node(name)
-        self._node_shard[name] = shard
-        return node
-
-    def add_nodes(self, *names: str) -> list["Node"]:
-        """Create several nodes at once (round-robin placement)."""
-        return [self.add_node(n) for n in names]
-
-    def shard_of(self, name: str) -> int:
-        """Index of the shard hosting node ``name``."""
-        shard = self._node_shard.get(name)
-        if shard is None:
-            raise UsageError(f"no node {name!r}")
-        return shard
 
     def world_of(self, name: str) -> ShardWorld:
         """The shard world hosting node ``name``."""
@@ -684,68 +839,7 @@ class ShardedWorld:
                          alternates=tuple(alternates))
         self.ft_alternates[node] = tuple(alternates)
 
-    # -- whole-shard failure injection ------------------------------------------------
-
-    def kill_shard(self, shard: int, at: float,
-                   restart_at: Optional[float] = None) -> None:
-        """Schedule a whole-kernel outage of ``shard`` at time ``at``.
-
-        At the kill instant every node hosted by the shard crashes
-        (in-flight transactions abort with full undo) and the shard's
-        kernel suspends — it stops advancing, so nothing in it runs
-        while the surviving shards promote cross-shard shadows.  With
-        ``restart_at`` the kernel resumes at that time: its nodes
-        recover, the ledger replica catches up from the bridge's mirror
-        backlog, and the recovery rescan re-dispatches the durable
-        queues (stale primaries then discard themselves against the
-        replicated ledger).  Without it the shard stays dead for the
-        rest of the run.
-        """
-        if not 0 <= shard < self.n_shards:
-            raise UsageError(f"no shard {shard} (have {self.n_shards})")
-        world = self.shards[shard]
-        if at < world.sim.now:
-            raise UsageError(f"cannot kill shard {shard} in the past "
-                             f"(at={at}, now={world.sim.now})")
-        if restart_at is not None and restart_at <= at:
-            raise UsageError(f"restart_at ({restart_at}) must be after "
-                             f"the kill time ({at})")
-        self._journal_op("kill_shard", shard=shard, at=at,
-                         restart_at=restart_at)
-        self._outages.append(_ShardOutage(shard=shard, at=at,
-                                          restart_at=restart_at))
-        world.schedule_kill(at)
-
-    def _revive(self, outage: _ShardOutage) -> None:
-        outage.revived = True
-        self.shards[outage.shard].schedule_revival(
-            outage.restart_at, self.bridge.take_backlog(outage.shard))
-
-    def shard_alive(self, shard: int) -> bool:
-        """False while ``shard``'s kernel is suspended by an outage."""
-        return not self.shards[shard].sim.suspended
-
-    def apply_crash_plans(self, plans) -> None:
-        """Schedule node-level outages, routed to the owning shards.
-
-        The facade twin of ``world.failures.apply_plan`` on a plain
-        :class:`~repro.node.runtime.World` — one call site that works
-        no matter which shard hosts each node (and, via the matching
-        method on :class:`~repro.node.procshard.ProcShardedWorld`, no
-        matter which *process*).
-        """
-        plans = list(plans)
-        if self.journal is not None and self.journal.armed:
-            from repro.storage.serialization import capture
-            self.journal.record_op("crash_plans", blob=capture(plans))
-        for plan in plans:
-            self.world_of(plan.node).failures.apply_plan([plan])
-
     # -- world-journal seams (see repro.journal) --------------------------------------
-
-    def _journal_op(self, op: str, **data: Any) -> None:
-        if self.journal is not None and self.journal.armed:
-            self.journal.record_op(op, **data)
 
     def attach_journal(self, journal: "WorldJournal") -> None:
         """Start journaling a *live* sharded world from this moment on.
@@ -765,29 +859,11 @@ class ShardedWorld:
         if self.journal is not None:
             raise UsageError("world already has a journal attached")
         pristine = (not self._node_shard and not self.agents
-                    and all(w.sim.events_processed == 0
-                            for w in self.shards))
+                    and self.events_processed() == 0)
         self.journal = journal
-        for index, world in enumerate(self.shards):
-            world._journal_capture = True
-            world.journal = journal
-            world.journal_shard = index
-            for node in world.nodes.values():
-                world._wire_journal_hooks(node)
-            world._wire_ledger_hook()
-        if journal.armed and not journal.config_written:
-            from repro.storage.serialization import capture
-            config: dict[str, Any] = dict(
-                backend="sharded", seed=self.seed,
-                n_shards=self.n_shards, epoch=self.epoch,
-                lockstep=self.lockstep,
-                world_kwargs=capture(self._world_kwargs))
-            if not pristine:
-                config["live_attach"] = {
-                    "events_processed": sum(w.sim.events_processed
-                                            for w in self.shards),
-                    "at": self.now}
-            journal.record_config(**config)
+        for world in self.shards:
+            world._wire_capture(journal)
+        self._record_journal_config(journal, pristine)
 
     def detach_journal(self) -> "WorldJournal":
         """Stop journaling: final group commit, unhook every shard.
@@ -802,59 +878,8 @@ class ShardedWorld:
         self._journal_final_commit()
         journal, self.journal = self.journal, None
         for world in self.shards:
-            world._journal_capture = False
-            world.journal = None
-            world._journal_notes.clear()
-            for node in world.nodes.values():
-                node.stable.on_mutate = None
-                node.queue.on_journal = None
-            world.ft.ledger.on_mutate = None
+            world._unwire_capture()
         return journal
-
-    def _journal_digest(self) -> tuple:
-        """Per-shard event counts at the barrier — the commit digest."""
-        return tuple(w.sim.events_processed for w in self.shards)
-
-    def _journal_commit(self, barrier: float, torn: bool = False) -> None:
-        journal = self.journal
-        if journal is None or not journal.armed:
-            return
-        digest = self._journal_digest()
-        if torn:
-            journal.commit_torn(barrier, digest)
-        else:
-            journal.commit_epoch(barrier, digest)
-
-    def _journal_final_commit(self) -> None:
-        journal = self.journal
-        if journal is not None and journal.armed and journal.buffered():
-            journal.commit_epoch(self.now, self._journal_digest())
-
-    def _kill_due(self, barrier: float) -> Optional[str]:
-        plan = self._kill_plan
-        if plan is not None and barrier >= plan[0]:
-            return plan[1]
-        return None
-
-    def kill_world(self, at: float, phase: str = "commit") -> None:
-        """Hard-stop the coordinator at the first epoch barrier >= ``at``.
-
-        The sharded twin of :meth:`~repro.node.runtime.World.
-        kill_world` — and unlike :meth:`kill_shard` (which models one
-        kernel dying inside a run that keeps going) this kills the
-        *driver*: ``phase="commit"`` stops right after the barrier's
-        journal commit; ``"barrier"`` stops mid-barrier — the epoch has
-        executed and its traffic been collected, but the commit marker
-        is torn and the bridge never scatters.  Never journaled: it is
-        the crash being recovered from.
-        """
-        if phase not in ("commit", "barrier"):
-            raise UsageError(f"unknown kill phase {phase!r} "
-                             f"(use 'commit' or 'barrier')")
-        if at < self.now:
-            raise UsageError(f"cannot kill the world in the past "
-                             f"(at={at}, now={self.now})")
-        self._kill_plan = (float(at), phase)
 
     # -- cross-shard state seams (the worker-mode boundary) ---------------------------
     #
@@ -906,211 +931,21 @@ class ShardedWorld:
         # Launch is a ship: the shard runs the restored bundle, as a
         # worker process does, and replay re-launches the same bytes.
         bundle = capture((agent, at, method, launch_kwargs))
-        if self.journal is not None and self.journal.armed:
-            self.journal.record_op("launch", bundle=bundle)
+        self._journal_op("launch", bundle=bundle)
         agent, at, method, launch_kwargs = restore(bundle)
         return self.world_of(at).launch(agent, at=at, method=method,
                                         **launch_kwargs)
 
-    def record_of(self, agent_id: str) -> AgentRecord:
-        record = self.agents.get(agent_id)
-        if record is None:
-            raise UsageError(f"no agent {agent_id!r}")
-        return record
-
-    def all_done(self) -> bool:
-        """True when no agent is still running."""
-        return self.shards[0].all_done()
-
-    # -- execution ------------------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """The lockstep virtual clock (all shards agree at barriers)."""
-        return max(world.sim.now for world in self.shards)
-
-    def _due_restarts(self) -> list[_ShardOutage]:
-        """Outages with a pending restart of an already-dead kernel."""
-        return [o for o in self._outages
-                if o.restart_at is not None and not o.revived
-                and self.shards[o.shard].sim.suspended]
-
-    def run(self, until: Optional[float] = None,
-            max_epochs: int = 1_000_000,
-            max_events_per_epoch: int = 10_000_000,
-            _replay: Optional[list] = None) -> None:
-        """Run all shards in lockstep epochs until drained (or ``until``).
-
-        Each iteration: pick the next barrier on the epoch grid (skipping
-        grid points no shard has work before — the barrier sequence is a
-        pure function of event times and outage schedules, so runs stay
-        deterministic), revive shards whose restart falls inside the
-        epoch, advance every live shard to the barrier, then flush the
-        bridge.  Suspended kernels are skipped — a dead shard stops
-        advancing — but their scheduled restarts count as work, so a run
-        never terminates with a revival pending.
-
-        With a journal attached each flushed barrier gets a group
-        commit, with the ``kill_world`` check around it.  ``_replay``
-        (resume driver only) walks the journaled barrier sequence
-        verbatim instead of re-deriving it, and returns once exhausted.
-        """
-        replay = iter(_replay) if _replay is not None else None
-        for _ in range(max_epochs):
-            if not self._step(until, max_events_per_epoch, replay):
-                return
-        raise UsageError(
-            f"sharded run exceeded {max_epochs} epochs; likely livelock")
-
-    def _step(self, until: Optional[float], max_events_per_epoch: int,
-              replay) -> bool:
-        """One iteration of the lockstep loop; False when nothing is left."""
-        running = [w for w in self.shards if not w.sim.suspended]
-        next_times = [t for t in (w.sim.peek_time() for w in running)
-                      if t is not None]
-        next_times += [o.restart_at for o in self._due_restarts()]
-        if not next_times:
-            if self.bridge.pending():
-                # Retained shadow retries and forwards committed on
-                # the last epoch's final event must still resolve.
-                self.bridge.flush(self.shards, self.now)
-                self.last_flush_at = self.now
-                return True
-            self._journal_final_commit()
-            return False  # every live kernel drained, nothing to bridge
-        soonest = min(next_times)
-        if until is not None and soonest > until:
-            for world in running:
-                world.sim.run_epoch(max(until, world.sim.now))
-            return False
-        if replay is not None:
-            barrier = next(replay, None)
-            if barrier is None:
-                return False  # replayed prefix complete
-        else:
-            # A revival may be due before the clocks of the running
-            # shards (they advanced while the dead kernel froze);
-            # the barrier can never move backwards.
-            floor_now = max((w.sim.now for w in running),
-                            default=self.now)
-            barrier = next_epoch_barrier(soonest, self.epoch,
-                                         floor_now)
-            if until is not None and barrier > until:
-                barrier = until
-        for outage in self._due_restarts():
-            if outage.restart_at <= barrier:
-                self._revive(outage)
-        for world in self.shards:
-            if world.sim.suspended:
-                continue
-            world.sim.run_epoch(barrier,
-                                max_events=max_events_per_epoch)
-        kill = self._kill_due(barrier)
-        if kill == "barrier":
-            # Mid-barrier crash: the epoch ran and its payload
-            # notes are buffered, but the marker is torn and the
-            # bridge never scatters — recovery falls back one
-            # barrier.
-            self._journal_commit(barrier, torn=True)
-            from repro.errors import WorldKilled
-            raise WorldKilled(barrier, "barrier")
-        moved = self.bridge.flush(self.shards, barrier)
-        self.last_flush_at = barrier
-        self.epochs_run += 1
-        if moved and self.journal is not None and self.journal.armed:
-            self.journal.buffer("bridge", moved=moved, barrier=barrier)
-        self._journal_commit(barrier)
-        if kill == "commit":
-            from repro.errors import WorldKilled
-            raise WorldKilled(barrier, "commit")
-        return True
-
-    def step_epoch(self, max_events_per_epoch: int = 10_000_000) -> bool:
-        """Advance one lockstep iteration; False once every shard is idle.
-
-        The reentrant twin of :meth:`run` (which is exactly
-        ``while self.step_epoch(): pass`` bounded by ``max_epochs``):
-        each call picks the next barrier on the same deterministic grid,
-        advances every live kernel to it, flushes the bridge and group-
-        commits the journal, so a stepped run reproduces a straight
-        run's event order, outcomes and trace digests bit for bit.  A
-        call may also resolve a pending bridge flush without advancing
-        the clock — still True — and returns False only when every live
-        kernel is drained and nothing is left to bridge.  Idle calls are
-        repeatable; a later :meth:`launch` makes the next call True.
-        """
-        return self._step(None, max_events_per_epoch, None)
-
     # -- results ----------------------------------------------------------------------------
-
-    def outcomes(self) -> dict[str, dict[str, Any]]:
-        """Canonical per-agent outcomes, for cross-configuration checks.
-
-        Status, result, committed-step and rollback counts — everything
-        that must be identical between a sharded run and an equivalent
-        unsharded run at the same seed (timing may differ by bridge
-        staleness; outcomes may not).
-        """
-        return outcomes_of(self.agents)
-
-    def counters(self, exclude_prefixes: tuple[str, ...] = ()
-                 ) -> dict[str, int]:
-        """Aggregate counters/byte totals across every shard's metrics.
-
-        ``exclude_prefixes`` drops families that legitimately differ
-        between shard counts (e.g. ``bridge.`` traffic exists only when
-        N > 1).
-        """
-        return aggregate_counters(
-            [world.metrics.summary() for world in self.shards],
-            exclude_prefixes)
-
-    def events_processed(self) -> int:
-        """Total kernel events fired across all shards."""
-        return sum(world.sim.events_processed for world in self.shards)
 
     def shard_metrics(self, shard: int) -> Any:
         """One shard's :class:`~repro.sim.metrics.Metrics` (live)."""
         return self.shards[shard].metrics
 
-    def resource_state(self, node: str, resource: str) -> Any:
-        """The named resource of ``node`` — live object in-process.
-
-        Part of the backend-neutral inspection surface (same method on
-        :class:`~repro.node.runtime.World` and on
-        :class:`~repro.node.procshard.ProcShardedWorld`, where it
-        returns a pickled snapshot fetched from the owning worker), so
-        equivalence checks can read post-run resource state without
-        caring which backend executed the run.
-        """
-        return self.node(node).get_resource(resource)
-
-    def serialization_stats(self) -> dict[str, Any]:
-        """Aggregate :data:`repro.storage.serialization.STATS` view.
-
-        In-process every shard shares the module counters; the
-        process-backed driver sums each worker's own counters.  The
-        ``spec.*`` speculation keys are included for shape parity with
-        :meth:`ProcShardedWorld.serialization_stats` and are always
-        zero here: in-process shards execute sequentially against live
-        sibling state, so no epoch ever speculates (see ``lockstep``).
-        """
+    def _serialization_counters(self) -> dict[str, Any]:
+        # Every in-process shard counts into the process-default scope.
         from repro.storage.serialization import stats
-        merged = dict(stats())
-        merged["spec.epochs_speculated"] = 0
-        merged["spec.epochs_rolled_back"] = 0
-        merged["spec.shards_rolled_back"] = 0
-        merged["spec.conflict_rate"] = 0.0
-        return dict(sorted(merged.items()))
-
-    def enable_trace_digest(self) -> None:
-        """Turn on every shard kernel's event-stream digest."""
-        for world in self.shards:
-            world.sim.enable_trace_digest()
-
-    def trace_digests(self) -> list[Optional[int]]:
-        """Per-shard kernel event-stream digests (see Simulator)."""
-        return [world.sim.trace_digest() for world in self.shards]
+        return dict(stats())
 
     # -- ledger inspection (tests / benches) -------------------------------------------------
 
@@ -1123,24 +958,3 @@ class ShardedWorld:
                     claims.setdefault(key[1], {})[world.shard_index] = \
                         world.ft.ledger.get(key)
         return claims
-
-    def ledger_quorum_agrees(self) -> bool:
-        """Do the live replicas agree on every claim, with a majority?
-
-        The post-run invariant of the bridged ledger: each claimed
-        ``work_id`` has exactly one holder across the live replicas,
-        and a majority of them hold it (dead replicas may be behind —
-        they catch up at restart).
-        """
-        alive = {w.shard_index for w in self.shards if not w.sim.suspended}
-        if not alive:
-            return True
-        need = len(alive) // 2 + 1
-        for replicas in self.ledger_claims().values():
-            holders = [holder for shard, holder in replicas.items()
-                       if shard in alive]
-            if not holders:
-                continue  # only dead replicas hold it — unresolvable now
-            if len(set(holders)) != 1 or len(holders) < need:
-                return False
-        return True

@@ -306,8 +306,6 @@ class WorldHost:
 
     def _snapshot_locked(self) -> dict[str, Any]:
         world = self.world
-        counters = (world.counters() if hasattr(world, "counters")
-                    else dict(world.metrics.summary()))
         snap = {
             "world": self.world_id,
             "spec": self.spec.to_json(),
@@ -317,7 +315,7 @@ class WorldHost:
             "now": self._now(),
             "epochs": self._steps,
             "agents": world.outcomes(),
-            "counters": counters,
+            "counters": world.counters(),
             "serialization_stats": world.serialization_stats(),
             "trace_digests": world.trace_digests(),
             "events_dropped": self.events_dropped
@@ -338,10 +336,7 @@ class WorldHost:
         return {"agent": agent_id, "world": self.world_id, **outcome}
 
     def _now(self) -> float:
-        world = self.world
-        now = getattr(world, "now", None)
-        if now is None:
-            now = world.sim.now
+        now = self.world.now
         return float(now) if now != float("-inf") else 0.0
 
     # -- the stepper thread -------------------------------------------------------
@@ -425,15 +420,11 @@ class WorldHost:
 
         The single-kernel and in-process-shard backends expose live
         :class:`~repro.sim.metrics.Metrics` timelines; the process
-        backend's live only in its workers, so there the ``agent`` /
-        ``epoch`` events are the timeline.
+        backend's live only in its workers (``timelines()`` is empty),
+        so there the ``agent`` / ``epoch`` events are the timeline.
         """
-        world = self.world
-        if hasattr(world, "shards"):
-            sources = [w.metrics.timeline for w in world.shards]
-        elif hasattr(world, "metrics"):
-            sources = [world.metrics.timeline]
-        else:
+        sources = self.world.timelines()
+        if not sources:
             return
         if len(self._timeline_pos) != len(sources):
             self._timeline_pos = [0] * len(sources)
@@ -450,11 +441,9 @@ class WorldHost:
 
     def _emit_metrics(self) -> None:
         world = self.world
-        counters = (world.counters() if hasattr(world, "counters")
-                    else dict(world.metrics.summary()))
         self._emit("metrics", {
             "now": self._now(), "epochs": self._steps,
-            "counters": counters,
+            "counters": world.counters(),
             "serialization_stats": world.serialization_stats()})
 
     def _shutdown(self) -> None:
@@ -501,8 +490,7 @@ class WorldHost:
                          "error": f"{type(exc).__name__}: {exc}"}
                 self._emit("error", dict(final))
             self._final = final
-            if hasattr(world, "close"):
-                world.close()
+            world.close()
         with self._meta_lock:
             subs, self._subs = self._subs, []
         for sub in subs:

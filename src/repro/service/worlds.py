@@ -212,8 +212,7 @@ def build_world(spec: WorldSpec):
         if journal is not None and spec.backend != "proc":
             world.attach_journal(journal)
     except BaseException:
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
         raise
     return world, journal
 

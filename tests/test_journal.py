@@ -2,8 +2,8 @@
 
 Three layers, bottom up:
 
-* **backends** — CRC-framed record streams (memory / append-only file /
-  sqlite): round-trips, truncation, the torn-tail rule (damage at the
+* **backends** — CRC-framed record streams (memory / append-only
+  file): round-trips, truncation, the torn-tail rule (damage at the
   physical end is the interrupted write and is discarded; damage before
   it raises :class:`~repro.errors.JournalCorrupt`);
 * **WorldJournal** — group commit, recovery-frontier selection (config
@@ -30,7 +30,6 @@ from repro.errors import (
 from repro.journal import (
     FileJournal,
     MemoryJournal,
-    SqliteJournal,
     WorldJournal,
     open_backend,
     resume_world,
@@ -48,7 +47,6 @@ from tests.helpers import (
 BACKEND_FACTORIES = {
     "memory": lambda tmp: MemoryJournal(),
     "file": lambda tmp: FileJournal(tmp / "world.journal"),
-    "sqlite": lambda tmp: SqliteJournal(tmp / "world.db"),
 }
 
 
@@ -122,9 +120,6 @@ def test_parse_frames_torn_variants():
 def test_open_backend_dispatch(tmp_path):
     assert isinstance(open_backend(None), MemoryJournal)
     assert isinstance(open_backend("memory"), MemoryJournal)
-    sq = open_backend(tmp_path / "j.db")
-    assert isinstance(sq, SqliteJournal)
-    sq.close()
     fj = open_backend(tmp_path / "j.log")
     assert isinstance(fj, FileJournal)
     fj.close()
@@ -249,7 +244,7 @@ def test_mid_barrier_kill_falls_back_one_epoch(tmp_path):
 
 def test_resume_after_commit_kill_is_outcome_identical(tmp_path):
     factory = lambda: WorldJournal(  # noqa: E731
-        SqliteJournal(tmp_path / "world.db"))
+        FileJournal(tmp_path / "world.journal"))
     resumed, killed = run_crash_resume_scenario("world", seed=7,
                                                 kill_at=0.1,
                                                 journal_factory=factory)

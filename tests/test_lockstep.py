@@ -1,0 +1,117 @@
+"""The one lockstep walk and the one facade every backend shares.
+
+:class:`~repro.node.lockstep.LockstepWorld` decides every barrier for
+:class:`~repro.node.runtime.World`,
+:class:`~repro.node.sharded.ShardedWorld` and
+:class:`~repro.node.procshard.ProcShardedWorld`.  These tests pin what
+that sharing promises: a run cut into ``run(until=t)`` pieces walks the
+same barriers as a straight run on both sharded backends, and every
+backend answers the same inspection surface.
+"""
+
+import pytest
+
+from repro import MemoryJournal, WorldJournal
+from repro.errors import UsageError
+from tests.helpers import build_ft_ring, launch_ft_tours
+
+SHARDED = ("sharded", "proc")
+
+#: ``run(until=t)`` cut sequences, each followed by a plain ``run()``:
+#: a cut before the first barrier, cuts around the shard-1 kill (0.08)
+#: and restart (0.3), and a repeated cut.  None of them falls inside an
+#: epoch with an event due, so the walk equals the straight run's.
+CUTS = {
+    "early": [0.0123],
+    "around-outage": [0.05, 0.081, 0.2999, 0.31],
+    "repeated": [0.1, 0.1, 0.4],
+}
+
+#: Cuts that change the walk: 0.0514 falls inside an epoch with events
+#: due, so that barrier is capped at the cut (off the grid the straight
+#: run walks); 0.1 after 0.2 lies behind the clock.
+WALK_CHANGING_CUTS = {"capped": [0.0514], "behind": [0.2, 0.1]}
+
+
+def _outage_run(backend, cuts):
+    world = build_ft_ring(backend, seed=5)
+    try:
+        world.enable_trace_digest()
+        world.kill_shard(1, 0.08, restart_at=0.3)
+        launch_ft_tours(world)
+        for i, cut in enumerate(cuts):
+            world.run(until=cut)
+            # A capped run leaves the clock at the cut, never behind
+            # it and never past it.
+            assert world.now == max(cuts[:i + 1])
+        world.run()
+        return {"outcomes": world.outcomes(),
+                "digests": world.trace_digests(),
+                "epochs": world.epochs_run,
+                "events": world.events_processed()}
+    finally:
+        world.close()
+
+
+@pytest.fixture(scope="module")
+def straight_runs():
+    return {backend: _outage_run(backend, []) for backend in SHARDED}
+
+
+@pytest.mark.parametrize("cuts", CUTS.values(), ids=CUTS.keys())
+def test_split_runs_equal_straight_runs_on_both_sharded_backends(
+        straight_runs, cuts):
+    assert straight_runs["sharded"] == straight_runs["proc"]
+    assert all(o["status"] == "finished"
+               for o in straight_runs["sharded"]["outcomes"].values())
+    for backend in SHARDED:
+        assert _outage_run(backend, cuts) == straight_runs[backend]
+
+
+@pytest.mark.parametrize("cuts", WALK_CHANGING_CUTS.values(),
+                         ids=WALK_CHANGING_CUTS.keys())
+def test_walk_changing_cuts_agree_on_both_sharded_backends(cuts):
+    assert _outage_run("sharded", cuts) == _outage_run("proc", cuts)
+
+
+@pytest.mark.parametrize("backend", ("world",) + SHARDED)
+def test_every_backend_answers_one_facade(backend):
+    world = build_ft_ring(backend, seed=5)
+    try:
+        records = launch_ft_tours(world)
+        progressed = 0
+        while world.step_epoch():
+            progressed += 1
+        # An idle step may flush the bridge without walking a barrier.
+        assert 0 < world.epochs_run <= progressed
+        assert world.all_done()
+        assert world.now > 0.0
+        for record in records:
+            assert world.record_of(record.agent_id) is record
+        with pytest.raises(UsageError):
+            world.record_of("no-such-agent")
+        assert {o["status"] for o in world.outcomes().values()} \
+            == {"finished"}
+        assert world.counters()["agents.finished"] == len(records)
+        timelines = world.timelines()
+        # The process backend's timelines stay in its shard processes.
+        assert len(timelines) == {"world": 1, "sharded": 3,
+                                  "proc": 0}[backend]
+        assert timelines == [] or any(timelines)
+        with pytest.raises(UsageError):
+            world.kill_world(world.now - 0.001)
+    finally:
+        world.close()
+    world.close()  # idempotent
+    with pytest.raises(UsageError):
+        world.step_epoch()
+
+
+def test_journaled_world_walks_one_epoch_per_commit_marker():
+    journal = WorldJournal(MemoryJournal())
+    world = build_ft_ring("world", seed=5, journal=journal)
+    launch_ft_tours(world)
+    world.run()
+    markers = [kind for kind, _ in journal.recover().entries
+               if kind == "epoch"]
+    assert world.epochs_run == len(markers) > 0

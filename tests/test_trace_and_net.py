@@ -7,7 +7,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
 from repro.sim.failures import FailureInjector
 from repro.sim.timing import NetworkParams
-from repro.net.network import Network
+from repro.net.network import SimTransport
 from repro.sim.trace import describe_world, render_timeline, timeline_rows
 
 from tests.helpers import LinearAgent, build_line_world
@@ -79,9 +79,9 @@ def make_net(jitter=0.0):
     sim = Simulator(seed=3)
     failures = FailureInjector(sim)
     metrics = Metrics()
-    net = Network(sim, failures,
-                  NetworkParams(jitter=jitter, retry_backoff=0.05),
-                  metrics)
+    net = SimTransport(sim, failures,
+                       NetworkParams(jitter=jitter, retry_backoff=0.05),
+                       metrics)
     return sim, failures, metrics, net
 
 

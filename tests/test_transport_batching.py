@@ -16,7 +16,7 @@ Covers the two delivery-semantics contracts the refactor introduced:
 from repro import AgentStatus, NetworkParams
 from repro.agent.packages import Protocol
 from repro.net.batching import BATCH_KIND, BatchingTransport, batch_frame_bytes
-from repro.net.network import Network, SimTransport
+from repro.net.network import SimTransport
 from repro.net.transport import Transport
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
@@ -76,8 +76,7 @@ def test_mid_flight_crash_eventually_gives_up():
     assert metrics.count("net.gave_up") == 1
 
 
-def test_network_alias_and_protocol_conformance():
-    assert Network is SimTransport
+def test_transports_conform_to_protocol():
     _sim, _f, _m, plain = make_fabric()
     _sim, _f, _m, batched = make_fabric(batch_window=0.01)
     assert isinstance(plain, Transport)
