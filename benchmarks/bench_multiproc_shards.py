@@ -31,20 +31,6 @@ Emits ``benchmarks/results/BENCH_multiproc_shards.json``:
   counters, event and epoch totals equal between the two backends
   (the invariant part, gated ``equal`` regardless of hardware).
 * ``scaling.rows`` — both backends' wall-clock per shard count.
-* ``entangled.*`` — the optimistic entangled-epoch schedule measured
-  against the serial turn schedule: the same seeded fault-tolerant
-  swarm (cross-shard tours under ``Protocol.FAULT_TOLERANT`` with
-  step alternates and a mid-run ``kill_shard``) run twice on the
-  process backend, once with ``lockstep="serial"`` and once with
-  ``lockstep="optimistic"``.  ``outcomes_identical`` gates the
-  invariant half (speculation must not change a single bit of the
-  outcome surface); ``epochs_speculated`` / ``epochs_rolled_back`` /
-  ``conflict_rate`` come from the ``spec.*`` counters in
-  ``serialization_stats()`` — the seeded outage guarantees at least
-  one real conflict-and-rollback, and the conflict rate must stay
-  below 1.0 (most speculation survives).  ``optimistic_over_serial``
-  (serial wall-clock / optimistic wall-clock) is the
-  hardware-dependent half: >1 needs real cores.
 
 ``BENCH_QUICK=1`` shrinks the workload for smoke runs.
 """
@@ -144,121 +130,6 @@ def run_backend(backend, n_shards, seed=40):
     if backend == "proc":
         world.close()
     return summary, t1 - t0, t2 - t1
-
-
-#: Entangled-workload sizing: a ring of banked nodes, every tour
-#: crossing shards each hop under the fault-tolerant protocol (quorum
-#: claim reads against every replica — the schedule-sensitive reads
-#: the optimistic detector validates).
-FT_RING_NODES = 3 * N_SHARDS
-FT_AGENTS = 4 if QUICK else 12
-FT_STEPS = 3 if QUICK else 6
-
-
-def build_ft_world(lockstep, seed=41):
-    from repro import FTParams
-
-    world = ProcShardedWorld(n_shards=N_SHARDS, seed=seed,
-                             lockstep=lockstep,
-                             ft_params=FTParams(takeover_timeout=0.05))
-    ring = [f"n{i}" for i in range(FT_RING_NODES)]
-    for name in ring:
-        node = world.add_node(name)
-        bank = Bank(BANK)
-        bank.seed_account("merchant", 1_000_000,
-                          overdraft=OverdraftPolicy.ALLOWED)
-        bank.seed_account("escrow", 1_000_000,
-                          overdraft=OverdraftPolicy.ALLOWED)
-        node.add_resource(bank)
-    for i, name in enumerate(ring):
-        # Round-robin placement puts the next two ring nodes on other
-        # shards: takeover and diversion targets are cross-shard.
-        world.set_alternates(name, ring[(i + 1) % len(ring)],
-                             ring[(i + 2) % len(ring)])
-    return world, ring
-
-
-def run_entangled(lockstep, seed=41):
-    """One FT swarm run; returns (summary, spec stats, run seconds)."""
-    from repro.agent.packages import Protocol
-
-    world, ring = build_ft_world(lockstep, seed=seed)
-    # The outage the speculation must survive: shard 1 dies mid-swarm
-    # and restarts, invalidating in-flight liveness and claim reads.
-    world.kill_shard(1, at=0.08, restart_at=2.0)
-    for a in range(FT_AGENTS):
-        start = (3 * a) % len(ring)
-        plan = make_tour_plan(
-            [ring[(start + j) % len(ring)] for j in range(FT_STEPS)],
-            FT_STEPS, mixed_fraction=0.25, rollback_depth=FT_STEPS - 1,
-            sro_ballast=2_000)
-        world.launch(TourAgent(f"ft-{a}", plan), at=plan.steps[0].node,
-                     method="run", protocol=Protocol.FAULT_TOLERANT)
-    t0 = time.perf_counter()
-    world.run()
-    run_s = time.perf_counter() - t0
-    outcomes = world.outcomes()
-    assert all(o["status"] == "finished" for o in outcomes.values())
-    summary = (outcomes, world.counters(), world.events_processed(),
-               world.epochs_run)
-    stats = world.serialization_stats()
-    world.close()
-    spec = {key: stats[key] for key in stats if key.startswith("spec.")}
-    return summary, spec, run_s
-
-
-def test_eval_entangled_speculation(benchmark, record_table):
-    def measure():
-        serial = run_entangled("serial")
-        optimistic = run_entangled("optimistic")
-        return serial, optimistic
-
-    serial, optimistic = benchmark.pedantic(measure, rounds=1,
-                                            iterations=1)
-    serial_summary, serial_spec, serial_run = serial
-    opt_summary, opt_spec, opt_run = optimistic
-    # The invariant half: speculation must not change a bit of the
-    # outcome surface, and the serial schedule never speculates.
-    outcomes_identical = serial_summary == opt_summary
-    assert outcomes_identical
-    assert serial_spec["spec.epochs_speculated"] == 0
-    # The speculation really ran and most epochs survived it.  The
-    # full-size swarm's seeded outage provably conflicts (the quick
-    # smoke's 2-shard swarm is too small to race for claims).
-    assert opt_spec["spec.epochs_speculated"] > 0
-    assert opt_spec["spec.conflict_rate"] < 1.0
-    if not QUICK:
-        assert opt_spec["spec.epochs_rolled_back"] > 0
-        assert opt_spec["spec.conflict_rate"] > 0.0
-
-    rows = [
-        ["serial", round(serial_run, 3), 0, 0, "-"],
-        ["optimistic", round(opt_run, 3),
-         opt_spec["spec.epochs_speculated"],
-         opt_spec["spec.epochs_rolled_back"],
-         round(opt_spec["spec.conflict_rate"], 4)],
-    ]
-    table = format_table(
-        ["lockstep", "run (s)", "speculated", "rolled back",
-         "conflict rate"],
-        rows,
-        title=f"EVAL-ENTANGLED-SPECULATION: {FT_AGENTS} FT agents x "
-              f"{FT_STEPS} steps on {FT_RING_NODES} ring nodes, "
-              f"{N_SHARDS} shards, kill+restart shard 1")
-    record_table("multiproc_entangled", table)
-    record_json("entangled", {
-        "workers": N_SHARDS,
-        "agents": FT_AGENTS,
-        "steps": FT_STEPS,
-        "serial_run_s": round(serial_run, 3),
-        "optimistic_run_s": round(opt_run, 3),
-        "optimistic_over_serial": round(serial_run / opt_run, 2),
-        "epochs_speculated": opt_spec["spec.epochs_speculated"],
-        "epochs_rolled_back": opt_spec["spec.epochs_rolled_back"],
-        "shards_rolled_back": opt_spec["spec.shards_rolled_back"],
-        "conflict_rate": round(opt_spec["spec.conflict_rate"], 4),
-        "outcomes_identical": outcomes_identical,
-    })
 
 
 def test_eval_multiproc_speedup(benchmark, record_table):

@@ -105,21 +105,6 @@ SPECS = [
     Spec("BENCH_multiproc_shards.json", "speedup.events_total", "equal"),
     Spec("BENCH_multiproc_shards.json", "speedup.epochs", "equal"),
     Spec("BENCH_multiproc_shards.json", "speedup.speedup", "higher", 0.6),
-    # Optimistic entangled-epoch speculation: the invariant half is
-    # exact — speculation must not change a bit of the outcome surface,
-    # and at a fixed seed the speculation/rollback counts are
-    # deterministic (a drift means the conflict detector or the epoch
-    # schedule changed); the serial-over-optimistic wall-clock ratio
-    # needs real cores and only guards against a collapse.
-    Spec("BENCH_multiproc_shards.json", "entangled.outcomes_identical",
-         "equal"),
-    Spec("BENCH_multiproc_shards.json", "entangled.epochs_speculated",
-         "equal"),
-    Spec("BENCH_multiproc_shards.json", "entangled.epochs_rolled_back",
-         "equal"),
-    Spec("BENCH_multiproc_shards.json", "entangled.conflict_rate", "equal"),
-    Spec("BENCH_multiproc_shards.json", "entangled.optimistic_over_serial",
-         "higher", 0.5),
     # Write-ahead world journal: journaling must not change the run
     # (identical outcomes, deterministic event/epoch/commit counts at a
     # fixed seed) and crash-resume must land on the identical outcome
@@ -141,10 +126,8 @@ SPECS = [
     # GENERATOR_VERSION (a drift means the generator changed without a
     # version bump); seeds/minute guards the nightly lane's budget.
     Spec("BENCH_fuzz_differential.json", "sweep.divergences", "equal"),
-    Spec("BENCH_fuzz_differential.json", "sweep.predicted_rollbacks",
-         "equal"),
-    Spec("BENCH_fuzz_differential.json", "sweep.seeds_per_minute",
-         "higher", 0.3),
+    Spec("BENCH_fuzz_differential.json", "sweep.predicted_rollbacks", "equal"),
+    Spec("BENCH_fuzz_differential.json", "sweep.seeds_per_minute", "higher", 0.3),
     Spec("BENCH_fuzz_differential.json", "tri.divergences", "equal"),
     # World-as-a-service gateway: the parity flags are the whole
     # contract — a launch streamed over HTTP must be bit-identical to

@@ -19,7 +19,7 @@ exactly-once).
 Run:  python examples/fault_injection.py
 """
 
-from repro import Bank, MobileAgent, RollbackMode, World
+from repro import Bank, FTParams, MobileAgent, RollbackMode, World
 from repro.agent.packages import Protocol
 from repro.bench import make_tour_plan, run_tour
 from repro.bench.harness import build_tour_world
@@ -79,7 +79,7 @@ class Courier(MobileAgent):
 
 
 def part2_ft_takeover():
-    world = World(seed=9, ft_takeover_timeout=0.2)
+    world = World(seed=9, ft_params=FTParams(takeover_timeout=0.2))
     world.add_nodes("source", "relay", "relay-backup", "destination")
     bank = Bank("bank")
     bank.seed_account("escrow", 100)

@@ -90,12 +90,10 @@ def serialization_stats() -> dict:
     This module-level helper reads the *current process's* counters
     only.  For a multiprocess run, call
     :meth:`ProcShardedWorld.serialization_stats` instead: it sums every
-    worker's counters, folds in the coordinator's own IPC accounting,
-    and adds the optimistic-lockstep speculation keys
-    (``spec.epochs_speculated`` / ``spec.epochs_rolled_back`` /
-    ``spec.shards_rolled_back`` / ``spec.conflict_rate``).
-    :meth:`ShardedWorld.serialization_stats` returns the same shape for
-    the in-process backend (with zero ``spec.*`` values).
+    worker's counters and folds in the coordinator's own IPC
+    accounting; :meth:`ShardedWorld.serialization_stats` returns the
+    same shape for the in-process backend.  Both carry the retired
+    ``spec.*`` keys at 0.
 
     Returns:
         A new ``dict`` mapping counter name to value; mutating it does

@@ -248,7 +248,7 @@ class FaultTolerance:
     def _schedule_check(self, node: "Node", item_id: int,
                         rounds: int) -> None:
         self.world.sim.schedule(
-            self.world.ft_takeover_timeout,
+            self.world.ft_params.takeover_timeout,
             lambda: self._takeover_check(node, item_id, rounds),
             label=f"ft-check:{node.name}:{item_id}")
 

@@ -98,10 +98,7 @@ class WorldJournal:
     savepoint frames, bridge routings, record merges) buffered until
     the barrier's digest-carrying commit marker flushes them as one
     group commit.  :func:`~repro.journal.resume_world` rebuilds a
-    world from all three.  Under the process backend's optimistic
-    lockstep, a speculative epoch's notes are buffered only after its
-    read log survives conflict detection — an invalidated speculation
-    never reaches the backend.
+    world from all three.
 
     Args:
         backend: A :class:`~repro.journal.MemoryJournal` or

@@ -112,13 +112,21 @@ def _build_world(config: dict[str, Any], journal: WorldJournal):
             f"in) and lacks the run's prefix — it is a telemetry/audit "
             f"journal, not a resumable one")
     kwargs = restore(config["world_kwargs"])
+    # Journals from before the sharded schedules narrowed to "auto" /
+    # "serial" may record "optimistic" (pinned bit-identical to serial
+    # turns, so they resume exactly) or a forced "parallel" (equal to
+    # "auto" on an independent workload; an entangled one fails the
+    # frontier check with JournalDiverged).
+    lockstep = config.get("lockstep", "auto")
+    if lockstep in ("optimistic", "parallel"):
+        lockstep = "auto"
     if backend == "world":
         return World(seed=config["seed"], journal=journal,
                      journal_epoch=config["journal_epoch"], **kwargs)
     if backend == "sharded":
         return ShardedWorld(n_shards=config["n_shards"],
                             seed=config["seed"], epoch=config["epoch"],
-                            lockstep=config.get("lockstep", "auto"),
+                            lockstep=lockstep,
                             journal=journal, **kwargs)
     if backend == "proc":
         # Journals written while the process backend still had a
@@ -127,7 +135,7 @@ def _build_world(config: dict[str, Any], journal: WorldJournal):
         return ProcShardedWorld(n_shards=config["n_shards"],
                                 seed=config["seed"], epoch=config["epoch"],
                                 start_method=config["start_method"],
-                                lockstep=config["lockstep"],
+                                lockstep=lockstep,
                                 journal=journal, **kwargs)
     raise UsageError(f"journal config names unknown backend {backend!r}")
 

@@ -55,9 +55,9 @@ turn at all: in-process its kernel would only move its clock.  The
 coordinator moves its copy of that clock instead, and the shard's next
 state-bearing command carries the barrier as a ``catch_up`` it runs to
 before anything else, so a launch between barriers sees the barrier
-clock and an optimistic redo replays the catch-up.  A launch also
-carries the owner's inbox routed at the last barrier and applies it
-first, exactly as the in-process flush already scheduled it.
+clock.  A launch also carries the owner's inbox routed at the last
+barrier and applies it first, exactly as the in-process flush already
+scheduled it.
 
 Entangled workloads and the serial turn schedule
 ------------------------------------------------
@@ -82,67 +82,15 @@ a schedule per run:
   :class:`RemoteShardContext`), and returns the worker's own dumps.
   Both directions travel as deltas: a view ships only the foreign
   parts that moved since the worker's last turn (the first dispatch
-  and a redo ship it whole), and a dump only the worker's parts that
+  ships it whole), and a dump only the worker's parts that
   moved since its last dump (claims are re-read only when the ledger
   replica's mutation ``version`` moved).
   Because only one kernel executes at a time and views refresh between
   turns, every foreign read returns exactly what the in-process live
   read would — the two backends walk the same event sequence.
 
-``lockstep="auto"`` (default) selects per run; ``"serial"`` /
-``"parallel"`` force a schedule (forcing ``"parallel"`` on an
-entangled workload trades the equivalence guarantee for speed and is
-for experiments only).
-
-Optimistic entangled epochs (``lockstep="optimistic"``)
--------------------------------------------------------
-
-Serial turns keep entangled runs deterministic by giving up all
-multi-core overlap.  ``"optimistic"`` recovers the overlap with the
-paper's own discipline — speculate, detect, roll back:
-
-* **speculate** — the epoch is dispatched to *every* worker at once,
-  each against the barrier-stale views (exactly what the first serial
-  turn would have seen).  Each worker's epoch is its own savepoint:
-  the worker retains the pristine pipe blob of every state-bearing
-  command it has ever received, so any epoch can be re-derived from
-  scratch.  While speculating, the worker records a **read log** —
-  every foreign claim read, claim-lock view consult, foreign-liveness
-  and suspension check its kernel performed (the only
-  schedule-sensitive inputs an entangled epoch has; see
-  :class:`RemoteShardContext`).
-* **detect** — at the barrier the coordinator validates the read logs
-  *in shard order*, the order serial turns would have used: for each
-  shard it reconstructs the views a serial turn would have served at
-  that point (folding in the dumps of the shards already validated
-  before it) and replays the read log against them.  Every entry equal
-  ⇒ the speculative execution consumed exactly the inputs its serial
-  twin would have — with deterministic kernels, it *is* the serial
-  execution, and its outbox/dumps/record deltas are accepted as-is.
-* **roll back** — any mismatched shard is rolled back to its epoch
-  savepoint and re-executed: the shard rebuilds a fresh kernel under a
-  fresh scope and replays its pristine command log (the fresh id
-  sequences make the rebuild bit-identical to the original history),
-  then runs the conflicted epoch with the authoritative serial-turn
-  views.  Validation continues in shard order, so later shards validate
-  against the *post-redo* state — a conflict cascades exactly to the
-  shards whose reads it invalidated, never the whole world.
-
-Speculative state never leaks ahead of its verdict: a shard's journal
-notes, record deltas and outbox are held back until its read log
-validates (or its redo returns), and the journal group commit sits
-after the whole detect/rollback pass — a speculative epoch cannot
-commit until it has survived conflict detection.
-
-Agent-record staleness is deliberately *not* validated: records
-broadcast at barriers, so a speculating shard may see a record copy
-one turn staler than its serial twin would.  No execution path
-branches on foreign record contents (the FT drivers arbitrate through
-the ledger, never through records), records merge under a monotonic
-progress guard, and the only divergence a stale base can produce is
-in auxiliary attempt counters — outside the compared surface
-(outcomes, metrics counters, trace digests), which the differential
-harness pins bit-identical to ``"serial"``.
+``lockstep="auto"`` (default) selects per run; ``"serial"`` forces
+serial turns on every workload.
 
 Process-picklability contract
 -----------------------------
@@ -291,12 +239,6 @@ class RemoteShardContext:
         self._down_view: dict[int, frozenset] = {}
         self._claims_view: dict[int, dict] = {}
         self._locks_view: dict[int, dict] = {}
-        #: Speculation read log (optimistic lockstep): while an epoch
-        #: runs speculatively this is a list collecting one entry per
-        #: foreign-view consult — ``(kind, shard, key, seen)`` — the
-        #: complete schedule-sensitive input set of the epoch.  None
-        #: outside speculative epochs (no logging overhead).
-        self.read_log: Optional[list] = None
         #: Local mirrors of the foreign replicas' lock managers: they
         #: hold only *this* worker's open claim locks (published to the
         #: other workers via the turn dumps); foreign holds arrive
@@ -337,18 +279,12 @@ class RemoteShardContext:
                 "claims": self._claims_view, "locks": self._locks_view}
 
     def foreign_node_up(self, shard: int, name: str) -> bool:
-        up = name not in self._down_view.get(shard, ())
-        if self.read_log is not None:
-            self.read_log.append(("up", shard, name, up))
-        return up
+        return name not in self._down_view.get(shard, ())
 
     def shard_suspended(self, shard: int) -> bool:
         if shard == self.shard_index:
             return self.world.sim.suspended
-        seen = self._suspended_view[shard]
-        if self.read_log is not None:
-            self.read_log.append(("susp", shard, None, seen))
-        return seen
+        return self._suspended_view[shard]
 
     def live_shard_indices(self) -> list[int]:
         return [shard for shard in range(self.n_shards)
@@ -359,8 +295,6 @@ class RemoteShardContext:
     def claim_lock(self, tx, shard: int, work_id: int) -> None:
         key = ("claim", work_id)
         foreign = self._locks_view.get(shard, {}).get(work_id)
-        if self.read_log is not None:
-            self.read_log.append(("lock", shard, work_id, foreign))
         if foreign is not None:
             # Held by another worker's open transaction: collide exactly
             # like the in-process cross-replica acquisition would.
@@ -373,10 +307,7 @@ class RemoteShardContext:
     def read_claim(self, shard: int, work_id: int) -> Optional[str]:
         if shard == self.shard_index:
             return self.world.ft.ledger.get(("claim", work_id))
-        seen = self._claims_view.get(shard, {}).get(work_id)
-        if self.read_log is not None:
-            self.read_log.append(("claim", shard, work_id, seen))
-        return seen
+        return self._claims_view.get(shard, {}).get(work_id)
 
     # -- turn dumps (published to the coordinator) ----------------------------------
 
@@ -399,65 +330,26 @@ class RemoteShardContext:
                 if isinstance(key, tuple) and key and key[0] == "claim"}
 
 
-def views_satisfy(views: dict[str, Any], read_log) -> bool:
-    """The optimistic-lockstep conflict detector (pure function).
-
-    ``views`` is what :meth:`ProcShardedWorld._views_for` would have
-    served this shard at its serial turn; ``read_log`` is the list of
-    ``(kind, shard, key, seen)`` entries the shard's speculative epoch
-    recorded against the barrier-stale views.  Returns True iff every
-    logged read would have returned the same value under the serial
-    schedule — in which case the speculative execution, being
-    deterministic in its inputs, *is* the serial execution.  Any
-    mismatch means the speculation consumed an invalidated read (e.g.
-    two shards racing for the same step claim) and the shard must roll
-    back to its epoch savepoint.
-    """
-    claims = views["claims"]
-    locks = views["locks"]
-    down = views["down"]
-    suspended = views["suspended"]
-    for kind, shard, key, seen in read_log:
-        if kind == "claim":
-            now = claims.get(shard, {}).get(key)
-        elif kind == "lock":
-            now = locks.get(shard, {}).get(key)
-        elif kind == "up":
-            now = key not in down.get(shard, ())
-        elif kind == "susp":
-            now = bool(suspended[shard])
-        else:  # pragma: no cover - the log writer is the gate
-            return False
-        if now != seen:
-            return False
-    return True
-
-
-#: Worker commands that mutate worker state and therefore belong in
-#: the optimistic-lockstep replay log (the epoch savepoint's history).
-#: ``fetch`` is a pure read, ``shutdown`` ends the process and
-#: ``redo`` is the rollback protocol itself.
-_LOGGED_OPS = frozenset((
+#: Commands that change a shard's state: an idle turn's skipped
+#: ``catch_up`` rides the next one (``fetch`` is a pure read,
+#: ``shutdown`` ends the process).
+_STATE_OPS = frozenset((
     "epoch", "add_node", "add_resource", "share_resource",
     "set_alternates", "launch", "crash_plans", "kill", "enable_digest"))
 
 
-def _build_shard(config: dict[str, Any],
-                 stats: Optional[dict[str, int]] = None
+def _build_shard(config: dict[str, Any]
                  ) -> "tuple[Scope, RemoteShardContext, ShardWorld]":
-    """Build (or rebuild) one shard's scope, context and kernel.
+    """Build one shard's scope, context and kernel.
 
     The kernel is built under a fresh :class:`~repro.scope.Scope` whose
     id sequences start in the shard's namespace: work ids arbitrate
     exactly-once globally, auto savepoint names must stay unique within
     a migrating agent's log, and offset item ids keep debug output
-    unambiguous.  The sequences are deterministic functions of the
-    shard index, so a rebuild before an optimistic-rollback replay
-    restores the exact ids the original history consumed.  ``stats``
-    keeps a rebuilt shard counting into its old counter table.
+    unambiguous.
     """
     shard = config["shard_index"]
-    scope = Scope(shard, stats)
+    scope = Scope(shard)
     with entered(scope):
         ctx = RemoteShardContext(shard, config["n_shards"])
         world = ShardWorld(shard_index=shard, sharded=ctx,
@@ -481,19 +373,8 @@ class _WorkerServer:
 
     def __init__(self, config: dict[str, Any], conn=None):
         self.conn = conn
-        self._config = config
         self.stopped = False
         self.scope, self.ctx, self.world = _build_shard(config)
-        self._reset_tracking()
-        #: Optimistic lockstep only: the pristine history of every
-        #: state-bearing command — the pipe blobs exactly as received —
-        #: which is what makes every epoch a savepoint (rollback =
-        #: rebuild the kernel and replay the log).  None under the
-        #: other schedules: no retention.
-        self._spec_log: Optional[list] = \
-            [] if config.get("lockstep") == "optimistic" else None
-
-    def _reset_tracking(self) -> None:
         self._record_prints: dict[str, tuple] = {}
         #: Kernel event count at the last full record scan; None once
         #: an inbox item or revival may have touched a record since.
@@ -568,8 +449,6 @@ class _WorkerServer:
         world, ctx = self.world, self.ctx
         if op == "epoch":
             return self._handle_epoch(payload)
-        if op == "redo":
-            return self._redo(payload)
         if op == "add_node":
             ctx._node_shard[payload["name"]] = payload["shard"]
             if payload["shard"] == ctx.shard_index:
@@ -637,10 +516,6 @@ class _WorkerServer:
 
     def _handle_epoch(self, payload: dict[str, Any]) -> dict[str, Any]:
         world, ctx = self.world, self.ctx
-        # Speculative epoch: log every foreign-view consult so the
-        # coordinator can validate the execution against the views a
-        # serial turn would have served.
-        ctx.read_log = [] if payload.get("spec") else None
         if payload["views"] is not None:
             ctx.update_views(payload["views"])
         ctx.last_flush_at = payload["last_flush_at"]
@@ -679,45 +554,7 @@ class _WorkerServer:
                     transfer.record_blob = capture(record)
         if payload["want_dump"]:
             reply["dump"] = self._dump()
-        if ctx.read_log is not None:
-            reply["read_log"] = ctx.read_log
-            ctx.read_log = None
         return reply
-
-    def _redo(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Roll back to the epoch savepoint and re-execute the epoch.
-
-        The conflicted epoch is the last entry of the replay log.  Its
-        pristine payload is re-loaded, its stale views replaced by the
-        coordinator-supplied authoritative (serial-turn) ones, and the
-        log entry rewritten to the corrected command — so a *later*
-        rollback's replay reproduces this redone history, not the
-        mis-speculated one.  Then the savepoint restore: a fresh kernel
-        under a fresh scope (fresh metrics, RNG, id sequences) replays
-        the whole log — deterministically bit-identical to the original
-        history, since every replayed command carries inputs the
-        coordinator validated (or corrected) against the serial
-        schedule — and finally the corrected epoch executes with fresh
-        views.  The shard's serialization counters keep running: the
-        replayed work really happened.
-        """
-        op, epoch_payload = pickle.loads(self._spec_log.pop())
-        epoch_payload["views"] = payload["views"]
-        epoch_payload["spec"] = False
-        self._spec_log.append(_dumps((op, epoch_payload)))
-        self.scope, self.ctx, self.world = _build_shard(
-            self._config, stats=self.scope.stats)
-        self._reset_tracking()
-        with entered(self.scope):
-            for past in self._spec_log[:-1]:
-                past_op, past_payload = pickle.loads(past)
-                self.handle(past_op, past_payload)
-                if self.world._journal_capture:
-                    # The replayed prefix was journaled the first time
-                    # it executed; its re-derived notes must not ship
-                    # again.
-                    self.world.drain_journal_notes()
-            return self.handle(op, epoch_payload)
 
     def _fetch(self, payload: dict[str, Any]) -> Any:
         world = self.world
@@ -750,11 +587,6 @@ class _WorkerServer:
         the pickled reply (an error reply when the command raised)."""
         with entered(self.scope):
             op, payload = pickle.loads(raw)
-            if self._spec_log is not None and op in _LOGGED_OPS:
-                # Retain the pristine command BEFORE executing it: this
-                # is the epoch savepoint a conflict-triggered redo
-                # rebuilds from.
-                self._spec_log.append(raw)
             try:
                 reply = self.handle(op, payload)
                 reply["ok"] = True
@@ -768,7 +600,7 @@ class _WorkerServer:
                          "error": f"{type(exc).__name__}: {exc}",
                          "traceback": traceback.format_exc()}
             blob = _dumps(reply)
-        if op in ("epoch", "redo"):
+        if op == "epoch":
             self.scope.stats["ipc_bytes_copied"] += len(blob)
         return blob
 
@@ -829,7 +661,7 @@ class _ShardHandle:
         raise NotImplementedError
 
     def send(self, op: str, payload: dict[str, Any]) -> None:
-        if self.catch_up is not None and op in _LOGGED_OPS:
+        if self.catch_up is not None and op in _STATE_OPS:
             payload = dict(payload, catch_up=self.catch_up)
             self.catch_up = None
         blob = _dumps((op, payload))
@@ -894,8 +726,8 @@ class _LocalHandle(_ShardHandle):
     keeps the pickle round trip in both directions, so no object is
     ever shared between coordinator and shard state.  A command
     executes when its reply is collected, not when it is sent: a
-    parallel or optimistic cycle dispatches every worker first and then
-    runs this shard while they work.
+    parallel cycle dispatches every worker first and then runs this
+    shard while they work.
     """
 
     def __init__(self, shard: int, config: dict[str, Any]):
@@ -996,17 +828,8 @@ class ProcShardedWorld(ShardCoordinator):
             (``"spawn"`` default — everything crossing the pipe must
             pickle; see the module docstring's contract).
         lockstep: Epoch schedule: ``"auto"`` (serial turns for
-            entangled workloads, parallel epochs otherwise),
-            ``"serial"``, ``"parallel"``, or ``"optimistic"`` —
-            entangled epochs speculate on all workers concurrently
-            against barrier-stale views, a shard-order conflict
-            detector validates each worker's read log at the barrier,
-            and invalidated shards roll back to their epoch savepoint
-            and re-execute (bit-identical outcomes to ``"serial"``;
-            see the module docstring).  Speculation accounting lands
-            in :meth:`serialization_stats` under
-            ``spec.epochs_speculated`` / ``spec.epochs_rolled_back``
-            / ``spec.shards_rolled_back`` / ``spec.conflict_rate``.
+            entangled workloads, parallel epochs otherwise) or
+            ``"serial"`` (serial turns always).
         journal: Attach a :class:`~repro.journal.WorldJournal` for
             crash-resumable execution (workers buffer payload notes,
             the coordinator group-commits per barrier).
@@ -1062,8 +885,7 @@ class ProcShardedWorld(ShardCoordinator):
         mp = multiprocessing.get_context(start_method)
         config = {"n_shards": n_shards, "seed": seed,
                   "world_kwargs": world_kwargs,
-                  "journal_capture": journal is not None,
-                  "lockstep": lockstep}
+                  "journal_capture": journal is not None}
         # Workers start before shard 0 is built, so a forked child never
         # inherits the coordinator-hosted kernel.
         for index in range(1, n_shards):
@@ -1294,19 +1116,11 @@ class ProcShardedWorld(ShardCoordinator):
         """The lockstep virtual clock (all shards agree at barriers)."""
         return max(handle.now for handle in self._handles)
 
-    def _schedule(self) -> str:
-        """The epoch schedule this cycle runs under.
-
-        ``"auto"`` picks serial turns once the workload is entangled
-        (FT alternates or failure injection), ``"optimistic"`` picks
-        speculative parallel turns for the same entangled workloads —
-        independent workloads always run as plain parallel epochs.
-        """
-        if self.lockstep == "auto":
-            return "serial" if self._entangled else "parallel"
-        if self.lockstep == "optimistic":
-            return "optimistic" if self._entangled else "parallel"
-        return self.lockstep
+    def _serial(self) -> bool:
+        """Does this cycle run serial turns?  ``"auto"`` picks them
+        once the workload is entangled (FT alternates or failure
+        injection); independent workloads run parallel epochs."""
+        return self.lockstep == "serial" or self._entangled
 
     # -- world-journal seams (see repro.journal) ------------------------------------
 
@@ -1398,7 +1212,7 @@ class ProcShardedWorld(ShardCoordinator):
 
     def _epoch_payload(self, shard: int, barrier: Optional[float],
                        run: bool, max_events: int, revives: dict,
-                       cap_to_now: bool, schedule: str) -> dict[str, Any]:
+                       cap_to_now: bool) -> dict[str, Any]:
         handle = self._handles[shard]
         return {
             "barrier": _shard_barrier(handle, barrier, cap_to_now),
@@ -1410,8 +1224,7 @@ class ProcShardedWorld(ShardCoordinator):
             "views": self._views_delta(shard) if self._entangled else None,
             "last_flush_at": self.last_flush_at,
             "want_dump": self._entangled,
-            "ship_records": schedule in ("serial", "optimistic"),
-            "spec": schedule == "optimistic",
+            "ship_records": self._serial(),
         }
 
     def _cycle(self, barrier: Optional[float], run: bool,
@@ -1428,10 +1241,8 @@ class ProcShardedWorld(ShardCoordinator):
         serial mode each shard's turn completes — and its dumps merge
         into the canonical views — before the next shard starts, which
         is what keeps entangled runs identical to the in-process
-        schedule.  Optimistic mode runs all turns concurrently and
-        repairs mis-speculation afterwards (see ``_cycle_optimistic``).
+        schedule.
         """
-        schedule = self._schedule()
         targets = []
         for shard, handle in enumerate(self._handles):
             if self._staged_items[shard] or shard in revives \
@@ -1443,22 +1254,18 @@ class ProcShardedWorld(ShardCoordinator):
                     targets.append(shard)
                 else:
                     handle.catch_up = handle.now = until
-        if schedule == "serial":
+        if self._serial():
             for shard in targets:
                 self._dispatch(shard, barrier, run, max_events, revives,
-                               cap_to_now, schedule)
+                               cap_to_now)
                 self._collect(shard)
-            return
-        if schedule == "optimistic":
-            self._cycle_optimistic(targets, barrier, run, max_events,
-                                   revives, cap_to_now)
             return
         dispatched: list[int] = []
         first_death: Optional[WorkerDied] = None
         try:
             for shard in targets:
                 self._dispatch(shard, barrier, run, max_events, revives,
-                               cap_to_now, schedule)
+                               cap_to_now)
                 dispatched.append(shard)
         except WorkerDied as died:
             first_death = died
@@ -1474,81 +1281,11 @@ class ProcShardedWorld(ShardCoordinator):
         if first_death is not None:
             raise first_death
 
-    def _cycle_optimistic(self, targets: list[int],
-                          barrier: Optional[float], run: bool,
-                          max_events: int, revives: dict,
-                          cap_to_now: bool) -> None:
-        """One speculative entangled cycle: all turns at once, then repair.
-
-        Every target executes its turn concurrently against the
-        barrier-stale views it was dispatched with, recording a log of
-        each foreign claim/lock/liveness read.  The coordinator then
-        validates the logs in ascending shard index — the order serial
-        turns would have used — re-deriving each shard's authoritative
-        views from the canonical state (which folds in every
-        already-validated shard's dump).  A shard whose log still
-        matches provably executed the serial turn and is accepted
-        as-is; a mismatch (or a speculation-induced worker error)
-        triggers a ``redo``: the worker rolls back to its epoch
-        savepoint and re-executes the turn with the authoritative
-        views.  Journal notes from an invalidated speculation are
-        discarded before the redo's notes are ingested, so only the
-        surviving execution reaches the group commit.
-        """
-        marks: dict[int, int] = {}
-        replies: dict[int, dict] = {}
-        dispatched: list[int] = []
-        first_death: Optional[WorkerDied] = None
-        try:
-            for shard in targets:
-                self._dispatch(shard, barrier, run, max_events, revives,
-                               cap_to_now, "optimistic")
-                dispatched.append(shard)
-        except WorkerDied as died:
-            first_death = died
-        for shard in dispatched:
-            handle = self._handles[shard]
-            marks[shard] = len(handle.journal_notes)
-            try:
-                replies[shard] = handle.recv()
-            except WorkerDied as died:
-                if first_death is None:
-                    first_death = died
-            except WorkerError:
-                pass  # no reply: redone below with authoritative views
-        if first_death is not None:
-            raise first_death
-        if run and dispatched:
-            self.spec_epochs_speculated += 1
-        conflicts = 0
-        for shard in dispatched:
-            handle = self._handles[shard]
-            views = self._views_for(shard)
-            reply = replies.get(shard)
-            if reply is not None and views_satisfy(
-                    views, reply.get("read_log", ())):
-                self._ingest_journal(handle)
-                self._absorb(shard, reply)
-                continue
-            # Invalidated speculation (or an error only the speculative
-            # views can explain): discard its journal notes, roll the
-            # worker back to the epoch savepoint, re-execute with the
-            # authoritative views.
-            conflicts += 1
-            self.spec_shards_rolled_back += 1
-            del handle.journal_notes[marks[shard]:]
-            reply = handle.request("redo", {"views": views})
-            self._views_sent[shard] = views
-            self._ingest_journal(handle)
-            self._absorb(shard, reply)
-        if conflicts and run:
-            self.spec_epochs_rolled_back += 1
-
     def _dispatch(self, shard: int, barrier: Optional[float], run: bool,
-                  max_events: int, revives: dict, cap_to_now: bool,
-                  schedule: str) -> None:
+                  max_events: int, revives: dict,
+                  cap_to_now: bool) -> None:
         payload = self._epoch_payload(shard, barrier, run, max_events,
-                                      revives, cap_to_now, schedule)
+                                      revives, cap_to_now)
         self._staged_items[shard] = []
         self._pending_records[shard] = {}
         self._handles[shard].send("epoch", payload)

@@ -27,7 +27,6 @@ deliveries through its bridge without touching any protocol code.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
@@ -135,8 +134,6 @@ class World(LockstepWorld):
         registry: Compensation registry; defaults to the process-global
             one populated by ``@resource_compensation`` et al.
         retry_policy: Give-up/backoff policy for agent transfers.
-        ft_takeover_timeout: Legacy shorthand for
-            ``ft_params.takeover_timeout`` (overrides it when given).
         ft_params: :class:`~repro.exactly_once.fault_tolerant.FTParams`
             knobs of the fault-tolerant step protocol.
         journal: Attach a :class:`~repro.journal.WorldJournal` making
@@ -164,7 +161,6 @@ class World(LockstepWorld):
                  logging_mode: LoggingMode = LoggingMode.STATE,
                  registry: Optional[CompensationRegistry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
-                 ft_takeover_timeout: Optional[float] = None,
                  ft_params: Optional["FTParams"] = None,
                  journal: Optional["WorldJournal"] = None,
                  journal_epoch: Optional[float] = None,
@@ -191,14 +187,7 @@ class World(LockstepWorld):
         self.logging_mode = LoggingMode(logging_mode)
         self.registry = registry if registry is not None else GLOBAL_REGISTRY
         self.retry_policy = retry_policy or RetryPolicy()
-        if ft_params is None:
-            ft_params = FTParams()
-        if ft_takeover_timeout is not None:
-            # Legacy knob, kept for existing call sites; overrides the
-            # corresponding FTParams field.
-            ft_params = dataclasses.replace(
-                ft_params, takeover_timeout=ft_takeover_timeout)
-        self.ft_params = ft_params
+        self.ft_params = ft_params if ft_params is not None else FTParams()
         self.failures = FailureInjector(self.sim)
         # The transport stack: the simulated fabric, with the batching
         # layer stacked on top when the world opts into coalescing.
@@ -235,11 +224,6 @@ class World(LockstepWorld):
         """FT driver factory; the sharded world installs the bridged one."""
         from repro.exactly_once.fault_tolerant import FaultTolerance
         return FaultTolerance(self)
-
-    @property
-    def ft_takeover_timeout(self) -> float:
-        """Legacy read alias — :attr:`ft_params` is the single source."""
-        return self.ft_params.takeover_timeout
 
     # -- world-journal seams ----------------------------------------------------------
     #

@@ -477,20 +477,14 @@ class ShardCoordinator(LockstepWorld):
     Node placement, whole-shard outage scheduling (validation, the
     outage record the lockstep walk selects revivals from), the bridge
     flush at each barrier with its ``bridge`` audit note, the bounded
-    ``run`` / ``step_epoch`` loop, the ``spec.*`` serialization stats
-    and the ledger quorum check.  A driver supplies ``_place`` (create
+    ``run`` / ``step_epoch`` loop, the serialization stats and the
+    ledger quorum check.  A driver supplies ``_place`` (create
     a node in a shard), ``_shard_now`` and ``_schedule_kill`` (one
     shard's clock and kill event), ``shard_suspended``, ``_flush``
     (route the pending bridge traffic at a barrier, returning how much
     moved), ``_serialization_counters`` and ``ledger_claims``, plus the
     hooks of :class:`~repro.node.lockstep.LockstepWorld`.
     """
-
-    #: Optimistic-lockstep accounting; only the process backend
-    #: speculates, so these stay zero on in-process shards.
-    spec_epochs_speculated = 0
-    spec_epochs_rolled_back = 0
-    spec_shards_rolled_back = 0
 
     def _init_coordinator(self, n_shards: int, seed: int,
                           epoch: Optional[float], lockstep: str,
@@ -499,8 +493,9 @@ class ShardCoordinator(LockstepWorld):
         """Validate the shared knobs and set the shared state."""
         if n_shards < 1:
             raise UsageError(f"need at least 1 shard, got {n_shards}")
-        if lockstep not in ("auto", "serial", "parallel", "optimistic"):
-            raise UsageError(f"unknown lockstep mode {lockstep!r}")
+        if lockstep not in ("auto", "serial"):
+            raise UsageError(f"unknown lockstep mode {lockstep!r} "
+                             f"(use 'auto' or 'serial')")
         net_params = world_kwargs.get("net_params")
         if epoch is None:
             epoch = net_params.latency if net_params is not None else 0.005
@@ -653,21 +648,17 @@ class ShardCoordinator(LockstepWorld):
         return self._step(None, max_events_per_epoch)
 
     def serialization_stats(self) -> dict[str, Any]:
-        """Serialization counters, with the speculation accounting.
+        """Serialization counters summed over every shard.
 
-        The ``spec.*`` keys of optimistic lockstep ride along:
-        ``spec.epochs_speculated`` / ``spec.epochs_rolled_back`` /
-        ``spec.shards_rolled_back`` counters plus the derived
-        ``spec.conflict_rate`` (rolled-back over speculated epochs; 0.0
-        when nothing speculated).
+        ``spec.epochs_speculated`` / ``spec.epochs_rolled_back`` (0) and
+        ``spec.conflict_rate`` (0.0) are retired keys: the speculative
+        epoch schedule they counted is gone, and they are kept so
+        per-layer readers find every key.
         """
         merged = self._serialization_counters()
-        merged["spec.epochs_speculated"] = self.spec_epochs_speculated
-        merged["spec.epochs_rolled_back"] = self.spec_epochs_rolled_back
-        merged["spec.shards_rolled_back"] = self.spec_shards_rolled_back
-        merged["spec.conflict_rate"] = (
-            self.spec_epochs_rolled_back / self.spec_epochs_speculated
-            if self.spec_epochs_speculated else 0.0)
+        merged["spec.epochs_speculated"] = 0
+        merged["spec.epochs_rolled_back"] = 0
+        merged["spec.conflict_rate"] = 0.0
         return dict(sorted(merged.items()))
 
     # -- ledger inspection (tests / benches) -------------------------------------------------
@@ -719,12 +710,11 @@ class ShardedWorld(ShardCoordinator):
         journal: Attach a :class:`~repro.journal.WorldJournal` for
             crash-resumable execution.
         lockstep: Epoch schedule knob, accepted for facade parity
-            with the process backend: ``"auto"`` / ``"serial"`` /
-            ``"parallel"`` / ``"optimistic"``.  In-process shards
-            always execute sequentially against live sibling state,
-            so every schedule already *is* the serial one here; the
-            knob changes nothing but is recorded in the journal
-            config and in :meth:`serialization_stats` shape.
+            with the process backend: ``"auto"`` / ``"serial"``.
+            In-process shards always execute sequentially against
+            live sibling state, so both already *are* the serial
+            schedule here; the knob changes nothing but is recorded
+            in the journal config.
         **world_kwargs: Forwarded to every shard's
             :class:`~repro.node.runtime.World` (``net_params``,
             ``ft_params``, ``timing``, ...).
@@ -755,12 +745,6 @@ class ShardedWorld(ShardCoordinator):
                  journal: Optional["WorldJournal"] = None,
                  lockstep: str = "auto",
                  **world_kwargs: Any):
-        # ``lockstep`` is accepted for facade parity with
-        # ProcShardedWorld.  In-process shards always execute
-        # sequentially against live sibling state, so every schedule —
-        # including "optimistic" — already *is* the serial schedule
-        # here: nothing to speculate against, nothing to roll back
-        # (``spec.*`` stats stay zero).
         self._init_coordinator(n_shards, seed, epoch, lockstep, journal,
                                world_kwargs)
         self._world_kwargs = dict(world_kwargs)

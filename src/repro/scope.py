@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator
 
 #: Width of one shard's work-id, item-id and savepoint-id namespace:
 #: shard ``i`` mints from ``1 + i * ID_STRIDE``.  Work ids arbitrate
@@ -78,16 +78,13 @@ class Scope:
     Args:
         namespace: Shard index whose work-id / item-id / savepoint-id
             range the sequences start in (0 = the plain ``1, 2, ...``).
-        stats: Counter table to keep (a rebuilt shard keeps counting
-            into its old one); a fresh zeroed table when omitted.
     """
 
     __slots__ = ("work_ids", "item_ids", "savepoint_ids", "message_ids",
                  "txids", "mailbox_ids", "receipt_ids", "agent_ids",
                  "stats")
 
-    def __init__(self, namespace: int = 0,
-                 stats: Optional[dict[str, int]] = None):
+    def __init__(self, namespace: int = 0):
         base = 1 + namespace * ID_STRIDE
         self.work_ids = itertools.count(base)
         self.item_ids = itertools.count(base)
@@ -97,7 +94,7 @@ class Scope:
         self.mailbox_ids = itertools.count(1)
         self.receipt_ids = itertools.count(1)
         self.agent_ids = itertools.count(1)
-        self.stats = dict.fromkeys(STAT_KEYS, 0) if stats is None else stats
+        self.stats = dict.fromkeys(STAT_KEYS, 0)
 
 
 #: The process-default scope: everything outside a shard server.

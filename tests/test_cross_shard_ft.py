@@ -133,10 +133,11 @@ def test_unsharded_world_alternates_unaffected():
     assert world.ft_params.cross_shard_alternates  # knob exists, inert
 
 
-def test_legacy_takeover_timeout_overrides_ft_params():
-    world = World(seed=0, ft_takeover_timeout=0.2)
+def test_takeover_timeout_is_an_ft_params_field():
+    world = World(seed=0, ft_params=FTParams(takeover_timeout=0.2))
     assert world.ft_params.takeover_timeout == 0.2
-    assert world.ft_takeover_timeout == 0.2
+    with pytest.raises(TypeError):
+        World(seed=0, ft_takeover_timeout=0.2)
 
 
 def test_compensation_alternates_also_placement_ordered():

@@ -1,7 +1,7 @@
 """Integration tests: fault-tolerant protocol (shadows + step ledger)."""
 
 
-from repro import AgentStatus, RollbackMode
+from repro import AgentStatus, FTParams, RollbackMode
 from repro.agent.packages import Protocol
 from repro.sim.failures import CrashPlan
 
@@ -9,7 +9,7 @@ from tests.helpers import LinearAgent, bank_of, build_line_world
 
 
 def test_ft_clean_run_ships_shadows_and_discards_them():
-    world = build_line_world(3, ft_takeover_timeout=0.05)
+    world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.05))
     world.ft.set_alternates("n1", "n2")
     world.ft.set_alternates("n2", "n0")
     agent = LinearAgent("ft-agent", ["n0", "n1", "n2"])
@@ -28,7 +28,7 @@ def test_ft_clean_run_ships_shadows_and_discards_them():
 
 
 def test_ft_takeover_executes_step_on_alternate_exactly_once():
-    world = build_line_world(3, ft_takeover_timeout=0.1)
+    world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.1))
     world.ft.set_alternates("n1", "n2")
     # n1 dies in the middle of its step transaction (the package is in
     # its durable queue, the shadow already at n2) and stays down long.
@@ -102,7 +102,7 @@ def test_ft_compensation_diverts_to_alternate_node():
     step's node stays down, the compensation runs on an alternate node
     that shares the resource — and the resume step is diverted the same
     way."""
-    world = build_line_world(3, ft_takeover_timeout=0.1)
+    world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.1))
     # A dedicated replica node hosts n1's bank (same resource object),
     # so it can run n1's compensations and diverted steps.
     shared_bank = bank_of(world, "n1")

@@ -1,6 +1,7 @@
 """Unit-level tests: fault-tolerance internals (shadows, watchdog)."""
 
 
+from repro import FTParams
 from repro.agent.packages import AgentPackage, PackageKind
 from repro.log.rollback_log import RollbackLog
 
@@ -44,7 +45,7 @@ def test_shadow_ship_and_arrival_enqueues_inert_copy():
 
 
 def test_shadow_discarded_once_work_claimed():
-    world = build_line_world(3, ft_takeover_timeout=0.05)
+    world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.05))
     package = make_package("ft-claimed", primary="n1")
     world.ft.ship_shadows(world.node("n0"), package, ("n2",))
     from repro.tx.manager import Transaction
@@ -57,8 +58,6 @@ def test_shadow_discarded_once_work_claimed():
 
 
 def test_shadow_expires_after_max_rounds():
-    from repro import FTParams
-
     world = build_line_world(
         3, ft_params=FTParams(takeover_timeout=0.01, max_takeover_rounds=3))
     package = make_package("ft-expire", primary="n1")
@@ -71,7 +70,7 @@ def test_shadow_expires_after_max_rounds():
 
 
 def test_promotion_requires_primary_down_and_unclaimed():
-    world = build_line_world(3, ft_takeover_timeout=0.05)
+    world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.05))
     package = make_package("ft-promote", primary="n1")
     world.ft.ship_shadows(world.node("n0"), package, ("n2",))
     world.failures.force_crash("n1")

@@ -166,13 +166,15 @@ def test_kill_without_restart_identical_between_sharded_backends():
 
 
 def assert_crash_resume(backend, seed, kill_at, phase="commit",
-                        outage=None, journal_factory=None):
+                        outage=None, journal_factory=None, reference=None):
+    """The resumed run equals the uninterrupted run on ``reference``
+    (default: the same backend)."""
     resumed, killed = run_crash_resume_scenario(
         backend, seed=seed, kill_at=kill_at, phase=phase, outage=outage,
         journal_factory=journal_factory)
     assert killed, (backend, kill_at, phase)
-    uninterrupted = run_differential_scenario(backend, seed=seed,
-                                              outage=outage)
+    uninterrupted = run_differential_scenario(reference or backend,
+                                              seed=seed, outage=outage)
     assert resumed == uninterrupted, (backend, kill_at, phase)
 
 
@@ -186,9 +188,12 @@ def test_crash_resume_identical_to_uninterrupted(backend):
 def test_mid_barrier_crash_resume_identical(backend):
     """Kill between barrier collect and scatter: the commit marker is
     physically torn, so recovery falls back one epoch and re-executes
-    the uncommitted barrier from journaled inputs."""
+    the uncommitted barrier from journaled inputs.  Both sharded
+    backends resume onto the uninterrupted in-process run, through the
+    shard outage."""
     assert_crash_resume(backend, seed=11, kill_at=0.06, phase="barrier",
-                        outage=SCENARIOS["kill-restart-mid"][0])
+                        outage=SCENARIOS["kill-restart-mid"][0],
+                        reference="sharded")
 
 
 def test_crash_resume_from_reopened_file_journal(tmp_path):
@@ -223,6 +228,60 @@ def test_proc_journal_with_retired_wire_config_still_resumes(monkeypatch):
                         journal_factory=factory)
     config = WorldJournal(shared).recover().config
     assert (config["ipc"], config["ring_size"]) == ("shm", 4096)
+
+
+def test_proc_journal_with_retired_optimistic_lockstep_still_resumes(
+        monkeypatch):
+    """Journals written while the process backend had an optimistic
+    (speculative) epoch schedule record ``lockstep="optimistic"``.  That
+    schedule was pinned bit-identical to serial turns, so resume folds
+    it to ``"auto"`` and reproduces the uninterrupted run."""
+    from repro.journal import MemoryJournal, WorldJournal
+
+    record_config = WorldJournal.record_config
+
+    def legacy_record_config(self, **data):
+        data["lockstep"] = "optimistic"
+        record_config(self, **data)
+
+    monkeypatch.setattr(WorldJournal, "record_config", legacy_record_config)
+    shared = MemoryJournal()
+    factory = lambda: WorldJournal(shared)  # noqa: E731
+    assert_crash_resume("proc", seed=11, kill_at=0.06,
+                        outage=SCENARIOS["kill-restart-mid"][0],
+                        journal_factory=factory)
+    assert WorldJournal(shared).recover().config["lockstep"] == "optimistic"
+
+
+def test_forced_parallel_entangled_journal_fails_the_frontier_check(
+        monkeypatch):
+    """A journal of an entangled run under the retired forced
+    ``lockstep="parallel"`` resumes under ``"auto"`` (serial turns),
+    which walks a different event sequence: resume refuses it with a
+    typed error instead of continuing a different run."""
+    from repro import ProcShardedWorld
+    from repro.errors import JournalDiverged, WorldKilled
+    from repro.journal import MemoryJournal, WorldJournal, resume_world
+
+    shared = MemoryJournal()
+    with monkeypatch.context() as patch:
+        record_config = WorldJournal.record_config
+        patch.setattr(WorldJournal, "record_config",
+                      lambda self, **data: record_config(
+                          self, **dict(data, lockstep="parallel")))
+        # The retired schedule: parallel epochs on an entangled run.
+        patch.setattr(ProcShardedWorld, "_serial", lambda self: False)
+        world = build_ft_ring("proc", seed=11, journal=WorldJournal(shared))
+        try:
+            world.kill_shard(1, at=0.08, restart_at=2.0)
+            launch_ft_tours(world)
+            world.kill_world(at=0.3)
+            with pytest.raises(WorldKilled):
+                world.run(until=120.0)
+        finally:
+            world.close()
+    with pytest.raises(JournalDiverged):
+        resume_world(WorldJournal(shared))
 
 
 # -- launch is a ship: mid-run launches and the repo benchmark's inputs ------------

@@ -97,12 +97,22 @@ def test_process_runs_are_deterministic(proc_worlds):
 
 
 def test_forced_serial_lockstep_matches_parallel(proc_worlds):
+    """An independent swarm runs parallel epochs under ``"auto"``;
+    forcing serial turns must not move a bit."""
     parallel = run_swarm(build(proc_worlds(n_shards=2, seed=7,
-                                           lockstep="parallel")))
+                                           lockstep="auto")))
     serial = run_swarm(build(proc_worlds(n_shards=2, seed=7,
                                          lockstep="serial")))
     assert serial.outcomes() == parallel.outcomes()
     assert serial.trace_digests() == parallel.trace_digests()
+
+
+@pytest.mark.parametrize("lockstep", ["hopeful", "optimistic", "parallel"])
+def test_unknown_lockstep_rejected_by_both_backends(lockstep):
+    with pytest.raises(UsageError, match="unknown lockstep mode"):
+        ShardedWorld(n_shards=2, lockstep=lockstep)
+    with pytest.raises(UsageError, match="unknown lockstep mode"):
+        ProcShardedWorld(n_shards=2, lockstep=lockstep)
 
 
 # -- shard 0 in the coordinator -------------------------------------------------
@@ -240,11 +250,11 @@ def test_idle_turns_are_skipped_with_identical_digests():
 # -- view deltas ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lockstep", ["serial", "optimistic"])
+@pytest.mark.parametrize("lockstep", ["serial"])
 def test_view_deltas_rebuild_the_coordinator_views(lockstep):
     """Oracle for the delta barrier exchange.  After every step, each
     worker's merged views equal the full views the coordinator would
-    have served it at its last dispatch (or redo), through a shard
+    have served it at its last dispatch, through a shard
     outage and restart; a turn with no foreign change ships empty
     deltas."""
     import copy

@@ -22,7 +22,6 @@ The contract under test (see :mod:`repro.service`):
 
 import asyncio
 import json
-import queue
 import threading
 import time
 import urllib.error
@@ -402,6 +401,13 @@ def test_http_error_mapping():
         assert status == 400 and "unknown backend" in err["error"]
         status, _, err = gw.request("POST", "/worlds", {"nodes": "four"})
         assert status == 400
+        for backend in ("sharded", "proc"):
+            for lockstep in ("optimistic", "parallel"):
+                status, _, err = gw.request(
+                    "POST", "/worlds",
+                    {"backend": backend, "lockstep": lockstep})
+                assert status == 400
+                assert "unknown lockstep mode" in err["error"]
         _, _, made = gw.request("POST", "/worlds",
                                 {"backend": "world", "nodes": 4})
         wid = made["world"]

@@ -27,7 +27,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 import urllib.request
 
 WORLD_SPEC = {"backend": "proc", "nodes": 4, "n_shards": 2, "seed": 19}
