@@ -1,8 +1,11 @@
 """Journal storage backends: CRC-framed append-only record streams.
 
 Every backend stores an ordered sequence of opaque record payloads and
-exposes the same five operations: ``append``, ``sync``, ``read_all``,
-``truncate_records`` and ``close``.  The byte-oriented backends frame
+exposes the same six operations: ``append``, ``flush``, ``sync``,
+``read_all``, ``truncate_records`` and ``close``.  ``flush`` hands the
+appended records to the operating system (they survive the death of
+the writing process); ``sync`` also makes them durable (they survive a
+power loss).  The byte-oriented backends frame
 each payload as ``<u32 length><u32 crc32><payload>`` — the same framing
 discipline the rollback log uses for per-entry blobs — so a reader can
 both detect corruption and tell *where* it sits:
@@ -28,7 +31,7 @@ import struct
 import zlib
 from typing import Optional
 
-from repro.errors import JournalCorrupt, UsageError
+from repro.errors import JournalCorrupt, JournalError, UsageError
 
 _HEADER = struct.Struct("<II")
 
@@ -72,6 +75,9 @@ class JournalBackend:
 
     def append(self, payload: bytes) -> None:
         raise NotImplementedError
+
+    def flush(self) -> None:
+        """Hand every appended record to the OS (no fsync)."""
 
     def sync(self) -> None:
         """Make every appended record durable (fsync point)."""
@@ -128,11 +134,22 @@ class MemoryJournal(JournalBackend):
 class FileJournal(JournalBackend):
     """Append-only file backend with CRC-framed records.
 
-    ``fsync`` policy: ``"commit"`` (default) makes :meth:`sync` — the
-    epoch-commit point — an fsync; ``"always"`` additionally fsyncs
-    every append (each setup op individually durable, slower);
-    ``"never"`` only flushes to the OS (fast, survives process death
-    but not power loss).
+    Appends collect in memory; :meth:`flush` writes them to the file
+    with ``os.write`` and :meth:`sync` then fsyncs it.  The journal
+    flushes at every epoch commit and syncs at every input op and
+    whenever a world call returns, so the ``fsync`` policy reads:
+    ``"commit"`` (default) — fsync at every input op and whenever a
+    world call returns; ``"always"`` — additionally fsync every append
+    (each record individually durable, slower); ``"never"`` — only
+    flush to the OS (fast, survives process death but not power loss).
+
+    An ``OSError`` from a write or an fsync (``ENOSPC``, ``EIO``)
+    raises :class:`~repro.errors.JournalError` with the ``OSError`` as
+    its cause, and the journal then refuses every later write and
+    fsync: a failed fsync may have dropped dirty pages, so a retry
+    could report success for bytes that are gone, and a failed write
+    may leave a partial frame that any later record would turn into
+    interior corruption.  Recover by reopening the file.
     """
 
     def __init__(self, path, fsync: str = "commit"):
@@ -141,39 +158,62 @@ class FileJournal(JournalBackend):
                              f"(use 'commit', 'always' or 'never')")
         self.path = os.fspath(path)
         self.fsync = fsync
-        self._file = open(self.path, "ab")
+        self._pending = bytearray()
+        self._failed: Optional[OSError] = None
+        self._file = open(self.path, "ab", buffering=0)
+
+    def _refuse_after_failure(self, what: str) -> None:
+        if self._failed is not None:
+            raise JournalError(
+                f"{self.path}: journal refuses to {what} after an "
+                f"earlier I/O failure") from self._failed
+
+    def _io(self, what: str, fn, *args) -> None:
+        """Run one write or fsync; a failure poisons the journal."""
+        self._refuse_after_failure(what)
+        try:
+            fn(*args)
+        except OSError as exc:
+            self._failed = exc
+            raise JournalError(
+                f"{self.path}: journal {what} failed: {exc}") from exc
 
     def append(self, payload: bytes) -> None:
-        self._file.write(frame(payload))
+        self._refuse_after_failure("append")
+        self._pending += frame(payload)
         if self.fsync == "always":
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self.sync()
+
+    def flush(self) -> None:
+        if self._pending:
+            buf, self._pending = self._pending, bytearray()
+            self._io("write", _write_all, self._file.fileno(), buf)
 
     def sync(self) -> None:
-        self._file.flush()
+        self.flush()
         if self.fsync != "never":
-            os.fsync(self._file.fileno())
+            self._io("fsync", os.fsync, self._file.fileno())
 
     def read_all(self) -> tuple[list[bytes], bool]:
-        self._file.flush()
+        self.flush()
         with open(self.path, "rb") as fh:
             return parse_frames(fh.read(), self.path)
 
     def truncate_records(self, count: int) -> None:
-        self._file.flush()
+        self.flush()
         with open(self.path, "rb") as fh:
             buf = fh.read()
         os.truncate(self.path, _offset_of(buf, count))
         self._reopen()
 
     def tear_tail(self, nbytes: int) -> None:
-        self._file.flush()
+        self.flush()
         size = os.path.getsize(self.path)
         os.truncate(self.path, max(0, size - nbytes))
         self._reopen()
 
     def corrupt_record(self, index: int) -> None:
-        self._file.flush()
+        self.flush()
         with open(self.path, "rb") as fh:
             buf = fh.read()
         offset = _offset_of(buf, index)
@@ -186,15 +226,25 @@ class FileJournal(JournalBackend):
 
     def _reopen(self) -> None:
         self._file.close()
-        self._file = open(self.path, "ab")
+        self._file = open(self.path, "ab", buffering=0)
 
     def close(self) -> None:
+        if not self._file.closed and self._failed is None:
+            self.flush()
         self._file.close()
 
     @property
     def size_bytes(self) -> int:
-        self._file.flush()
+        self.flush()
         return os.path.getsize(self.path)
+
+
+def _write_all(fd: int, buf: bytearray) -> None:
+    """``os.write`` until every byte of ``buf`` is in the file."""
+    with memoryview(buf) as view:
+        written = 0
+        while written < len(view):
+            written += os.write(fd, view[written:])
 
 
 def _offset_of(buf: bytes, count: int) -> int:

@@ -14,10 +14,22 @@ reconstruct a run, in three channels:
   mutations, durable-queue ops, savepoint frames, bridge routings,
   agent-record merges) buffered in memory and flushed as a group at
   each epoch barrier, followed by a **commit marker** carrying the
-  barrier time and a cheap execution digest, then an fsync.  This is
-  classic group commit: a record below a commit marker is durable; a
-  record above the last marker belongs to the epoch the crash
-  destroyed and is discarded on recovery.
+  barrier time and a cheap execution digest, and handed to the
+  operating system.  This is classic group commit: a record below a
+  commit marker is committed; a record above the last marker belongs
+  to the epoch the crash destroyed and is discarded on recovery.
+
+The fsync that makes commits durable runs whenever control returns to
+the caller — each return (or raise) of a world's ``run()`` or
+``step_epoch()``, ``commit_journal()`` and ``close()`` — not at every
+barrier: inside one ``run()`` call no caller can observe a barrier, so
+syncing there would buy nothing a caller could see.  A process crash
+therefore loses at most the epoch it interrupted (every finished
+barrier's marker is already in the OS); a power loss loses at most the
+barriers of the world call it interrupted, and recovery lands on a
+marker that is on disk — which no caller can tell apart from a power
+loss at that earlier point, because every input op is synced at issue
+and replay is deterministic.
 
 Because the simulation is deterministic, recovery does not need to
 reconstruct kernel state from the payload records (that would amount
@@ -125,6 +137,8 @@ class WorldJournal:
         self.records_written = 0
         self.kind_counts: dict[str, int] = {}
         self._buffer: list[bytes] = []
+        #: True while commits handed to the backend await an fsync.
+        self.unsynced = False
 
     # -- write side --------------------------------------------------------------
 
@@ -138,7 +152,7 @@ class WorldJournal:
         if self.config_written:
             raise UsageError("journal already holds a config record")
         self._append("config", data)
-        self.backend.sync()
+        self._sync()
         self.config_written = True
 
     def record_op(self, op: str, **data: Any) -> None:
@@ -146,7 +160,7 @@ class WorldJournal:
         if op not in OP_KINDS:
             raise UsageError(f"unknown op kind {op!r}")
         self._append(op, data)
-        self.backend.sync()
+        self._sync()
 
     def buffer(self, kind: str, **data: Any) -> None:
         """Stage one payload-channel record for the open epoch."""
@@ -159,15 +173,32 @@ class WorldJournal:
         return len(self._buffer)
 
     def commit_epoch(self, barrier: float, digest: tuple) -> None:
-        """Group commit: flush the epoch's payload, mark, fsync."""
+        """Group commit: append the epoch's payload and its marker and
+        hand them to the OS.
+
+        The marker survives a process crash from here on; it becomes
+        durable against power loss at the next :meth:`sync` — which
+        the world runs whenever control returns to its caller.
+        """
         for payload in self._buffer:
             self.backend.append(payload)
             self.records_written += 1
         self._buffer.clear()
         self._append("epoch", {"barrier": barrier, "digest": digest,
                                "commit": self.commits})
-        self.backend.sync()
+        self.backend.flush()
+        self.unsynced = True
         self.commits += 1
+
+    def sync(self) -> None:
+        """Fsync every flushed commit (no-op when none is pending)."""
+        if self.unsynced:
+            self._sync()
+
+    def _sync(self) -> None:
+        """Fsync the backend; every earlier record becomes durable."""
+        self.backend.sync()
+        self.unsynced = False
 
     def commit_torn(self, barrier: float, digest: tuple,
                     tear_bytes: int = 7) -> None:
@@ -184,7 +215,7 @@ class WorldJournal:
         self._buffer.clear()
         self._append("epoch", {"barrier": barrier, "digest": digest,
                                "commit": self.commits})
-        self.backend.sync()
+        self._sync()
         self.backend.tear_tail(tear_bytes)
 
     # -- recovery side ----------------------------------------------------------
@@ -230,6 +261,7 @@ class WorldJournal:
     def rearm(self, recovered: RecoveredRun) -> None:
         """Truncate to the frontier and re-enable appends."""
         self.backend.truncate_records(recovered.kept_records)
+        self.unsynced = True  # the truncation is durable at the next sync
         self._buffer.clear()
         self.records_written = recovered.kept_records
         self.commits = sum(1 for kind, _ in recovered.entries

@@ -12,6 +12,14 @@ revivals fall inside it, where a kill lands and when the group commit
 runs.  The same seed therefore gives the same barrier sequence, commit
 markers and trace digests on every backend by construction.
 
+A commit hands its marker to the OS; :func:`returns_durable` is the
+one place that makes it durable.  It wraps every entry point of the
+walk (``run`` and ``step_epoch`` on each backend) and fsyncs the
+journal whenever control goes back to the caller — on return and on
+raise, ``WorldKilled`` included — as do :meth:`LockstepWorld.
+commit_journal` and :meth:`LockstepWorld.close`.  A ``run()`` over K
+barriers thus pays one fsync, not K.
+
 A backend supplies only the hooks that differ:
 
 * :meth:`~LockstepWorld._next_times` — pending event times and the
@@ -34,10 +42,11 @@ to drive its shards over their command channels instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, Optional
 
-from repro.errors import UsageError, WorldKilled
+from repro.errors import JournalError, UsageError, WorldKilled
 
 
 def next_epoch_barrier(soonest: float, epoch: float,
@@ -55,6 +64,28 @@ def next_epoch_barrier(soonest: float, epoch: float,
     while barrier < floor_now:
         barrier += epoch
     return barrier
+
+
+def returns_durable(method):
+    """Fsync the world's journal whenever ``method`` hands control back.
+
+    The durable seam of every walk entry point: whatever the call
+    committed is on disk before the caller sees its result or its
+    exception.  A :class:`~repro.errors.JournalError` is let through
+    untouched — the journal refuses further I/O after one.
+    """
+    @functools.wraps(method)
+    def entry(self, *args, **kwargs):
+        try:
+            result = method(self, *args, **kwargs)
+        except JournalError:
+            raise
+        except BaseException:
+            self._journal_sync()
+            raise
+        self._journal_sync()
+        return result
+    return entry
 
 
 def outcomes_of(agents: dict[str, Any]) -> dict[str, dict[str, Any]]:
@@ -101,6 +132,8 @@ class LockstepWorld:
     #: Whether facade-level ops are journaled here; a shard kernel of a
     #: sharded world leaves them to its coordinator.
     _owns_ops = True
+    #: The attached :class:`~repro.journal.WorldJournal`, if any.
+    journal: Any = None
     _closed = False
     _kill_plan: Optional[tuple[float, str]] = None
     #: Barriers walked (executed, routed and committed) so far.
@@ -184,7 +217,7 @@ class LockstepWorld:
         if not times:
             if self._idle_step(max_events):
                 return True
-            self._journal_final_commit()
+            self.commit_journal()
             return False
         soonest = min(times)
         if until is not None and soonest > until:
@@ -249,10 +282,25 @@ class LockstepWorld:
         else:
             journal.commit_epoch(barrier, digest)
 
-    def _journal_final_commit(self) -> None:
+    def commit_journal(self) -> None:
+        """Group-commit the buffered journal tail and fsync it.
+
+        Payload notes staged since the last barrier (a launch between
+        ``step_epoch`` calls, say) are committed under one last marker
+        at the current clock, and every flushed commit is made durable.
+        The walk runs this when it drains; a host that stops stepping a
+        world mid-run calls it before reporting the final state.  A
+        no-op without an armed journal.
+        """
         journal = self.journal
         if journal is not None and journal.armed and journal.buffered():
             journal.commit_epoch(self.now, self._journal_digest())
+        self._journal_sync()
+
+    def _journal_sync(self) -> None:
+        """Fsync every commit the journal has flushed but not synced."""
+        if self.journal is not None:
+            self.journal.sync()
 
     def _kill_due(self, barrier: float) -> Optional[str]:
         plan = self._kill_plan
@@ -358,7 +406,9 @@ class LockstepWorld:
     def close(self) -> None:
         """Release the world; a closed world refuses to step.
 
-        Idempotent.  Only the process backend holds anything to
-        release (its worker processes).
+        Idempotent.  Fsyncs the journal's flushed commits; only the
+        process backend holds anything else to release (its worker
+        processes).
         """
         self._closed = True
+        self._journal_sync()

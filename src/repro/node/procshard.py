@@ -903,7 +903,8 @@ class ProcShardedWorld(ShardCoordinator):
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the worker processes down (idempotent).
+        """Shut the worker processes down, then fsync the journal
+        (idempotent).
 
         Teardown is best-effort — one dead worker must not stop the
         others from being shut down — but every suppressed failure is
@@ -913,7 +914,7 @@ class ProcShardedWorld(ShardCoordinator):
         """
         if self._closed:
             return
-        super().close()
+        self._closed = True
         workers = [h for h in self._handles if h.process is not None]
         for handle in workers:
             # A dead worker is the one expected failure of a shutdown
@@ -928,6 +929,8 @@ class ProcShardedWorld(ShardCoordinator):
                                handle.process.terminate, OSError)
             _teardown_step(f"pipe close of shard {handle.shard}",
                            handle.conn.close, OSError)
+        # Last, so a journal that refuses its fsync strands no worker.
+        super().close()
 
     def __enter__(self) -> "ProcShardedWorld":
         return self

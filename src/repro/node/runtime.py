@@ -45,7 +45,7 @@ from repro.log.rollback_log import RollbackLog
 from repro.net.batching import BatchingTransport
 from repro.net.network import SimTransport
 from repro.net.transport import Transport
-from repro.node.lockstep import LockstepWorld
+from repro.node.lockstep import LockstepWorld, returns_durable
 from repro.node.node import Node
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
@@ -333,7 +333,7 @@ class World(LockstepWorld):
         """
         if self.journal is None:
             raise UsageError("world has no journal attached")
-        self._journal_final_commit()
+        self.commit_journal()
         journal = self.journal
         self._unwire_capture()
         return journal
@@ -555,6 +555,7 @@ class World(LockstepWorld):
 
     # -- execution ------------------------------------------------------------------------------
 
+    @returns_durable
     def run(self, until: Optional[float] = None,
             max_events: int = 10_000_000,
             _replay: Optional[list] = None) -> None:
@@ -562,9 +563,12 @@ class World(LockstepWorld):
 
         With a journal attached the run is epoch-ized: events execute
         in ``journal_epoch`` intervals on the same deterministic grid
-        the sharded drivers use, with a group commit — payload flush,
-        marker, fsync — at each barrier, and the ``kill_world`` check
-        between them.  ``_replay`` is the resume driver's input: the
+        the sharded drivers use, with a group commit — payload and
+        marker handed to the OS — at each barrier, and the
+        ``kill_world`` check between them.  The commits are fsynced
+        once, when the call returns or raises: a process crash loses
+        at most the epoch it interrupted, a power loss at most this
+        call's barriers.  ``_replay`` is the resume driver's input: the
         journaled barrier sequence is re-executed verbatim (commits
         stay suppressed because the journal is disarmed), reproducing
         the original walk even where ``until``-capping or same-instant
@@ -593,8 +597,9 @@ class World(LockstepWorld):
 
     def _stop_at(self, until: float, max_events: int) -> None:
         # The caller (run) idle-advances the clock to ``until``.
-        self._journal_final_commit()
+        self.commit_journal()
 
+    @returns_durable
     def step_epoch(self, max_events: int = 10_000_000) -> bool:
         """Advance exactly one epoch barrier; False once the world is idle.
 

@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import UsageError
-from repro.node.lockstep import LockstepWorld
+from repro.node.lockstep import LockstepWorld, returns_durable
 from repro.node.runtime import LEDGER_NODE, AgentRecord, World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -602,6 +602,7 @@ class ShardCoordinator(LockstepWorld):
         self._route(self.now)
         return True
 
+    @returns_durable
     def run(self, until: Optional[float] = None,
             max_epochs: int = 1_000_000,
             max_events_per_epoch: int = 10_000_000,
@@ -619,7 +620,8 @@ class ShardCoordinator(LockstepWorld):
         count as work, so a run never terminates with a revival pending.
 
         With a journal attached each flushed barrier gets a group
-        commit, with the ``kill_world`` check around it.  ``_replay``
+        commit, with the ``kill_world`` check around it; the commits
+        are fsynced once, when the call returns or raises.  ``_replay``
         (resume driver only) walks the journaled barrier sequence
         verbatim instead of re-deriving it, and returns once exhausted.
         """
@@ -630,6 +632,7 @@ class ShardCoordinator(LockstepWorld):
         raise UsageError(
             f"sharded run exceeded {max_epochs} epochs; likely livelock")
 
+    @returns_durable
     def step_epoch(self, max_events_per_epoch: int = 10_000_000) -> bool:
         """Advance one lockstep iteration; False once every shard is idle.
 
@@ -859,7 +862,7 @@ class ShardedWorld(ShardCoordinator):
         """
         if self.journal is None:
             raise UsageError("world has no journal attached")
-        self._journal_final_commit()
+        self.commit_journal()
         journal, self.journal = self.journal, None
         for world in self.shards:
             world._unwire_capture()

@@ -461,9 +461,9 @@ class WorldHost:
             try:
                 if self.journal is not None:
                     # The last idle step already group-committed a
-                    # drained world; a mid-run drain flushes its
-                    # buffered tail here.
-                    world._journal_final_commit()
+                    # drained world; a mid-run drain commits its
+                    # buffered tail here, durable before ``drain``.
+                    world.commit_journal()
                     commits = self.journal.stats()["commits"]
                     while self._commits_seen < commits:
                         self._emit("epoch",

@@ -17,6 +17,9 @@ from repro import (
     mixed_compensation,
     resource_compensation,
 )
+from repro.journal import MemoryJournal
+from repro.journal.backends import frame
+from repro.journal.journal import decode_record
 from repro.resources.bank import OverdraftPolicy
 
 
@@ -202,6 +205,21 @@ def shard_nodes(shard, n_shards=3):
             if i % n_shards == shard]
 
 
+def scenario_record(world, backend):
+    """The comparison record of a finished differential scenario."""
+    result = {
+        "outcomes": world.outcomes(),
+        "debits": ring_debits(world),
+        "ledger_agrees": (world.ledger_quorum_agrees()
+                          if backend != "world" else True),
+    }
+    if backend != "world":
+        result["counters"] = world.counters()
+        result["epochs"] = world.epochs_run
+        result["events"] = world.events_processed()
+    return result
+
+
 def run_differential_scenario(backend, seed, outage=None, n_agents=3,
                               rollback=True, **kwargs):
     """Run one differential scenario; returns the comparison record.
@@ -226,17 +244,7 @@ def run_differential_scenario(backend, seed, outage=None, n_agents=3,
                 world.kill_shard(shard, at=at, restart_at=restart_at)
         launch_ft_tours(world, n_agents=n_agents, rollback=rollback)
         world.run(until=120.0)
-        result = {
-            "outcomes": world.outcomes(),
-            "debits": ring_debits(world),
-            "ledger_agrees": (world.ledger_quorum_agrees()
-                              if backend != "world" else True),
-        }
-        if backend != "world":
-            result["counters"] = world.counters()
-            result["epochs"] = world.epochs_run
-            result["events"] = world.events_processed()
-        return result
+        return scenario_record(world, backend)
     finally:
         if hasattr(world, "close"):
             world.close()
@@ -293,17 +301,7 @@ def run_crash_resume_scenario(backend, seed, kill_at, phase="commit",
     resumed = resume_world(journal)
     try:
         resumed.run(until=120.0)
-        result = {
-            "outcomes": resumed.outcomes(),
-            "debits": ring_debits(resumed),
-            "ledger_agrees": (resumed.ledger_quorum_agrees()
-                              if backend != "world" else True),
-        }
-        if backend != "world":
-            result["counters"] = resumed.counters()
-            result["epochs"] = resumed.epochs_run
-            result["events"] = resumed.events_processed()
-        return result, killed
+        return scenario_record(resumed, backend), killed
     finally:
         if hasattr(resumed, "close"):
             resumed.close()
@@ -327,3 +325,30 @@ def build_line_world(n_nodes=4, seed=0, **world_kwargs) -> World:
 
 def bank_of(world: World, node: str) -> Bank:
     return world.node(node).get_resource("bank")
+
+
+class RecordingJournal(MemoryJournal):
+    """An in-RAM backend that keeps a synced-bytes watermark."""
+
+    def __init__(self):
+        super().__init__()
+        self.synced_bytes = 0
+        self.syncs = 0
+
+    def sync(self):
+        self.syncs += 1
+        self.synced_bytes = self.size_bytes
+
+    def marker_end(self, commit=None):
+        """Offset just past commit marker ``commit`` (default: the last)."""
+        payloads, _torn = self.read_all()
+        offset = end = 0
+        for payload in payloads:
+            offset += len(frame(payload))
+            kind, data = decode_record(payload)
+            if kind == "epoch" and commit in (None, data["commit"]):
+                end = offset
+        return end
+
+    def covers_last_marker(self):
+        return self.synced_bytes >= self.marker_end() > 0

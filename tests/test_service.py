@@ -15,9 +15,11 @@ The contract under test (see :mod:`repro.service`):
   journal group-commit indices in exactly the journal's commit order;
 * **subscriber isolation** — a mid-stream disconnect cancels only that
   subscription; the world keeps running and the outcome is identical;
-* **graceful drain** — drain finishes the epoch, flushes the journal
-  tail, emits a final ``drain`` event and ends every stream with the
-  ``None`` sentinel.
+* **graceful drain** — drain finishes the epoch, group-commits and
+  fsyncs the journal tail, emits a final ``drain`` event and ends every
+  stream with the ``None`` sentinel;
+* **durable telemetry** — every ``epoch`` / ``agent`` event goes out
+  only after its commit is fsynced.
 """
 
 import asyncio
@@ -40,6 +42,7 @@ from repro.service import (
     build_world,
     resolve_launch,
 )
+from tests.helpers import RecordingJournal
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -190,6 +193,69 @@ def test_epoch_events_match_journal_commit_order():
         [c["commit"] for c in committed] == list(range(len(committed)))
     assert [e["barrier"] for e in epochs] == \
         [c["barrier"] for c in committed]
+
+
+def watch_syncs(monkeypatch, backend):
+    """A host over a :class:`RecordingJournal` whose every emission is
+    checked against the synced watermark; returns the host, its
+    recorder, the events emitted and those emitted before their sync."""
+    monkeypatch.setattr("repro.journal.MemoryJournal", RecordingJournal)
+    spec = WorldSpec.from_json({"backend": backend, "nodes": 4,
+                                "n_shards": 2, "seed": 5})
+    host = WorldHost("w-sync", spec)
+    recorder = host.journal.backend
+    emitted, early = [], []
+    emit = host._emit
+
+    def checked_emit(event, data):
+        # Runs on the stepper thread, before any subscriber sees it.
+        if event == "epoch":
+            synced = recorder.synced_bytes >= recorder.marker_end(
+                data["commit"]) > 0
+        elif event == "agent":
+            synced = recorder.covers_last_marker()
+        elif event == "drain":
+            synced = recorder.synced_bytes == recorder.size_bytes
+        else:
+            synced = True
+        emitted.append(event)
+        if not synced:
+            early.append((event, data))
+        emit(event, data)
+
+    monkeypatch.setattr(host, "_emit", checked_emit)
+    return host, recorder, emitted, early
+
+
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_epoch_and_agent_events_follow_the_journal_sync(monkeypatch,
+                                                        backend):
+    host, recorder, emitted, early = watch_syncs(monkeypatch, backend)
+    host.start()
+    first = host.launch(LaunchSpec(steps=6))
+    wait_for_agent(host, first["agent"])
+    host.launch(LaunchSpec(steps=6))  # still running when drain starts
+    host.drain()
+    assert "epoch" in emitted and "agent" in emitted
+    assert emitted[-1] == "drain"
+    assert early == []
+    assert recorder.synced_bytes == recorder.size_bytes
+
+
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_drain_commits_and_syncs_the_buffered_tail(monkeypatch, backend):
+    host, recorder, emitted, early = watch_syncs(monkeypatch, backend)
+    # Apply one launch as the stepper would, then drain before any
+    # barrier: the launch's payload note is the buffered tail.
+    resolved = resolve_launch(LaunchSpec(steps=4), host.spec, "tail-0")
+    host.world.launch(resolved.agent, at=resolved.at,
+                      method=resolved.method, **resolved.kwargs)
+    assert host.journal.buffered() and host.journal.commits == 0
+    host.drain()
+    assert host.journal.commits == 1
+    assert emitted == ["epoch", "drain"]
+    assert early == []
+    assert not host.journal.unsynced
 
 
 def test_disconnect_cancels_only_that_subscription():
