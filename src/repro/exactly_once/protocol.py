@@ -270,12 +270,6 @@ class StepProtocol:
                                sro_hashes=sro_hashes)
         log.append(entry, tx)
         world.metrics.incr("savepoints.written")
-        if world._journal_capture:
-            # Reuses the entry's framed blob (PR 1) — append-only, the
-            # world is never re-pickled.
-            world.journal_note("savepoint", agent=agent.agent_id,
-                               sp=sp_id, virtual=virtual,
-                               frame=None if virtual else entry.blob())
 
     # -- shared shipping helpers ---------------------------------------------------------
 

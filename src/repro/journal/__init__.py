@@ -1,8 +1,8 @@
 """Durable write-ahead world journal and crash-resumable coordinator.
 
-See :mod:`repro.journal.journal` for the write side (group commit at
-epoch barriers), :mod:`repro.journal.backends` for the storage
-backends (in-memory, CRC-framed append-only file) and
+See :mod:`repro.journal.journal` for the write side (config + ops +
+one commit marker per epoch barrier), :mod:`repro.journal.backends`
+for the storage backends (in-memory, CRC-framed append-only file) and
 :mod:`repro.journal.resume` for recovery by deterministic replay.
 """
 

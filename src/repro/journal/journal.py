@@ -1,23 +1,19 @@
 """The write-ahead world journal.
 
 A :class:`WorldJournal` durably records everything needed to
-reconstruct a run, in three channels:
+reconstruct a run — config + ops + markers:
 
 * the **config record** — one record, written at world construction,
   holding the seeded configuration the world was built from;
-* the **op channel** — setup and fault-injection commands issued
+* the **op records** — setup and fault-injection commands issued
   through the coordinator facade (``add_node``, resource installation,
   ``launch``, crash plans, ``kill_shard``, alternates).  Ops are
   appended and synced immediately: they are the *inputs* a resumed run
   re-executes, so losing one would fork history;
-* the **payload channel** — per-epoch effect records (stable-store
-  mutations, durable-queue ops, savepoint frames, bridge routings,
-  agent-record merges) buffered in memory and flushed as a group at
-  each epoch barrier, followed by a **commit marker** carrying the
-  barrier time and a cheap execution digest, and handed to the
-  operating system.  This is classic group commit: a record below a
-  commit marker is committed; a record above the last marker belongs
-  to the epoch the crash destroyed and is discarded on recovery.
+* the **commit markers** — one per epoch barrier, carrying the barrier
+  time and a cheap execution digest, handed to the operating system
+  as the barrier commits.  A recovery lands on the last marker; ops
+  after it were synced at issue and re-apply in order.
 
 The fsync that makes commits durable runs whenever control returns to
 the caller — each return (or raise) of a world's ``run()`` or
@@ -31,16 +27,15 @@ marker that is on disk — which no caller can tell apart from a power
 loss at that earlier point, because every input op is synced at issue
 and replay is deterministic.
 
-Because the simulation is deterministic, recovery does not need to
-reconstruct kernel state from the payload records (that would amount
-to re-pickling the world): :func:`~repro.journal.resume.resume_world`
-rebuilds the world from the config, re-applies the op channel, re-runs
-deterministically to the frontier barrier and *verifies* the committed
-digest.  The payload channel is the durable audit trail that makes the
-journal self-describing — every effect of every committed epoch is on
-disk, in order, reusing the per-entry framed-blob discipline of
-:mod:`repro.storage.serialization` (append-only; nothing is ever
-re-serialized wholesale).
+Because the simulation is deterministic, the journal records inputs,
+not effects: :func:`~repro.journal.resume.resume_world` rebuilds the
+world from the config, re-applies the ops, re-runs deterministically
+to the frontier barrier and *verifies* the committed digest.
+Journals written before the journal kept only these three kinds also
+hold per-epoch effect records (``store``, ``queue``, ``savepoint``,
+``bridge``, ``record-merge``); recovery still reads them — committed
+ones are kept and skipped by resume, uncommitted ones are discarded
+with their torn epoch.
 """
 
 from __future__ import annotations
@@ -52,17 +47,12 @@ from repro.errors import JournalCorrupt, UsageError
 from repro.journal.backends import JournalBackend, MemoryJournal
 from repro.storage.serialization import capture, restore
 
-#: Record kinds of the op channel, in the order constraints matter: an
-#: op after the last commit marker is still applied (it was issued —
-#: and synced — after that barrier), payload records there are not.
+#: Op record kinds.  An op after the last commit marker is still
+#: applied (it was issued — and synced — after that barrier); any other
+#: record there belongs to the epoch the crash destroyed.
 OP_KINDS = frozenset({
     "add_node", "add_resource", "share_resource", "set_alternates",
     "ft_alternates", "launch", "crash_plans", "kill_shard",
-})
-
-#: Payload-channel record kinds (effect audit; never re-applied).
-PAYLOAD_KINDS = frozenset({
-    "store", "queue", "savepoint", "bridge", "record-merge",
 })
 
 
@@ -101,16 +91,14 @@ class RecoveredRun:
 
 
 class WorldJournal:
-    """Group-commit write-ahead journal of one world's execution.
+    """Write-ahead journal of one world's execution: config + ops +
+    markers.
 
-    Records three channels into one append-only backend: the world's
-    config (once, at construction), the op channel (topology changes,
-    launches, crash/kill plans — synced immediately), and per-epoch
-    payload notes (stable-store mutations, durable-queue ops,
-    savepoint frames, bridge routings, record merges) buffered until
-    the barrier's digest-carrying commit marker flushes them as one
-    group commit.  :func:`~repro.journal.resume_world` rebuilds a
-    world from all three.
+    Records into one append-only backend the world's config (once, at
+    construction), its ops (topology changes, launches, crash/kill
+    plans — synced immediately) and one digest-carrying commit marker
+    per epoch barrier.  :func:`~repro.journal.resume_world` rebuilds a
+    world from exactly these.
 
     Args:
         backend: A :class:`~repro.journal.MemoryJournal` or
@@ -136,7 +124,6 @@ class WorldJournal:
         self.commits = 0
         self.records_written = 0
         self.kind_counts: dict[str, int] = {}
-        self._buffer: list[bytes] = []
         #: True while commits handed to the backend await an fsync.
         self.unsynced = False
 
@@ -156,34 +143,19 @@ class WorldJournal:
         self.config_written = True
 
     def record_op(self, op: str, **data: Any) -> None:
-        """Append one op-channel record, immediately durable."""
+        """Append one op record, immediately durable."""
         if op not in OP_KINDS:
             raise UsageError(f"unknown op kind {op!r}")
         self._append(op, data)
         self._sync()
 
-    def buffer(self, kind: str, **data: Any) -> None:
-        """Stage one payload-channel record for the open epoch."""
-        if kind not in PAYLOAD_KINDS:
-            raise UsageError(f"unknown payload kind {kind!r}")
-        self._buffer.append(encode_record(kind, data))
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-
-    def buffered(self) -> int:
-        return len(self._buffer)
-
     def commit_epoch(self, barrier: float, digest: tuple) -> None:
-        """Group commit: append the epoch's payload and its marker and
-        hand them to the OS.
+        """Append the barrier's commit marker and hand it to the OS.
 
         The marker survives a process crash from here on; it becomes
         durable against power loss at the next :meth:`sync` — which
         the world runs whenever control returns to its caller.
         """
-        for payload in self._buffer:
-            self.backend.append(payload)
-            self.records_written += 1
-        self._buffer.clear()
         self._append("epoch", {"barrier": barrier, "digest": digest,
                                "commit": self.commits})
         self.backend.flush()
@@ -204,15 +176,10 @@ class WorldJournal:
                     tear_bytes: int = 7) -> None:
         """Fault injection: a commit whose marker write was interrupted.
 
-        The epoch's payload records land intact; the commit marker is
-        physically torn (``tear_bytes`` short), exactly what a crash
-        between the marker write and its fsync leaves behind.  Recovery
-        must discard the whole epoch.
+        The commit marker is physically torn (``tear_bytes`` short),
+        exactly what a crash between the marker write and its fsync
+        leaves behind.  Recovery must discard the whole epoch.
         """
-        for payload in self._buffer:
-            self.backend.append(payload)
-            self.records_written += 1
-        self._buffer.clear()
         self._append("epoch", {"barrier": barrier, "digest": digest,
                                "commit": self.commits})
         self._sync()
@@ -224,9 +191,11 @@ class WorldJournal:
         """Parse the backend and decide the recovery frontier.
 
         Keeps the config record, every record up to the last commit
-        marker, and any op-channel records after it (ops are synced at
-        issue time and re-apply in order); uncommitted payload records
-        are rolled back with their torn epoch.
+        marker, and any op records after it (ops are synced at issue
+        time and re-apply in order).  A journal written before the
+        journal kept only config + ops + markers may hold effect
+        records after the last marker; they are rolled back with their
+        torn epoch.
         """
         payloads, torn = self.backend.read_all()
         records = [decode_record(p) for p in payloads]
@@ -262,7 +231,6 @@ class WorldJournal:
         """Truncate to the frontier and re-enable appends."""
         self.backend.truncate_records(recovered.kept_records)
         self.unsynced = True  # the truncation is durable at the next sync
-        self._buffer.clear()
         self.records_written = recovered.kept_records
         self.commits = sum(1 for kind, _ in recovered.entries
                            if kind == "epoch")
@@ -275,7 +243,6 @@ class WorldJournal:
         return {
             "commits": self.commits,
             "records_written": self.records_written,
-            "buffered": len(self._buffer),
             "kinds": dict(self.kind_counts),
             "bytes": getattr(self.backend, "size_bytes", None),
         }

@@ -1,16 +1,16 @@
 """Crash recovery: rebuild a world from its journal and continue.
 
 The recovery structure is checkpoint-then-replay: the journal holds
-the *inputs* of the run (seeded config + the op channel) plus one
-commit marker per epoch barrier.  :func:`resume_world`
+the *inputs* of the run (seeded config + the ops) plus one commit
+marker per epoch barrier.  :func:`resume_world`
 
 1. parses the journal and picks the recovery frontier — the last
    committed barrier (:meth:`~repro.journal.journal.WorldJournal.
    recover` already applied the torn-tail rule);
 2. rebuilds the world from the config record, with the journal
-   attached but **disarmed**, so the capture hooks are wired for the
-   continuation without double-writing the replayed prefix;
-3. re-applies the op channel in journal order, interleaved with
+   attached but **disarmed**, so the replayed prefix is not written a
+   second time;
+3. re-applies the ops in journal order, interleaved with
    deterministic re-execution of the journaled *barrier sequence* (the
    run drivers expose ``_replay``, which walks the committed barriers
    verbatim — *not* ``until``, which would run one extra same-time
@@ -44,14 +44,14 @@ def resume_world(journal: WorldJournal):
     Re-opens a journal written by a crashed (or killed) run: rebuilds
     the world from the config record (any backend — ``World``,
     ``ShardedWorld``, ``ProcShardedWorld`` — with its recorded knobs,
-    including ``lockstep`` and the start method), re-applies the op
-    channel (topology, launches, crash/kill plans), deterministically
+    including ``lockstep`` and the start method), re-applies the ops
+    (topology, launches, crash/kill plans), deterministically
     re-executes the committed barrier sequence, verifies the event
     digest of every replayed barrier, then re-arms the journal so the
     returned world continues journaling where the crash cut off.
     Torn tails (a commit marker interrupted mid-write, e.g.
     ``kill_world(phase="barrier")``) are discarded: recovery falls
-    back to the last *complete* group commit.
+    back to the last *complete* commit marker.
 
     Args:
         journal: The :class:`WorldJournal` to recover — typically
@@ -85,8 +85,9 @@ def resume_world(journal: WorldJournal):
                     world.run(_replay=barriers)
                     barriers = []
                 _apply_op(world, kind, data)
-            # payload records are the audit trail; replay re-creates
-            # their effects by re-execution.
+            # Any other kind is an effect record of a journal written
+            # before the journal kept only config + ops + markers;
+            # replay re-creates its effect by re-execution.
         if barriers:
             world.run(_replay=barriers)
         if frontier is not None:
@@ -104,6 +105,9 @@ def _build_world(config: dict[str, Any], journal: WorldJournal):
     from repro.node.sharded import ShardedWorld
 
     backend = config.get("backend")
+    # Journals written when a running world could still take a journal
+    # mid-run carry a ``live_attach`` marker: they lack the run's
+    # prefix, so nothing can be rebuilt from them.
     live = config.get("live_attach")
     if live is not None:
         raise UsageError(

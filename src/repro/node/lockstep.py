@@ -8,9 +8,9 @@ epoch barriers, and :class:`LockstepWorld` walks it for all three.
 Each barrier is a coordinated checkpoint — the point where the journal
 commits what the run has done — and :meth:`LockstepWorld._step` is the
 one place that decides the cut: which barrier comes next, which shard
-revivals fall inside it, where a kill lands and when the group commit
-runs.  The same seed therefore gives the same barrier sequence, commit
-markers and trace digests on every backend by construction.
+revivals fall inside it, where a kill lands and when the commit marker
+is written.  The same seed therefore gives the same barrier sequence,
+commit markers and trace digests on every backend by construction.
 
 A commit hands its marker to the OS; :func:`returns_durable` is the
 one place that makes it durable.  It wraps every entry point of the
@@ -205,9 +205,9 @@ class LockstepWorld:
         resume driver's journaled barrier sequence) — revives the
         shards whose restart falls inside the epoch, advances every
         live kernel to the barrier, routes the traffic that crossed
-        kernels and group-commits the journal, with the ``kill_world``
-        check around the commit.  Scheduled restarts count as work, so
-        a walk never ends with a revival pending.
+        kernels and commits the barrier's journal marker, with the
+        ``kill_world`` check around the commit.  Scheduled restarts
+        count as work, so a walk never ends with a revival pending.
         """
         if self._closed:
             raise UsageError("world is closed")
@@ -215,10 +215,7 @@ class LockstepWorld:
         due = self._due_restarts()
         times += [outage.restart_at for outage in due]
         if not times:
-            if self._idle_step(max_events):
-                return True
-            self.commit_journal()
-            return False
+            return self._idle_step(max_events)
         soonest = min(times)
         if until is not None and soonest > until:
             self._stop_at(until, max_events)
@@ -240,9 +237,8 @@ class LockstepWorld:
         self._advance(barrier, revivals, max_events)
         kill = self._kill_due(barrier)
         if kill == "barrier":
-            # Mid-barrier crash: the epoch ran and its payload notes
-            # are buffered, but the marker is torn and nothing is
-            # routed — recovery falls back one barrier.
+            # Mid-barrier crash: the epoch ran, but the marker is torn
+            # and nothing is routed — recovery falls back one barrier.
             self._journal_commit(barrier, torn=True)
             raise WorldKilled(barrier, kill)
         self._route(barrier)
@@ -254,17 +250,11 @@ class LockstepWorld:
 
     # -- journal / kill seams --------------------------------------------------------
 
-    def _record_journal_config(self, journal: Any, pristine: bool) -> None:
-        """Write the config record (once).  A journal attached to a
-        world that already ran carries a ``live_attach`` marker, which
-        makes it telemetry-only: resume refuses it."""
+    def _record_journal_config(self, journal: Any) -> None:
+        """Write the config record (once; a resume's disarmed journal
+        already holds it)."""
         if journal.armed and not journal.config_written:
-            config = self._journal_config()
-            if not pristine:
-                config["live_attach"] = {
-                    "events_processed": self.events_processed(),
-                    "at": self.now}
-            journal.record_config(**config)
+            journal.record_config(**self._journal_config())
 
     def _journal_op(self, op: str, **data: Any) -> None:
         """Journal a facade-level op (no-op unless this world owns ops)."""
@@ -283,18 +273,15 @@ class LockstepWorld:
             journal.commit_epoch(barrier, digest)
 
     def commit_journal(self) -> None:
-        """Group-commit the buffered journal tail and fsync it.
+        """Make everything written to the journal durable.
 
-        Payload notes staged since the last barrier (a launch between
-        ``step_epoch`` calls, say) are committed under one last marker
-        at the current clock, and every flushed commit is made durable.
-        The walk runs this when it drains; a host that stops stepping a
+        Ops are synced as they are issued and every barrier's marker
+        is handed to the OS as it commits, so this is one fsync of
+        whatever is pending — what every return from ``run()`` /
+        ``step_epoch()`` already does.  A host that stops stepping a
         world mid-run calls it before reporting the final state.  A
-        no-op without an armed journal.
+        no-op without a journal.
         """
-        journal = self.journal
-        if journal is not None and journal.armed and journal.buffered():
-            journal.commit_epoch(self.now, self._journal_digest())
         self._journal_sync()
 
     def _journal_sync(self) -> None:

@@ -145,7 +145,7 @@ from repro.tx.locks import LockManager
 #: :class:`~repro.node.runtime.World` parameter the worker does not set
 #: itself.
 _WORLD_KWARGS = frozenset(inspect.signature(World.__init__).parameters) \
-    - {"self", "seed", "journal", "journal_capture"}
+    - {"self", "seed", "journal"}
 
 
 def _dumps(obj: Any) -> bytes:
@@ -354,10 +354,7 @@ def _build_shard(config: dict[str, Any]
         ctx = RemoteShardContext(shard, config["n_shards"])
         world = ShardWorld(shard_index=shard, sharded=ctx,
                            seed=config["seed"] + 100_003 * shard,
-                           journal_capture=config.get("journal_capture",
-                                                      False),
                            **config["world_kwargs"])
-    world.journal_shard = shard  # notes self-tag with their origin
     ctx.world = world
     return scope, ctx, world
 
@@ -474,7 +471,7 @@ class _WorkerServer:
             # start-node string also being plan[0]), so the package the
             # worker packs is byte-identical to an in-process launch.
             agent, at, method, kwargs = restore(payload["bundle"])
-            record = world.launch(agent, at=at, method=method, **kwargs)
+            record = world._launch(agent, at=at, method=method, **kwargs)
             self._record_prints[record.agent_id] = \
                 _record_fingerprint(record)
             return {"record": capture(record)}
@@ -591,10 +588,6 @@ class _WorkerServer:
                 reply = self.handle(op, payload)
                 reply["ok"] = True
                 reply["state"] = self._state()
-                if self.world._journal_capture:
-                    notes = self.world.drain_journal_notes()
-                    if notes:
-                        reply["journal"] = notes
             except Exception as exc:  # noqa: BLE001 - shipped to coordinator
                 reply = {"ok": False,
                          "error": f"{type(exc).__name__}: {exc}",
@@ -647,9 +640,6 @@ class _ShardHandle:
         self.now: float = 0.0
         self.suspended = False
         self.events = 0
-        #: Journal payload notes shipped with replies, awaiting the
-        #: coordinator's ingest (drained at each epoch collect).
-        self.journal_notes: list[tuple[str, dict]] = []
         #: The last barrier of an idle turn the coordinator skipped;
         #: rides the shard's next state-bearing command.
         self.catch_up: Optional[float] = None
@@ -681,9 +671,6 @@ class _ShardHandle:
         self.now = max(self.now, state["now"])
         self.suspended = state["suspended"]
         self.events = state["events"]
-        notes = reply.get("journal")
-        if notes:
-            self.journal_notes.extend(notes)
         return reply
 
     def request(self, op: str, payload: Optional[dict[str, Any]] = None
@@ -831,8 +818,8 @@ class ProcShardedWorld(ShardCoordinator):
             entangled workloads, parallel epochs otherwise) or
             ``"serial"`` (serial turns always).
         journal: Attach a :class:`~repro.journal.WorldJournal` for
-            crash-resumable execution (workers buffer payload notes,
-            the coordinator group-commits per barrier).
+            crash-resumable execution (the coordinator journals the
+            ops and commits one marker per barrier).
         **world_kwargs: Forwarded to every worker's kernel
             (``net_params``, ``ft_params``, ``timing``, ...) — must
             pickle.
@@ -884,8 +871,7 @@ class ProcShardedWorld(ShardCoordinator):
 
         mp = multiprocessing.get_context(start_method)
         config = {"n_shards": n_shards, "seed": seed,
-                  "world_kwargs": world_kwargs,
-                  "journal_capture": journal is not None}
+                  "world_kwargs": world_kwargs}
         # Workers start before shard 0 is built, so a forked child never
         # inherits the coordinator-hosted kernel.
         for index in range(1, n_shards):
@@ -1098,9 +1084,6 @@ class ProcShardedWorld(ShardCoordinator):
             existing.__dict__.update(record.__dict__)
         else:
             return  # stale copy from a worker the agent migrated off
-        if self.journal is not None and self.journal.armed:
-            self.journal.buffer("record-merge", agent=record.agent_id,
-                                origin=origin)
         if record.final_agent is not None:
             # The re-broadcast copy drops the captured final agent: no
             # worker reads a foreign record's final_agent (it is pure
@@ -1124,35 +1107,6 @@ class ProcShardedWorld(ShardCoordinator):
         once the workload is entangled (FT alternates or failure
         injection); independent workloads run parallel epochs."""
         return self.lockstep == "serial" or self._entangled
-
-    # -- world-journal seams (see repro.journal) ------------------------------------
-
-    def _ingest_journal(self, handle: _ShardHandle) -> None:
-        """Buffer a worker's shipped payload notes into the journal."""
-        notes = handle.journal_notes
-        if not notes:
-            return
-        handle.journal_notes = []
-        journal = self.journal
-        if journal is None or not journal.armed:
-            return  # replaying: the notes were journaled the first time
-        for kind, data in notes:
-            data.setdefault("shard", handle.shard)
-            journal.buffer(kind, **data)
-
-    def attach_journal(self, journal: "WorldJournal") -> None:
-        """Not supported on the process-backed facade — constructor only.
-
-        Worker processes bake ``journal_capture`` into their spawn
-        config, so capture hooks cannot be wired after the fact without
-        restarting every worker.  Pass ``journal=`` to the
-        :class:`ProcShardedWorld` constructor instead (the service
-        gateway does exactly that).
-        """
-        raise UsageError(
-            "ProcShardedWorld cannot attach a journal to live workers "
-            "(capture mode is baked into the spawn config); pass "
-            "journal= to the constructor instead")
 
     def _sync_records(self) -> None:
         """Pull every worker's pending record deltas into the merged
@@ -1295,9 +1249,7 @@ class ProcShardedWorld(ShardCoordinator):
 
     def _collect(self, shard: int) -> None:
         handle = self._handles[shard]
-        reply = handle.recv()
-        self._ingest_journal(handle)
-        self._absorb(shard, reply)
+        self._absorb(shard, handle.recv())
 
     def _absorb(self, shard: int, reply: dict[str, Any]) -> None:
         """Fold one worker's epoch reply into the canonical state."""

@@ -137,23 +137,17 @@ class World(LockstepWorld):
         ft_params: :class:`~repro.exactly_once.fault_tolerant.FTParams`
             knobs of the fault-tolerant step protocol.
         journal: Attach a :class:`~repro.journal.WorldJournal` making
-            this world a journaling coordinator (config + ops + epoch
-            group commits; see :func:`~repro.journal.resume_world`).
+            this world a journaling coordinator (config + ops + one
+            commit marker per epoch barrier; see
+            :func:`~repro.journal.resume_world`).
         journal_epoch: Virtual-time length of one journal commit epoch
             (defaults to ``net_params.latency``).
-        journal_capture: Capture-only mode for shard kernels whose
-            coordinator owns the journal (internal seam).
 
     Raises:
         UsageError: On invalid knob combinations (negative epochs,
             unknown nodes at launch time, running a closed world...) —
             raised by the respective methods, not the constructor.
     """
-
-    # Launch canonicalizes the agent through one capture/restore
-    # round trip; shards of a sharded world leave that to their
-    # coordinator, which already did it.
-    _canonical_launch = True
 
     def __init__(self, seed: int = 0,
                  timing: TimingModel = DEFAULT_TIMING,
@@ -163,23 +157,12 @@ class World(LockstepWorld):
                  retry_policy: Optional[RetryPolicy] = None,
                  ft_params: Optional["FTParams"] = None,
                  journal: Optional["WorldJournal"] = None,
-                 journal_epoch: Optional[float] = None,
-                 journal_capture: bool = False):
+                 journal_epoch: Optional[float] = None):
         from repro.exactly_once.fault_tolerant import FTParams
 
-        # Journal seams first: the FT factory and node creation below
-        # consult them when wiring capture hooks.  ``journal`` makes
-        # this world a journaling coordinator (ops + config + epoch
-        # commits); ``journal_capture`` alone puts the world in capture
-        # mode for a coordinator living elsewhere (shard worlds buffer
-        # payload notes that the owning driver commits).
         self.journal = journal
         self.journal_epoch = journal_epoch if journal_epoch is not None \
             else net_params.latency
-        self.journal_shard: Optional[int] = None
-        self._journal_capture = journal is not None or journal_capture
-        self._journal_notes: list[tuple[str, dict]] = []
-        self._owns_ops = journal is not None
         self.sim = Simulator(seed)
         self.metrics = Metrics()
         self.timing = timing
@@ -197,8 +180,6 @@ class World(LockstepWorld):
             transport = BatchingTransport(transport, self.sim, net_params,
                                           self.metrics)
         self.transport = transport
-        #: Legacy alias of :attr:`transport` (pre-refactor name).
-        self.network = transport
         self.coordinator = CommitCoordinator(
             timing, net_params, self.reachable, self.metrics)
         self.nodes: dict[str, Node] = {}
@@ -215,10 +196,8 @@ class World(LockstepWorld):
             RollbackMode.OPTIMIZED: OptimizedRollback(self),
             RollbackMode.SAGA: SagaRollback(self),
         }
-        if self._journal_capture:
-            self._wire_ledger_hook()
         if journal is not None:
-            self._record_journal_config(journal, pristine=True)
+            self._record_journal_config(journal)
 
     def _make_fault_tolerance(self):
         """FT driver factory; the sharded world installs the bridged one."""
@@ -227,116 +206,15 @@ class World(LockstepWorld):
 
     # -- world-journal seams ----------------------------------------------------------
     #
-    # Three channels (see :mod:`repro.journal.journal`): ops are
-    # journaled once, at the user-facing coordinator facade
+    # Ops are journaled once, at the user-facing coordinator facade
     # (``_owns_ops``); setup ops that only ever run once per node
     # (resource installation) may journal from any owner
-    # (:meth:`_journal_setup`); payload notes are buffered per epoch —
-    # directly into the coordinator's journal when this world has one,
-    # into a local list shipped at the epoch reply when this world is a
-    # worker-process shard in capture mode.
-
-    def journal_note(self, kind: str, **data: Any) -> None:
-        """Stage one payload-channel record for the open epoch."""
-        if not self._journal_capture:
-            return
-        if self.journal_shard is not None:
-            data.setdefault("shard", self.journal_shard)
-        journal = self.journal
-        if journal is not None:
-            if journal.armed:
-                journal.buffer(kind, **data)
-        else:
-            self._journal_notes.append((kind, data))
-
-    def drain_journal_notes(self) -> list[tuple[str, dict]]:
-        """Worker mode: hand the buffered notes to the epoch reply."""
-        notes, self._journal_notes = self._journal_notes, []
-        return notes
+    # (:meth:`_journal_setup`).
 
     def _journal_setup(self, op: str, **data: Any) -> None:
         """Journal a once-per-target setup op from any owner."""
         if self.journal is not None and self.journal.armed:
             self.journal.record_op(op, **data)
-
-    def _wire_journal_hooks(self, node: Node) -> None:
-        """Point a node's durable structures at the journal seams."""
-        name = node.name
-        store_name = node.stable.name
-
-        def _store_note(op, key, value):
-            self.journal_note("store", store=store_name, op=op,
-                              key=key, value=value)
-
-        def _queue_note(op, item):
-            self.journal_note("queue", node=name, op=op,
-                              item=item.item_id, bytes=item.size_bytes)
-
-        node.stable.on_mutate = _store_note
-        node.queue.on_journal = _queue_note
-
-    def _wire_ledger_hook(self) -> None:
-        """Route step-ledger mutations into the payload channel."""
-        ledger = self.ft.ledger
-
-        def _ledger_note(op, key, value):
-            self.journal_note("store", store=ledger.name, op=op,
-                              key=key, value=value)
-
-        ledger.on_mutate = _ledger_note
-
-    def attach_journal(self, journal: "WorldJournal",
-                       journal_epoch: Optional[float] = None) -> None:
-        """Start journaling a *live* world from this moment on.
-
-        The constructor knob makes a world a journaling coordinator for
-        its whole lifetime; this seam arms one mid-flight — the service
-        gateway uses it to give every hosted world a telemetry journal
-        without rebuilding it.  Capture hooks are wired onto every
-        existing node (and the step ledger), the config record carries a
-        ``live_attach`` marker with the attach position, and subsequent
-        ops, payload notes and epoch barriers commit exactly as if the
-        journal had been passed to the constructor.
-
-        A live-attached journal is an *audit/telemetry* journal: it does
-        not contain the pre-attach prefix of the run, so
-        :func:`~repro.journal.resume_world` refuses it (a pristine
-        world — nothing launched, no event processed — attaches with a
-        normal resumable config instead).
-
-        Raises:
-            UsageError: A journal is already attached.
-        """
-        if self.journal is not None:
-            raise UsageError("world already has a journal attached")
-        if journal_epoch is not None:
-            if journal_epoch <= 0:
-                raise UsageError(
-                    f"journal_epoch must be positive, got {journal_epoch}")
-            self.journal_epoch = journal_epoch
-        pristine = (self.sim.events_processed == 0 and not self.nodes
-                    and not self.agents)
-        self._wire_capture(journal)
-        self._owns_ops = True
-        self._record_journal_config(journal, pristine)
-
-    def detach_journal(self) -> "WorldJournal":
-        """Stop journaling: final group commit, unhook, hand back.
-
-        The inverse of :meth:`attach_journal` (and of the constructor
-        knob): buffered payload notes are committed under one last
-        barrier, every capture hook is unwired, and the journal is
-        returned to the caller — the world keeps running unjournaled.
-
-        Raises:
-            UsageError: No journal is attached.
-        """
-        if self.journal is None:
-            raise UsageError("world has no journal attached")
-        self.commit_journal()
-        journal = self.journal
-        self._unwire_capture()
-        return journal
 
     def _journal_config(self) -> dict[str, Any]:
         from repro.storage.serialization import capture
@@ -351,26 +229,6 @@ class World(LockstepWorld):
                 "registry": None if self.registry is GLOBAL_REGISTRY
                 else self.registry}))
 
-    def _wire_capture(self, journal: "WorldJournal") -> None:
-        """Buffer payload notes into ``journal`` from every existing
-        node and the step ledger on."""
-        self.journal = journal
-        self._journal_capture = True
-        for node in self.nodes.values():
-            self._wire_journal_hooks(node)
-        self._wire_ledger_hook()
-
-    def _unwire_capture(self) -> None:
-        """Drop the journal and every capture hook."""
-        self.journal = None
-        self._journal_capture = False
-        self._owns_ops = False
-        self._journal_notes.clear()
-        for node in self.nodes.values():
-            node.stable.on_mutate = None
-            node.queue.on_journal = None
-        self.ft.ledger.on_mutate = None
-
     # -- topology -------------------------------------------------------------------
 
     def add_node(self, name: str) -> Node:
@@ -381,8 +239,6 @@ class World(LockstepWorld):
         node = Node(name, self)
         self.nodes[name] = node
         self.transport.register(name, lambda message: None)
-        if self._journal_capture:
-            self._wire_journal_hooks(node)
         return node
 
     def node(self, name: str) -> Node:
@@ -459,23 +315,34 @@ class World(LockstepWorld):
         identity.  Read results through the returned record and
         :meth:`outcomes`.
         """
+        from repro.storage.serialization import capture, restore
+
+        self.node(at)  # an unknown node is refused before journaling
+        # Launch is a ship: run the restored bundle, exactly as the
+        # worker-process backend and journal replay do, so the agent's
+        # pickled size never depends on caller-side object identity
+        # (e.g. interned SRO keys).
+        bundle = capture((agent, at, method,
+                          {"mode": mode, "protocol": protocol,
+                           "initial_savepoints": initial_savepoints}))
+        self._journal_op("launch", bundle=bundle)
+        agent, at, method, kwargs = restore(bundle)
+        return self._launch(agent, at, method, **kwargs)
+
+    def _launch(self, agent: MobileAgent, at: str, method: str,
+                mode: RollbackMode = RollbackMode.BASIC,
+                protocol: Protocol = Protocol.BASIC,
+                initial_savepoints: Optional[list] = None) -> AgentRecord:
+        """Launch an already-shipped (restored) agent: no journaling.
+
+        The sharded coordinators call this on the hosting shard once
+        they have canonicalized and journaled the launch themselves.
+        """
         from repro.log.entries import SavepointEntry
         from repro.log.modes import sro_image_hashed
-        from repro.storage.serialization import capture, restore, snapshot
+        from repro.storage.serialization import snapshot
 
         node = self.node(at)
-        if self._canonical_launch:
-            # Launch is a ship: run the restored bundle, exactly as the
-            # worker-process backend and journal replay do, so the
-            # agent's pickled size never depends on caller-side object
-            # identity (e.g. interned SRO keys).
-            bundle = capture((agent, at, method,
-                              {"mode": mode, "protocol": protocol,
-                               "initial_savepoints": initial_savepoints}))
-            self._journal_op("launch", bundle=bundle)
-            agent, at, method, kwargs = restore(bundle)
-            mode, protocol = kwargs["mode"], kwargs["protocol"]
-            initial_savepoints = kwargs["initial_savepoints"]
         agent.set_control(at, method)
         log = RollbackLog(self.logging_mode)
         transition = self.logging_mode is LoggingMode.TRANSITION
@@ -495,11 +362,6 @@ class World(LockstepWorld):
                                    sro_hashes=sro_hashes)
             log.append(entry)
             self.metrics.incr("savepoints.written")
-            if self._journal_capture:
-                self.journal_note(
-                    "savepoint", agent=agent.agent_id, sp=sp_id,
-                    virtual=virtual,
-                    frame=None if virtual else entry.blob())
         record = AgentRecord(agent_id=agent.agent_id,
                              mode=RollbackMode(mode),
                              protocol=Protocol(protocol))
@@ -563,12 +425,21 @@ class World(LockstepWorld):
 
         With a journal attached the run is epoch-ized: events execute
         in ``journal_epoch`` intervals on the same deterministic grid
-        the sharded drivers use, with a group commit — payload and
-        marker handed to the OS — at each barrier, and the
-        ``kill_world`` check between them.  The commits are fsynced
-        once, when the call returns or raises: a process crash loses
-        at most the epoch it interrupted, a power loss at most this
-        call's barriers.  ``_replay`` is the resume driver's input: the
+        the sharded drivers use, with a commit marker handed to the OS
+        at each barrier, and the ``kill_world`` check between them.
+        The commits are fsynced once, when the call returns or raises:
+        a process crash loses at most the epoch it interrupted, a power
+        loss at most this call's barriers.
+
+        ``until`` on a journaled run: when the epoch the cut falls in
+        has an event due before ``until``, that barrier is capped at
+        ``until`` and commits there, so the journal holds one barrier
+        a straight run does not (one kernel routes nothing at a
+        barrier, so the events themselves are unchanged); a cut with
+        no event due before it is exact.  See "Cutting a run" in
+        ``docs/determinism.md``.
+
+        ``_replay`` is the resume driver's input: the
         journaled barrier sequence is re-executed verbatim (commits
         stay suppressed because the journal is disarmed), reproducing
         the original walk even where ``until``-capping or same-instant
@@ -596,8 +467,8 @@ class World(LockstepWorld):
         return self.journal_epoch
 
     def _stop_at(self, until: float, max_events: int) -> None:
-        # The caller (run) idle-advances the clock to ``until``.
-        self.commit_journal()
+        """Nothing to do: :meth:`run` idle-advances the clock to
+        ``until`` itself."""
 
     @returns_durable
     def step_epoch(self, max_events: int = 10_000_000) -> bool:
@@ -606,7 +477,7 @@ class World(LockstepWorld):
         The reentrant twin of :meth:`run`: each call executes the next
         barrier of the *same* deterministic epoch grid the journaled run
         loop walks (``journal_epoch`` spacing, the lockstep walk every
-        backend shares), with the same group commit and ``kill_world``
+        backend shares), with the same commit marker and ``kill_world``
         check per barrier — ``run()`` is exactly ``while world.step_epoch(): pass``, so a
         stepped run and a straight run of the same seed produce
         identical event order, outcomes and trace digests.  Long-lived

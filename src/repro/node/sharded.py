@@ -361,7 +361,8 @@ class ShardWorld(World):
     ledger-replicated variant).
     """
 
-    _canonical_launch = False
+    #: Ops are journaled by the coordinator facade, not the shard.
+    _owns_ops = False
 
     def __init__(self, shard_index: int, sharded: "ShardedWorld",
                  **world_kwargs: Any):
@@ -591,8 +592,6 @@ class ShardCoordinator(LockstepWorld):
     def _route(self, barrier: float) -> None:
         moved = self._flush(barrier)
         self.last_flush_at = barrier
-        if moved and self.journal is not None and self.journal.armed:
-            self.journal.buffer("bridge", moved=moved, barrier=barrier)
 
     def _idle_step(self, max_events: int) -> bool:
         if not self.bridge.pending():
@@ -619,11 +618,23 @@ class ShardCoordinator(LockstepWorld):
         a dead shard stops advancing — but their scheduled restarts
         count as work, so a run never terminates with a revival pending.
 
-        With a journal attached each flushed barrier gets a group
-        commit, with the ``kill_world`` check around it; the commits
-        are fsynced once, when the call returns or raises.  ``_replay``
-        (resume driver only) walks the journaled barrier sequence
-        verbatim instead of re-deriving it, and returns once exhausted.
+        With a journal attached each flushed barrier commits a marker,
+        with the ``kill_world`` check around it; the commits are
+        fsynced once, when the call returns or raises.
+
+        ``until``: when the epoch the cut falls in has an event due
+        before ``until``, that barrier is capped at ``until`` and the
+        bridge routes and commits there, so the continued walk can
+        differ from a straight run (the tests' ``build_ft_ring(seed=5)``
+        with ``kill_shard(1, 0.08, restart_at=0.3)``, cut at 0.0514,
+        walks 433 epochs instead of 240).  Both sharded backends walk
+        the same capped grid, and a resume replays it exactly; a cut
+        with no event due before it is exact.  See "Cutting a run" in
+        ``docs/determinism.md``.
+
+        ``_replay`` (resume driver only) walks the journaled barrier
+        sequence verbatim instead of re-deriving it, and returns once
+        exhausted.
         """
         replay = iter(_replay) if _replay is not None else None
         for _ in range(max_epochs):
@@ -639,8 +650,8 @@ class ShardCoordinator(LockstepWorld):
         The reentrant twin of :meth:`run` (which is exactly
         ``while self.step_epoch(): pass`` bounded by ``max_epochs``):
         each call picks the next barrier on the same deterministic grid,
-        advances every live kernel to it, flushes the bridge and group-
-        commits the journal, so a stepped run reproduces a straight
+        advances every live kernel to it, flushes the bridge and commits
+        the journal marker, so a stepped run reproduces a straight
         run's event order, outcomes and trace digests bit for bit.  A
         call may also resolve a pending bridge flush (or, on the process
         backend, ship a staged inbox) without advancing the clock —
@@ -752,23 +763,20 @@ class ShardedWorld(ShardCoordinator):
                                world_kwargs)
         self._world_kwargs = dict(world_kwargs)
         if journal is not None:
-            self._record_journal_config(journal, pristine=True)
+            self._record_journal_config(journal)
         self.shards: list[ShardWorld] = []
         for index in range(n_shards):
             world = ShardWorld(shard_index=index, sharded=self,
                                seed=seed + 100_003 * index,
-                               journal_capture=journal is not None,
                                **world_kwargs)
             # One record table for every shard: an agent may migrate
             # to any shard, and whichever shard executes its steps
             # updates the same record.
             world.agents = self.agents
-            # The shards buffer payload notes straight into the
-            # coordinator's journal (attached after construction so
-            # they never believe they own the op channel or the
-            # config record).
+            # Resource installation on a shard's node journals into
+            # the coordinator's journal (set after construction, so
+            # the shard never writes a config record of its own).
             world.journal = journal
-            world.journal_shard = index
             self.shards.append(world)
 
     # -- the coordinator hooks ------------------------------------------------------
@@ -826,48 +834,6 @@ class ShardedWorld(ShardCoordinator):
                          alternates=tuple(alternates))
         self.ft_alternates[node] = tuple(alternates)
 
-    # -- world-journal seams (see repro.journal) --------------------------------------
-
-    def attach_journal(self, journal: "WorldJournal") -> None:
-        """Start journaling a *live* sharded world from this moment on.
-
-        The facade twin of :meth:`~repro.node.runtime.World.
-        attach_journal`: every shard switches into capture mode
-        (payload notes buffer straight into ``journal``), capture hooks
-        are wired onto each shard's existing nodes and ledger replica,
-        and subsequent ops and barrier group commits land exactly as if
-        the journal had been passed to the constructor.  A non-pristine
-        attach records a ``live_attach`` marker, making the journal
-        telemetry-only (:func:`~repro.journal.resume_world` refuses it).
-
-        Raises:
-            UsageError: A journal is already attached.
-        """
-        if self.journal is not None:
-            raise UsageError("world already has a journal attached")
-        pristine = (not self._node_shard and not self.agents
-                    and self.events_processed() == 0)
-        self.journal = journal
-        for world in self.shards:
-            world._wire_capture(journal)
-        self._record_journal_config(journal, pristine)
-
-    def detach_journal(self) -> "WorldJournal":
-        """Stop journaling: final group commit, unhook every shard.
-
-        Returns the journal; the world keeps running unjournaled.
-
-        Raises:
-            UsageError: No journal is attached.
-        """
-        if self.journal is None:
-            raise UsageError("world has no journal attached")
-        self.commit_journal()
-        journal, self.journal = self.journal, None
-        for world in self.shards:
-            world._unwire_capture()
-        return journal
-
     # -- cross-shard state seams (the worker-mode boundary) ---------------------------
     #
     # Everything a ShardWorld or its BridgedFaultTolerance reads from
@@ -920,8 +886,8 @@ class ShardedWorld(ShardCoordinator):
         bundle = capture((agent, at, method, launch_kwargs))
         self._journal_op("launch", bundle=bundle)
         agent, at, method, launch_kwargs = restore(bundle)
-        return self.world_of(at).launch(agent, at=at, method=method,
-                                        **launch_kwargs)
+        return self.world_of(at)._launch(agent, at=at, method=method,
+                                         **launch_kwargs)
 
     # -- results ----------------------------------------------------------------------------
 

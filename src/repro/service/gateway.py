@@ -19,14 +19,14 @@ GET    ``/worlds/{id}/events``         Server-Sent Events telemetry stream
 ====== =============================== =====================================
 
 The SSE stream carries the host's event feed (``world``, ``launch``,
-``epoch`` — one per journal group commit, in commit order — ``agent``,
+``epoch`` — one per journal commit marker, in commit order — ``agent``,
 ``timeline``, ``metrics``, ``drain``) as ``event:``/``id:``/``data:``
 frames.  A client disconnect cancels only that subscription; the world
 and every other subscriber keep running.
 
 Shutdown (SIGTERM/SIGINT under ``python -m repro serve``, or
 :meth:`Gateway.shutdown`) drains every host — finish the epoch, final
-journal group commit, close shm rings — before the sockets close.
+journal fsync, stop the worker processes — before the sockets close.
 """
 
 from __future__ import annotations

@@ -13,16 +13,15 @@ it on a dedicated **stepper thread** via the reentrant
   queue itself reject overload with :class:`AdmissionFull`, which the
   gateway maps to ``429`` + ``Retry-After``;
 * **telemetry fan-out** — after each barrier the host emits structured
-  events (``epoch`` per journal group commit, ``agent`` per terminal
+  events (``epoch`` per journal commit marker, ``agent`` per terminal
   outcome, ``timeline`` deltas, periodic ``metrics`` snapshots) to
   every :class:`Subscription`.  Subscriber queues are bounded and
   *never* block the stepper: a slow client drops events (counted in
   ``events.dropped``), it does not stall the world;
 * **graceful drain** — :meth:`drain` stops admission, lets the
-  in-flight epoch finish, group-commits any buffered journal tail,
-  emits a final ``drain`` event carrying outcomes and trace digests,
-  and closes the world (which unlinks shm rings on the process
-  backend).
+  in-flight epoch finish, fsyncs the journal, emits a final ``drain``
+  event carrying outcomes and trace digests, and closes the world
+  (which stops the worker processes on the process backend).
 
 Every read of world state (snapshots, agent lookups) takes the same
 lock the stepper holds across one barrier, so observers only ever see
@@ -460,9 +459,9 @@ class WorldHost:
             world = self.world
             try:
                 if self.journal is not None:
-                    # The last idle step already group-committed a
-                    # drained world; a mid-run drain commits its
-                    # buffered tail here, durable before ``drain``.
+                    # Every op and marker is already written; make
+                    # them durable before ``drain`` (and emit any
+                    # commit a step that raised left unreported).
                     world.commit_journal()
                     commits = self.journal.stats()["commits"]
                     while self._commits_seen < commits:

@@ -163,14 +163,12 @@ class ResolvedLaunch:
 
 
 def build_world(spec: WorldSpec):
-    """Build the world one spec describes (plus its telemetry journal).
+    """Build the world one spec describes (plus its journal).
 
-    Returns ``(world, journal_or_none)``.  The ``world`` and
-    ``sharded`` backends attach the journal to the live world through
-    the :meth:`~repro.node.runtime.World.attach_journal` seam after the
-    topology exists; the process backend bakes it into the worker spawn
-    config (its facade refuses live attach), so it gets ``journal=`` at
-    construction.
+    Returns ``(world, journal_or_none)``.  Every backend takes the
+    journal at construction, so it holds the whole run — topology
+    included — and :func:`~repro.journal.resume_world` can rebuild the
+    hosted world from it.
     """
     from repro.journal import MemoryJournal, WorldJournal
     from repro.node.procshard import ProcShardedWorld
@@ -181,20 +179,17 @@ def build_world(spec: WorldSpec):
     journal = (WorldJournal(MemoryJournal()) if spec.journal == "memory"
                else None)
     if spec.backend == "world":
-        world: Any = World(seed=spec.seed)
-    elif spec.backend == "sharded":
+        world: Any = World(seed=spec.seed, journal=journal)
+    else:
         kwargs: dict[str, Any] = {"n_shards": spec.n_shards,
                                   "seed": spec.seed,
-                                  "lockstep": spec.lockstep}
+                                  "lockstep": spec.lockstep,
+                                  "journal": journal}
         if spec.epoch is not None:
             kwargs["epoch"] = spec.epoch
-        world = ShardedWorld(**kwargs)
-    else:
-        kwargs = {"n_shards": spec.n_shards, "seed": spec.seed,
-                  "lockstep": spec.lockstep, "journal": journal}
-        if spec.epoch is not None:
-            kwargs["epoch"] = spec.epoch
-        world = ProcShardedWorld(**kwargs)
+        backend = ShardedWorld if spec.backend == "sharded" \
+            else ProcShardedWorld
+        world = backend(**kwargs)
     try:
         for i, name in enumerate(spec.node_names()):
             node = world.add_node(name)
@@ -209,8 +204,6 @@ def build_world(spec: WorldSpec):
                               [{"item": "widget", "price": 10 + i}])
             node.add_resource(directory)
         world.enable_trace_digest()
-        if journal is not None and spec.backend != "proc":
-            world.attach_journal(journal)
     except BaseException:
         world.close()
         raise

@@ -56,10 +56,6 @@ class AgentInputQueue:
         self.node = node
         self._items: list[QueueItem] = []
         self.on_visible: Optional[Callable[[QueueItem], None]] = None
-        #: World-journal capture seam: every applied queue op —
-        #: append, dequeue, abort requeue, remove — is reported as
-        #: ``(op, item)``.  Wired only when the owning world journals.
-        self.on_journal: Optional[Callable[[str, QueueItem], None]] = None
         self.enqueued_total = 0
         self.dequeued_total = 0
 
@@ -115,14 +111,10 @@ class AgentInputQueue:
             index = self._index_of(item_id)
             item = self._items.pop(index)
         self.dequeued_total += 1
-        if self.on_journal is not None:
-            self.on_journal("dequeue", item)
 
         def _undo() -> None:
             item.attempts += 1
             self._items.insert(0, item)
-            if self.on_journal is not None:
-                self.on_journal("requeue", item)
             if self.on_visible is not None:
                 self.on_visible(item)
 
@@ -135,8 +127,6 @@ class AgentInputQueue:
         item = self._items.pop(index)
         if tx is not None:
             tx.register_undo(lambda: self._items.insert(index, item))
-        if self.on_journal is not None:
-            self.on_journal("remove", item)
         return item
 
     def _index_of(self, item_id: int) -> int:
@@ -148,7 +138,5 @@ class AgentInputQueue:
     def _append(self, item: QueueItem) -> None:
         self._items.append(item)
         self.enqueued_total += 1
-        if self.on_journal is not None:
-            self.on_journal("enqueue", item)
         if self.on_visible is not None:
             self.on_visible(item)

@@ -9,7 +9,7 @@ restores the exact prior contents.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.errors import UsageError
 from repro.tx.manager import Transaction
@@ -19,11 +19,6 @@ _MISSING = object()
 
 class StableStore:
     """A named durable mapping living on one node.
-
-    ``on_mutate`` is the world journal's capture seam: when set, every
-    applied mutation — including the ``restore`` ops an abort replays —
-    is reported as ``(op, key, value)``.  It is wired only when the
-    owning world journals, so the un-journaled hot path stays free.
 
     ``version`` counts applied mutations (``put``, ``delete`` and every
     undo an abort replays); reads never move it.  A reader that cached
@@ -36,7 +31,6 @@ class StableStore:
         self._data: dict[Any, Any] = {}
         self.writes = 0
         self.version = 0
-        self.on_mutate: Optional[Callable[[str, Any, Any], None]] = None
 
     def get(self, key: Any, default: Any = None) -> Any:
         """Read the current (possibly tx-staged) value for ``key``."""
@@ -57,8 +51,6 @@ class StableStore:
         self._data[key] = value
         self.writes += 1
         self.version += 1
-        if self.on_mutate is not None:
-            self.on_mutate("put", key, value)
 
     def delete(self, key: Any, tx: Optional[Transaction] = None) -> Any:
         """Remove ``key``; undoable when ``tx`` given.  Returns the value."""
@@ -69,8 +61,6 @@ class StableStore:
             tx.register_undo(lambda: self._restore(key, value))
         self.writes += 1
         self.version += 1
-        if self.on_mutate is not None:
-            self.on_mutate("delete", key, value)
         return value
 
     def _restore(self, key: Any, prior: Any) -> None:
@@ -79,9 +69,6 @@ class StableStore:
         else:
             self._data[key] = prior
         self.version += 1
-        if self.on_mutate is not None:
-            self.on_mutate("restore", key,
-                           None if prior is _MISSING else prior)
 
     def __len__(self) -> int:
         return len(self._data)

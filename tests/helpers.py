@@ -327,6 +327,20 @@ def bank_of(world: World, node: str) -> Bank:
     return world.node(node).get_resource("bank")
 
 
+def live_attach_journal(payloads):
+    """The journal ``payloads`` with a ``live_attach`` config marker, as
+    older code wrote a journal attached to an already-running world."""
+    from repro.journal.journal import encode_record
+
+    _kind, config = decode_record(payloads[0])
+    config["live_attach"] = {"events_processed": 40, "at": 0.05}
+    live = MemoryJournal()
+    live.append(encode_record("config", config))
+    for payload in payloads[1:]:
+        live.append(payload)
+    return live
+
+
 class RecordingJournal(MemoryJournal):
     """An in-RAM backend that keeps a synced-bytes watermark."""
 

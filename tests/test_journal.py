@@ -6,9 +6,9 @@ Three layers, bottom up:
   file): round-trips, truncation, the torn-tail rule (damage at the
   physical end is the interrupted write and is discarded; damage before
   it raises :class:`~repro.errors.JournalCorrupt`);
-* **WorldJournal** — group commit, recovery-frontier selection (config
-  + everything through the last commit marker + trailing setup ops),
-  re-arming;
+* **WorldJournal** — config + ops + commit markers, recovery-frontier
+  selection (config + everything through the last commit marker +
+  trailing ops), re-arming;
 * **resume** — journaled worlds killed mid-run resume to outcomes
   identical to the uninterrupted run, including through a node crash
   whose transactional undo must not double-apply, and recovery refuses
@@ -35,14 +35,18 @@ from repro.journal import (
     resume_world,
 )
 from repro.journal.backends import frame, parse_frames
-from repro.journal.journal import decode_record, encode_record
+from repro.journal.journal import OP_KINDS, decode_record, encode_record
 from tests.helpers import (
     build_ft_ring,
     launch_ft_tours,
+    live_attach_journal,
     ring_debits,
     run_crash_resume_scenario,
     run_differential_scenario,
+    scenario_record,
 )
+
+BACKENDS = ("world", "sharded", "proc")
 
 BACKEND_FACTORIES = {
     "memory": lambda tmp: MemoryJournal(),
@@ -134,22 +138,16 @@ def test_recover_keeps_commits_and_trailing_ops():
     journal = WorldJournal()
     journal.record_config(backend="world", seed=1)
     journal.record_op("add_node", name="n0")
-    journal.buffer("store", store="s", op="put", key="k", value=1)
     journal.commit_epoch(1.0, (5,))
     journal.record_op("launch", bundle=b"x")
-    journal.buffer("store", store="s", op="put", key="k", value=2)
     journal.commit_epoch(2.0, (9,))
     journal.record_op("crash_plans", blob=b"y")  # op after last commit: kept
-    journal.buffer("queue", node="n0", op="enqueue", item=1, bytes=10)
-    # The buffered payload never flushed — it belongs to the epoch the
-    # crash destroyed and must not appear on recovery.
     recovered = journal.recover()
     assert recovered.frontier_barrier == 2.0
     assert recovered.frontier["digest"] == (9,)
     assert not recovered.torn_tail
     kinds = [kind for kind, _ in recovered.entries]
-    assert kinds == ["add_node", "store", "epoch", "launch", "store",
-                     "epoch", "crash_plans"]
+    assert kinds == ["add_node", "epoch", "launch", "epoch", "crash_plans"]
     assert recovered.kept_records == len(kinds) + 1  # + config
     assert recovered.discarded_records == 0
 
@@ -158,8 +156,8 @@ def test_recover_discards_uncommitted_payload_records():
     journal = WorldJournal()
     journal.record_config(backend="world", seed=1)
     journal.commit_epoch(1.0, (3,))
-    # A flushed-but-uncommitted payload record (simulate by appending
-    # directly, as a torn group commit would leave behind).
+    # Effect records after the last marker, as a journal written before
+    # the journal kept only config + ops + markers could hold them.
     journal.backend.append(encode_record("store", {"op": "put"}))
     journal.backend.append(encode_record("bridge", {"moved": 2}))
     recovered = journal.recover()
@@ -186,8 +184,6 @@ def test_journal_rejects_unknown_kinds():
     with pytest.raises(UsageError):
         journal.record_op("format_disk")
     with pytest.raises(UsageError):
-        journal.buffer("confetti")
-    with pytest.raises(UsageError):
         journal.record_config(backend="world", seed=2)
 
 
@@ -208,11 +204,20 @@ def test_journaled_run_matches_unjournaled_and_audits_effects():
     assert ring_debits(journaled) == ring_debits(plain)
     stats = journal.stats()
     assert stats["commits"] > 1
-    # Every effect channel left its audit trail.
-    for kind in ("store", "queue", "savepoint"):
-        assert stats["kinds"].get(kind, 0) > 0, kind
     assert stats["kinds"]["add_node"] == 9
     assert stats["kinds"]["launch"] == 3
+    # The journal keeps only what resume reads: config + ops + markers,
+    # on every backend.
+    for backend in BACKENDS:
+        store = MemoryJournal()
+        world = build_ft_ring(backend, seed=7, journal=WorldJournal(store))
+        launch_ft_tours(world)
+        world.run(until=120.0)
+        world.close()
+        kinds = [decode_record(p)[0] for p in store.read_all()[0]]
+        assert kinds[0] == "config", backend
+        assert "epoch" in kinds, backend
+        assert set(kinds[1:]) <= OP_KINDS | {"epoch"}, backend
 
 
 def test_kill_world_validates_plan():
@@ -267,11 +272,11 @@ def test_resume_of_completed_run_is_identity():
 
 
 def test_crash_undo_not_double_applied_after_resume():
-    """Satellite: StableStore transactional undo x journal replay.
+    """StableStore transactional undo x journal replay.
 
-    A node crash aborts in-flight step transactions, whose undo fires
-    ``restore`` mutations through the journal hook; the coordinator is
-    then killed.  The resumed run must re-execute that history — crash,
+    A node crash aborts in-flight step transactions, whose undo
+    restores the stable stores and requeues the agents; the coordinator
+    is then killed.  The resumed run must re-execute that history — crash,
     abort, undo and all — to the same per-bank sums as an uninterrupted
     run, never double-applying the undone writes.
     """
@@ -284,13 +289,6 @@ def test_crash_undo_not_double_applied_after_resume():
         journal_factory=factory)
     assert killed
     assert resumed == reference
-    # The audit trail really recorded the transactional undo.
-    payloads, _torn = backend.read_all()
-    records = [decode_record(p) for p in payloads]
-    assert any(kind == "store" and data.get("op") == "restore"
-               for kind, data in records)
-    assert any(kind == "queue" and data.get("op") == "requeue"
-               for kind, data in records)
 
 
 def test_resume_refuses_diverged_journal():
@@ -312,3 +310,80 @@ def test_resume_refuses_diverged_journal():
         tampered.append(encode_record(kind, data))
     with pytest.raises(JournalDiverged):
         resume_world(WorldJournal(tampered))
+
+
+# -- journals written before the journal kept only config + ops + markers ----------
+
+#: One record of each effect kind older journals carry per epoch.
+EFFECT_RECORDS = [
+    ("store", {"store": "stable@n0", "op": "put", "key": "k", "value": 1,
+               "shard": 0}),
+    ("queue", {"node": "n0", "op": "enqueue", "item": 7, "bytes": 512,
+               "shard": 0}),
+    ("savepoint", {"agent": "ag-0", "sp": "sp", "virtual": False,
+                   "frame": b"frame", "shard": 0}),
+    ("bridge", {"moved": 2, "barrier": 0.05}),
+    ("record-merge", {"agent": "ag-0", "origin": 1}),
+]
+
+
+def in_old_format(payloads):
+    """The same journal with effect records before every commit marker
+    and after the last one, as older journals were written."""
+    effects = [encode_record(kind, data) for kind, data in EFFECT_RECORDS]
+    old = MemoryJournal()
+    for payload in payloads:
+        if decode_record(payload)[0] == "epoch":
+            for effect in effects:
+                old.append(effect)
+        old.append(payload)
+    for effect in effects:
+        old.append(effect)
+    return old
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_old_format_journal_still_resumes(backend):
+    store = MemoryJournal()
+    world = build_ft_ring(backend, seed=5, journal=WorldJournal(store))
+    launch_ft_tours(world)
+    world.kill_world(at=0.1)
+    with pytest.raises(WorldKilled):
+        world.run(until=120.0)
+    world.close()
+    payloads, _torn = store.read_all()
+
+    old = in_old_format(payloads)
+    recovered = WorldJournal(old).recover()
+    assert recovered.discarded_records == len(EFFECT_RECORDS)
+    resumed = resume_world(WorldJournal(old))
+    try:
+        resumed.run(until=120.0)
+        assert scenario_record(resumed, backend) == \
+            run_differential_scenario(backend, seed=5)
+    finally:
+        resumed.close()
+
+    # A journal attached to an already-running world lacks the run's
+    # prefix; its config says so, and resume refuses it.
+    with pytest.raises(UsageError, match="already-running world"):
+        resume_world(WorldJournal(live_attach_journal(payloads)))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_journal_bytes_do_not_depend_on_process_history(backend):
+    """The same input writes the same journal, however many worlds the
+    process built before (no reset between the two builds)."""
+
+    def journal_of_one_run():
+        store = MemoryJournal()
+        world = build_ft_ring(backend, seed=5, journal=WorldJournal(store))
+        if backend != "world":
+            world.kill_shard(1, 0.08, restart_at=2.0)
+        launch_ft_tours(world)
+        world.run(until=120.0)
+        world.close()
+        return store.read_all()[0]
+
+    first = journal_of_one_run()
+    assert journal_of_one_run() == first

@@ -52,7 +52,7 @@ def test_partition_unrelated_link_no_effect():
 def test_asymmetric_routing_not_modelled_partition_is_symmetric():
     world = build_line_world(2)
     world.failures.force_partition("n0", "n1")
-    assert not world.network.reachable("n0", "n1")
-    assert not world.network.reachable("n1", "n0")
+    assert not world.transport.reachable("n0", "n1")
+    assert not world.transport.reachable("n1", "n0")
     world.failures.force_heal("n0", "n1")
-    assert world.network.reachable("n0", "n1")
+    assert world.transport.reachable("n0", "n1")

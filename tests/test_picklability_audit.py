@@ -139,28 +139,6 @@ def test_workload_agent_packages_survive_spawn_roundtrip(spawn_auditor):
         assert size == package.size_bytes
 
 
-def harvest_journal_notes():
-    """Real journal payload notes from a journal-capturing FT run."""
-    world = build_ft_ring("world", seed=5, journal_capture=True)
-    launch_ft_tours(world)
-    world.run()
-    return world.drain_journal_notes()
-
-
-def test_journal_notes_survive_spawn_roundtrip(spawn_auditor):
-    """Workers ship buffered journal notes with every epoch reply."""
-    notes = harvest_journal_notes()
-    kinds = {kind for kind, _data in notes}
-    assert "savepoint" in kinds and "store" in kinds
-    # Only value-stable notes can be compared across the boundary.
-    stable = [n for n in notes if restore(capture(n)) == n]
-    assert {kind for kind, _data in stable} >= {"savepoint", "store"}
-    for note in stable:
-        _type, _kind, _size, echoed = spawn_roundtrip(
-            spawn_auditor, note, f"journal {note[0]} note")
-        assert echoed == note
-
-
 # -- readable failure on contract violations ---------------------------------------
 
 

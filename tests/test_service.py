@@ -32,6 +32,7 @@ import urllib.request
 import pytest
 
 from repro.errors import UsageError
+from repro.journal import WorldJournal, resume_world
 from repro.service import (
     AdmissionFull,
     Gateway,
@@ -246,16 +247,38 @@ def test_epoch_and_agent_events_follow_the_journal_sync(monkeypatch,
 def test_drain_commits_and_syncs_the_buffered_tail(monkeypatch, backend):
     host, recorder, emitted, early = watch_syncs(monkeypatch, backend)
     # Apply one launch as the stepper would, then drain before any
-    # barrier: the launch's payload note is the buffered tail.
+    # barrier: the launch op is durable before ``drain`` is emitted,
+    # and the drain writes no commit marker of its own.
     resolved = resolve_launch(LaunchSpec(steps=4), host.spec, "tail-0")
     host.world.launch(resolved.agent, at=resolved.at,
                       method=resolved.method, **resolved.kwargs)
-    assert host.journal.buffered() and host.journal.commits == 0
+    assert recorder.synced_bytes == recorder.size_bytes
     host.drain()
-    assert host.journal.commits == 1
-    assert emitted == ["epoch", "drain"]
+    assert host.journal.commits == 0
+    assert host.journal.stats()["kinds"]["launch"] == 1
+    assert emitted == ["drain"]
     assert early == []
     assert not host.journal.unsynced
+
+
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_drained_host_journal_resumes_to_its_snapshot(backend):
+    """Every backend takes the hosted world's journal at construction,
+    so it holds the whole run, topology included: resume rebuilds the
+    drained world at its last commit."""
+    spec = WorldSpec.from_json({"backend": backend, "nodes": 4,
+                                "n_shards": 2, "seed": 5})
+    host = WorldHost("w-resume", spec).start()
+    first = host.launch(LaunchSpec(steps=6))
+    wait_for_agent(host, first["agent"])
+    host.launch(LaunchSpec(steps=6))  # may still run when drain starts
+    snap = host.drain()
+    assert snap["agents"][first["agent"]]["status"] == "finished"
+    resumed = resume_world(WorldJournal(host.journal.backend))
+    try:
+        assert resumed.outcomes() == snap["agents"]
+    finally:
+        resumed.close()
 
 
 def test_disconnect_cancels_only_that_subscription():

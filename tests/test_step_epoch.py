@@ -1,4 +1,4 @@
-"""Tests: the reentrant step seam and live journal attach/detach.
+"""Tests: the reentrant step seam and the journals it writes.
 
 The contract under test (PR 10's world-as-a-service plumbing):
 
@@ -7,15 +7,12 @@ The contract under test (PR 10's world-as-a-service plumbing):
   ``run()`` call: outcomes, per-node debits, trace digests;
 * **drained is stable** — ``step_epoch()`` on a drained (or empty)
   world returns ``False`` and is repeatable without side effects;
-* **live attach** — ``attach_journal`` on a *pristine* world captures
-  a resumable journal, exactly as the constructor path would; on an
-  already-populated world it records a ``live_attach`` marker and
-  :func:`~repro.journal.resume.resume_world` refuses the journal
-  (telemetry-only, no prefix);
-* **detach** — ``detach_journal`` group-commits the tail, unhooks
-  every capture hook and stops the journal from growing;
-* **process backend** — the facade refuses live attach outright
-  (capture is baked into the worker spawn config).
+* **journals** — a journal given to a bare world at construction
+  sees the topology built after it, and a stepped journaled run
+  resumes to the same outcomes; a journal whose config carries a
+  ``live_attach`` marker (older code could attach one to a running
+  world) lacks the run's prefix, and
+  :func:`~repro.journal.resume.resume_world` refuses it.
 """
 
 import pytest
@@ -27,20 +24,22 @@ from tests.helpers import (
     FT_RING,
     build_ft_ring,
     launch_ft_tours,
+    live_attach_journal,
     ring_debits,
 )
 
 
-def make_empty(backend, seed):
-    """A bare world (no topology yet) — the pristine-attach case."""
+def make_empty(backend, seed, journal=None):
+    """A bare world (no topology yet) and the builder of its ring."""
     from repro import Bank, FTParams, ShardedWorld, World
     from repro.resources.bank import OverdraftPolicy
 
     ft = FTParams(takeover_timeout=0.05)
     if backend == "world":
-        world = World(seed=seed, ft_params=ft)
+        world = World(seed=seed, ft_params=ft, journal=journal)
     else:
-        world = ShardedWorld(n_shards=3, seed=seed, ft_params=ft)
+        world = ShardedWorld(n_shards=3, seed=seed, ft_params=ft,
+                             journal=journal)
 
     def build_ring():
         for name in FT_RING:
@@ -109,21 +108,18 @@ def test_proc_step_epoch_after_close_raises():
 
 
 # ---------------------------------------------------------------------------
-# live attach / detach
+# journals
 
 
 @pytest.mark.parametrize("backend", ["world", "sharded"])
 def test_attach_on_pristine_world_is_resumable(backend):
     backend_store = MemoryJournal()
     journal = WorldJournal(backend_store)
-    world, build_ring = make_empty(backend, seed=5)
-    # Pristine attach: nothing has happened yet, so the journal sees
-    # the full run prefix — exactly like the constructor path.
-    world.attach_journal(journal)
-    # Hooks must cover the topology added *after* the attach.
+    world, build_ring = make_empty(backend, seed=5, journal=journal)
+    # The journal sees the topology added after construction.
     build_ring()
     launch_ft_tours(world)
-    world.run()
+    run_stepped(world)
     outcomes, debits = world.outcomes(), ring_debits(world)
     stats = journal.stats()
     assert stats["commits"] > 1
@@ -138,51 +134,14 @@ def test_attach_on_pristine_world_is_resumable(backend):
 
 @pytest.mark.parametrize("backend", ["world", "sharded"])
 def test_attach_on_live_world_is_telemetry_only(backend):
+    """Journals attached to a running world (older code could) carry a
+    ``live_attach`` config marker; they lack the run's prefix, and
+    resume refuses them."""
     journal = WorldJournal(MemoryJournal())
-    world = build_ft_ring(backend, seed=5, alternates=False)
-    # Topology already exists: the journal lacks the run's prefix.
-    world.attach_journal(journal)
+    world = build_ft_ring(backend, seed=5, alternates=False,
+                          journal=journal)
     launch_ft_tours(world)
     world.run()
-    assert journal.stats()["commits"] > 0
-    config = journal.recover().config
-    assert "live_attach" in config
+    live = live_attach_journal(journal.backend.read_all()[0])
     with pytest.raises(UsageError, match="already-running world"):
-        resume_world(journal)
-
-
-@pytest.mark.parametrize("backend", ["world", "sharded"])
-def test_detach_journal_stops_capture(backend):
-    journal = WorldJournal(MemoryJournal())
-    world = build_ft_ring(backend, seed=4, alternates=False)
-    world.attach_journal(journal)
-    launch_ft_tours(world, n_agents=1)
-    world.run()
-    returned = world.detach_journal()
-    assert returned is journal
-    frozen = journal.stats()
-    # A second workload after detach leaves the journal untouched.
-    from tests.helpers import LinearAgent
-
-    agent = LinearAgent("post-detach", [FT_RING[0], FT_RING[1]])
-    world.launch(agent, at=FT_RING[0], method="step")
-    world.run()
-    assert world.outcomes()["post-detach"]["status"] == "finished"
-    assert journal.stats() == frozen
-
-
-def test_attach_twice_refused():
-    journal = WorldJournal(MemoryJournal())
-    world = build_ft_ring("world", seed=1, alternates=False)
-    world.attach_journal(journal)
-    with pytest.raises(UsageError, match="already"):
-        world.attach_journal(WorldJournal(MemoryJournal()))
-
-
-def test_proc_backend_refuses_live_attach():
-    world = build_ft_ring("proc", seed=1)
-    try:
-        with pytest.raises(UsageError, match="spawn config"):
-            world.attach_journal(WorldJournal(MemoryJournal()))
-    finally:
-        world.close()
+        resume_world(WorldJournal(live))

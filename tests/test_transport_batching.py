@@ -275,4 +275,3 @@ def test_world_routes_shadow_copies_through_the_batcher():
 def test_batching_is_off_by_default():
     world = build_line_world(2, seed=0)
     assert isinstance(world.transport, SimTransport)
-    assert world.network is world.transport  # legacy alias preserved
