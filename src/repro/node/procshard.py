@@ -849,13 +849,10 @@ class ProcShardedWorld(ShardCoordinator):
                              f"(a worker kernel takes "
                              f"{', '.join(sorted(_WORLD_KWARGS))})")
         assert_picklable(world_kwargs, "world configuration")
-        if journal is not None and journal.armed \
-                and not journal.config_written:
-            journal.record_config(backend="proc", seed=seed,
-                                  n_shards=n_shards, epoch=self.epoch,
-                                  start_method=start_method,
-                                  lockstep=lockstep,
-                                  world_kwargs=capture(world_kwargs))
+        self._start_method = start_method
+        self._world_kwargs = world_kwargs
+        if journal is not None:
+            self._record_journal_config(journal)
         self._entangled = False
         # Barrier-merged global state (see the module docstring).
         self._suspended = [False] * n_shards
@@ -1007,6 +1004,12 @@ class ProcShardedWorld(ShardCoordinator):
         self._cycle(barrier=until, run=True, max_events=max_events,
                     revives={}, cap_to_now=True)
         self._sync_records()
+
+    def _journal_config(self) -> dict[str, Any]:
+        return dict(backend="proc", seed=self.seed, n_shards=self.n_shards,
+                    epoch=self.epoch, start_method=self._start_method,
+                    lockstep=self.lockstep,
+                    world_kwargs=capture(self._world_kwargs))
 
     def _journal_digest(self) -> tuple:
         """Per-shard event counts at the barrier — the commit digest."""
