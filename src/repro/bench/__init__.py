@@ -1,11 +1,14 @@
-"""Benchmark support: workloads, harness, result tables.
+"""Tour workloads: the agent, the plan builder and the run harness.
 
 The paper contains no measured evaluation ("will be evaluated in terms
 of performance"), so this package provides the workload machinery that
 evaluation would have used: parameterised *tour* workloads (an agent
 visiting a chain of nodes, performing compensable work with a
 controlled mix of operation-entry types, then rolling back), world
-builders, and result extraction for the tables in ``benchmarks/``.
+builders, and result extraction.  The CLI, the service's launch specs
+and the tests (``tests/test_paper_claims.py`` asserts the paper's cost
+claims with them) drive these; wall-clock cost is measured by the repo
+benchmark in ``perf/``, which carries its own load.
 """
 
 from repro.bench.workloads import StepSpec, TourAgent, TourPlan, make_tour_plan

@@ -1,4 +1,4 @@
-"""World building, tour running and result extraction for benches."""
+"""World building, tour running and result extraction."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ def build_tour_world(n_nodes: int, seed: int = 0,
 
 @dataclass
 class TourResult:
-    """Everything the bench tables need from one tour run."""
+    """Everything the claims and CLI tables need from one tour run."""
 
     status: AgentStatus
     result: Any
@@ -146,7 +146,7 @@ def run_tour(plan: TourPlan, n_nodes: int,
 
 def format_table(headers: list[str], rows: list[list[Any]],
                  title: str = "") -> str:
-    """Render an ASCII table (what the bench harness prints)."""
+    """Render an ASCII table (what the CLI prints)."""
     cells = [[str(h) for h in headers]]
     for row in rows:
         cells.append([

@@ -203,7 +203,7 @@ def make_tour_plan(nodes: list[str], n_steps: int,
 # ---------------------------------------------------------------------------
 
 class TourAgent(MobileAgent):
-    """Executes a :class:`TourPlan`; the workhorse of the benchmarks."""
+    """Executes a :class:`TourPlan`; the workhorse of the tests and CLI."""
 
     def __init__(self, agent_id: str, plan: TourPlan):
         super().__init__(agent_id)

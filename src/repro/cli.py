@@ -4,7 +4,7 @@
 metrics a platform operator would want.  Commands:
 
 ``tour``
-    Run a tour workload (the benchmark workhorse): configurable steps,
+    Run a tour workload: configurable steps,
     nodes, mixed-entry fraction, rollback mechanism, crash injection.
 ``compare``
     Run the same tour under the basic and the optimized mechanism and
@@ -71,16 +71,14 @@ def _build(args) -> tuple:
 
 
 def cmd_tour(args) -> int:
-    from repro.errors import UsageError
+    from repro.errors import RollbackLivelock
 
     plan, world = _build(args)
     try:
         result = run_tour(plan, args.nodes, mode=RollbackMode(args.mode),
                           seed=args.seed, world=world,
                           max_events=300_000)
-    except UsageError as exc:
-        if "livelock" not in str(exc):
-            raise
+    except RollbackLivelock as exc:
         # The saga baseline earns this honestly: its WRO image restore
         # erases the compensation-produced signal that would stop the
         # agent from rolling back again, so it loops forever.

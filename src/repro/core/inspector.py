@@ -13,7 +13,7 @@ basic mechanism transfers the agent to every step's node (even when
 nothing needs compensating there — the "second problem" of §4.3); the
 optimized mechanism transfers only for steps whose end-of-step entry
 carries the mixed flag and ships resource compensation entries for the
-rest.  The benchmarks validate prediction == measurement.
+rest.  ``tests/test_paper_claims.py`` checks prediction == measurement.
 """
 
 from __future__ import annotations

@@ -125,6 +125,17 @@ class ItineraryError(UsageError):
     """Malformed itinerary (e.g. step entries directly in the main itinerary)."""
 
 
+class RollbackLivelock(UsageError):
+    """A saga rollback keeps restoring the agent to the same state.
+
+    The saga baseline restores the weakly reversible objects from the
+    savepoint image, which erases whatever signal the compensation left
+    for the agent to stop rolling back; the agent then repeats the same
+    rollback forever.  Raised on the third restore of one agent to one
+    savepoint with an identical image.
+    """
+
+
 class WorkerError(ReproError):
     """A shard worker process reported a failure executing a command.
 

@@ -145,7 +145,7 @@ class SavepointEntry(LogEntry):
     mechanism (ref [4]), which snapshots the complete program state —
     including weakly reversible objects — into the savepoint.  The
     paper's mechanism never stores WRO images; the field exists so the
-    baseline benchmarks can demonstrate why image-restoring WROs is
+    baseline tests can demonstrate why image-restoring WROs is
     incorrect (Section 4.1).
 
     ``sro_hashes`` (transition logging, real savepoints) maps each SRO

@@ -251,9 +251,13 @@ class LockstepWorld:
     # -- journal / kill seams --------------------------------------------------------
 
     def _record_journal_config(self, journal: Any) -> None:
-        """Write the config record (once; a resume's disarmed journal
-        already holds it)."""
-        if journal.armed and not journal.config_written:
+        """Write the config record.
+
+        A resume's disarmed journal already holds it; an armed journal
+        that does was handed to another world first, and
+        ``record_config`` refuses it.
+        """
+        if journal.armed:
             journal.record_config(**self._journal_config())
 
     def _journal_op(self, op: str, **data: Any) -> None:

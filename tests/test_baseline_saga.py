@@ -6,6 +6,7 @@ spend on next use) and silently discards refunds — the paper's
 mechanism handles both correctly.
 """
 
+import pytest
 
 from repro import (
     AgentStatus,
@@ -16,6 +17,9 @@ from repro import (
     World,
     mixed_compensation,
 )
+from repro.bench import make_tour_plan, run_tour
+from repro.bench.harness import build_tour_world
+from repro.errors import RollbackLivelock
 from repro.resources.cash import purse_value
 from repro.resources.shop import RefundPolicy
 
@@ -147,3 +151,15 @@ def test_saga_savepoints_are_larger():
     # stores no WRO image at all.
     assert saga_log.reconstruct_wro("sp")["ballast"] == b"w" * 20_000
     assert paper_log.reconstruct_wro("sp") is None
+
+
+def test_saga_rollback_livelock_is_detected():
+    """A tour whose rollback signal lives in the WRO space rolls back
+    forever under the saga restore; the driver raises on the third
+    identical restore instead of running into the kernel's event cap."""
+    world = build_tour_world(3, seed=8)
+    plan = make_tour_plan(["n0", "n1", "n2"], 4)
+    with pytest.raises(RollbackLivelock, match="saga rollback livelock"):
+        run_tour(plan, 3, mode=RollbackMode.SAGA, seed=8, world=world)
+    assert world.metrics.count("rollback.livelock") == 1
+    assert world.metrics.count("saga.wro_image_restored") == 3

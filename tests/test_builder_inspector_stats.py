@@ -1,10 +1,9 @@
-"""Tests: itinerary DSL, log inspector / cost prediction, stats."""
+"""Tests: itinerary DSL, log inspector / cost prediction."""
 
 import pytest
 
 from repro import AgentStatus, RollbackMode, SubItinerary
 from repro.bench import make_tour_plan
-from repro.bench.stats import percentile, summarize
 from repro.bench.workloads import TourAgent
 from repro.core.inspector import format_log, predict_rollback
 from repro.errors import ItineraryError, UsageError
@@ -144,34 +143,3 @@ def test_predict_rejects_unknown_savepoint():
     from repro.log.rollback_log import RollbackLog
     with pytest.raises(UsageError):
         predict_rollback(RollbackLog(), "nope", "n0", RollbackMode.BASIC)
-
-
-# -- stats -------------------------------------------------------------------------
-
-def test_percentile_interpolation():
-    values = [1, 2, 3, 4]
-    assert percentile(values, 0) == 1
-    assert percentile(values, 100) == 4
-    assert percentile(values, 50) == 2.5
-
-
-def test_percentile_rejects_bad_input():
-    with pytest.raises(UsageError):
-        percentile([], 50)
-    with pytest.raises(UsageError):
-        percentile([1], 101)
-
-
-def test_summarize_basic_properties():
-    summary = summarize([10.0, 12.0, 14.0, 16.0])
-    assert summary.n == 4
-    assert summary.mean == 13.0
-    assert summary.minimum == 10.0 and summary.maximum == 16.0
-    assert summary.ci95_half_width > 0
-    assert "mean=13" in summary.format("ms")
-
-
-def test_summarize_single_value():
-    summary = summarize([5.0])
-    assert summary.stdev == 0.0
-    assert summary.ci95_half_width == 0.0

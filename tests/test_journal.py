@@ -12,15 +12,21 @@ Three layers, bottom up:
 * **resume** — journaled worlds killed mid-run resume to outcomes
   identical to the uninterrupted run, including through a node crash
   whose transactional undo must not double-apply, and recovery refuses
-  a journal whose replay diverges from the committed digest.
+  a journal whose replay diverges from the committed digest;
+* **one world per journal** — a journal already holding a config
+  record refuses a second world.
 
 The cross-backend crash-resume differential axis lives in
 tests/test_multiproc_differential.py; this file covers the journal
-machinery itself on the unsharded World.
+machinery itself, mostly on the unsharded World, plus the sharded tour
+swarm: journaling changes none of its 1 730 events, and it resumes
+from a torn barrier to the uninterrupted outcome.
 """
 
 import pytest
 
+from repro import ProcShardedWorld, ShardedWorld, World
+from repro.bench.workloads import BANK, TourAgent, make_tour_plan
 from repro.errors import (
     JournalCorrupt,
     JournalDiverged,
@@ -36,6 +42,7 @@ from repro.journal import (
 )
 from repro.journal.backends import frame, parse_frames
 from repro.journal.journal import OP_KINDS, decode_record, encode_record
+from repro.resources.bank import Bank, OverdraftPolicy
 from tests.helpers import (
     build_ft_ring,
     launch_ft_tours,
@@ -218,6 +225,91 @@ def test_journaled_run_matches_unjournaled_and_audits_effects():
         assert kinds[0] == "config", backend
         assert "epoch" in kinds, backend
         assert set(kinds[1:]) <= OP_KINDS | {"epoch"}, backend
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_journal_refuses_a_second_world(backend):
+    """A journal belongs to one world: a second world's constructor
+    refuses it instead of writing its ops into the first one's run."""
+    factory = {"world": World, "sharded": ShardedWorld,
+               "proc": ProcShardedWorld}[backend]
+    store = MemoryJournal()
+    journal = WorldJournal(store)
+    first = factory(seed=1, journal=journal)
+    first.add_node("a0")
+    first.close()
+    with pytest.raises(UsageError, match="already holds a config record"):
+        factory(seed=2, journal=journal)
+    records = [decode_record(p) for p in store.read_all()[0]]
+    assert [kind for kind, _ in records] == ["config", "add_node"]
+    assert records[0][1]["seed"] == 1
+
+
+def journaled_tour_swarm(journal=None, kill_at=None):
+    """24 partition-keyed 8-step tours with 40 kB of SRO ballast on
+    three in-process shards and a coarse barrier grid.  Returns
+    (outcomes, counters, events, epochs), or None when killed."""
+    world = ShardedWorld(n_shards=3, seed=41, epoch=1.0, journal=journal)
+    for i in range(9):
+        node = world.add_node(f"n{i}")
+        bank = Bank(BANK)
+        bank.seed_account("merchant", 1_000_000,
+                          overdraft=OverdraftPolicy.ALLOWED)
+        bank.seed_account("escrow", 1_000_000,
+                          overdraft=OverdraftPolicy.ALLOWED)
+        node.add_resource(bank)
+    for a in range(24):
+        partition = [f"n{i}" for i in range(9) if i % 3 == a % 3]
+        offset = (a // 3) % 3
+        rotated = partition[offset:] + partition[:offset]
+        plan = make_tour_plan(rotated, 8, mixed_fraction=0.25,
+                              rollback_depth=7, sro_ballast=40_000)
+        world.launch(TourAgent(f"wj-{a}", plan), at=plan.steps[0].node,
+                     method="run")
+    if kill_at is not None:
+        world.kill_world(at=kill_at, phase="barrier")
+        with pytest.raises(WorldKilled):
+            world.run()
+        return None
+    world.run()
+    return world_summary(world)
+
+
+def world_summary(world):
+    outcomes = world.outcomes()
+    assert all(o["status"] == "finished" for o in outcomes.values())
+    return (outcomes, world.counters(), world.events_processed(),
+            world.epochs_run)
+
+
+def test_journaling_does_not_change_the_swarm(tmp_path):
+    """Journal off, in RAM or on file: the same run, event for event,
+    with one commit per barrier."""
+    plain = journaled_tour_swarm()
+    assert plain[2:] == (1730, 15)
+    for journal in (WorldJournal(MemoryJournal()),
+                    WorldJournal(FileJournal(tmp_path / "w.journal"))):
+        assert journaled_tour_swarm(journal) == plain
+        assert journal.stats()["commits"] == 15
+        journal.close()
+
+
+def test_swarm_resumes_from_a_mid_barrier_kill(tmp_path):
+    """Killed inside the second barrier (torn marker), reopened from
+    disk and resumed: the frontier is the first barrier and the outcome
+    equals the uninterrupted run."""
+    path = tmp_path / "w.journal"
+    journal = WorldJournal(FileJournal(path))
+    journaled_tour_swarm(journal, kill_at=0.5)
+    journal.close()
+    journal = WorldJournal(FileJournal(path))
+    recovered = journal.recover()
+    assert recovered.torn_tail
+    assert recovered.frontier_barrier == 0.0
+    world = resume_world(journal)
+    world.run()
+    assert world_summary(world) == journaled_tour_swarm()
+    journal.close()
 
 
 def test_kill_world_validates_plan():

@@ -459,6 +459,31 @@ def test_generated_seed_sweep_differential(seed):
     assert run_seed(seed) == []
 
 
+def test_generated_sweep_world_and_sharded():
+    """The first 60 generated seeds on the two in-process backends plus
+    the model oracle: no divergence, and the model's rollback total is
+    fixed for this generator version (a drift means the generator
+    changed without a version bump)."""
+    from repro.fuzz import generate_case, predict, run_seed_range
+
+    summary = run_seed_range(0, 60, backends=("world", "sharded"))
+    assert summary["seeds"] == 60
+    assert summary["failing_seeds"] == []
+    rollbacks = sum(agent["rollbacks"]
+                    for seed in range(60)
+                    for agent in predict(generate_case(seed))["agents"]
+                    .values())
+    assert rollbacks == 113
+
+
+@pytest.mark.soak
+def test_generated_sweep_all_three_backends():
+    from repro.fuzz import run_seed_range
+
+    summary = run_seed_range(0, 8, backends=BACKENDS)
+    assert summary["failing_seeds"] == []
+
+
 # -- soak tier: the full seed sweep ------------------------------------------------
 
 

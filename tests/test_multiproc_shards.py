@@ -27,6 +27,7 @@ import signal
 import pytest
 
 from repro import AgentStatus, ProcShardedWorld, ShardedWorld
+from repro.bench.workloads import BANK, TourAgent, make_tour_plan
 from repro.errors import UsageError, WorkerDied, WorkerError
 from repro.resources.bank import Bank, OverdraftPolicy
 
@@ -86,6 +87,63 @@ def test_process_swarm_matches_in_process_bit_for_bit(proc_worlds):
     # (time, label) event stream as its in-process twin.
     assert proc.trace_digests() == inproc.trace_digests()
     assert all(o["status"] == "finished" for o in proc.outcomes().values())
+
+
+def run_partition_keyed_swarm(world, n_partitions=4, n_nodes=12,
+                              n_agents=64):
+    """64 tours of 8 steps with 60 kB of SRO ballast, each kept on its
+    home partition's nodes, on a coarse barrier grid; returns
+    (outcomes, counters, events, epochs)."""
+    for i in range(n_nodes):
+        node = world.add_node(f"n{i}")
+        bank = Bank(BANK)
+        bank.seed_account("merchant", 1_000_000,
+                          overdraft=OverdraftPolicy.ALLOWED)
+        bank.seed_account("escrow", 1_000_000,
+                          overdraft=OverdraftPolicy.ALLOWED)
+        node.add_resource(bank)
+    for a in range(n_agents):
+        home = a % n_partitions
+        partition = [f"n{i}" for i in range(n_nodes)
+                     if i % n_partitions == home]
+        offset = (a // n_partitions) % len(partition)
+        rotated = partition[offset:] + partition[:offset]
+        plan = make_tour_plan(rotated, 8, mixed_fraction=0.25,
+                              rollback_depth=7, sro_ballast=60_000)
+        world.launch(TourAgent(f"mp-{a}", plan), at=plan.steps[0].node,
+                     method="run")
+    world.run()
+    outcomes = world.outcomes()
+    assert all(o["status"] == "finished" for o in outcomes.values())
+    return (outcomes, world.counters(), world.events_processed(),
+            world.epochs_run)
+
+
+def test_partition_keyed_swarm_identical_on_four_workers(proc_worlds):
+    """The throughput swarm: four worker processes compute exactly what
+    four in-process shards do."""
+    inline = run_partition_keyed_swarm(
+        ShardedWorld(n_shards=4, seed=40, epoch=1.0))
+    proc = run_partition_keyed_swarm(
+        proc_worlds(n_shards=4, seed=40, epoch=1.0))
+    assert proc == inline
+    assert inline[2:] == (7442, 38)
+
+
+@pytest.mark.soak
+def test_partition_keyed_swarm_outcomes_do_not_depend_on_shard_count(
+        proc_worlds):
+    """Stray cross-shard hops at one and two shards go over the bridge;
+    per-agent outcomes must not care, on either backend."""
+    reference = run_partition_keyed_swarm(
+        ShardedWorld(n_shards=4, seed=40, epoch=1.0))[0]
+    for n_shards in (1, 2):
+        inline = run_partition_keyed_swarm(
+            ShardedWorld(n_shards=n_shards, seed=40, epoch=1.0))
+        proc = run_partition_keyed_swarm(
+            proc_worlds(n_shards=n_shards, seed=40, epoch=1.0))
+        assert proc == inline
+        assert inline[0] == reference
 
 
 def test_process_runs_are_deterministic(proc_worlds):

@@ -458,6 +458,95 @@ def test_http_end_to_end_with_sse_and_drain():
     assert drained["trace_digests"] == want_dig
 
 
+def http_launch_and_drain(gw, wjson, ljson):
+    """One launch over HTTP, polled to its end, then drained."""
+    _, _, made = gw.request("POST", "/worlds", wjson)
+    wid = made["world"]
+    status, _, launched = gw.request("POST", f"/worlds/{wid}/launch", ljson)
+    assert status == 202
+    agent = launched["agent"]
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        _, _, snap = gw.request("GET", f"/worlds/{wid}/agents/{agent}")
+        if snap["status"] in ("finished", "failed"):
+            break
+        time.sleep(0.01)
+    status, _, drained = gw.request("DELETE", f"/worlds/{wid}")
+    assert status == 200
+    return agent, drained
+
+
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_http_launch_is_bit_identical_to_the_scripted_run(backend):
+    """The gateway may not perturb a single bit of the run, on any
+    backend: outcome and trace digests equal the scripted twin's."""
+    wjson = {"backend": backend, "nodes": 4, "n_shards": 2, "seed": 11}
+    ljson = {"steps": 6, "mode": "optimized", "mixed_fraction": 0.25}
+    with GatewayFixture() as gw:
+        agent, drained = http_launch_and_drain(gw, wjson, ljson)
+    want_out, want_dig = scripted_run(wjson, ljson, agent)
+    assert drained["agents"][agent]["status"] == "finished"
+    assert (json.loads(json.dumps(drained["agents"], default=repr))
+            == json.loads(json.dumps(want_out, default=repr)))
+    assert drained["trace_digests"] == want_dig
+
+
+def test_http_load_every_launch_reaches_its_outcome():
+    """48 launches from four client threads into one hosted world:
+    every launch's outcome is streamed and every agent finishes."""
+    launches = 48
+    arrived = set()
+    with GatewayFixture(max_inflight=launches + 1) as gw:
+        _, _, made = gw.request(
+            "POST", "/worlds", {"backend": "world", "nodes": 4, "seed": 5})
+        wid = made["world"]
+        done = threading.Event()
+
+        def watch():
+            with urllib.request.urlopen(f"{gw.base}/worlds/{wid}/events",
+                                        timeout=120) as resp:
+                event = None
+                for raw in resp:
+                    line = raw.decode().strip()
+                    if line.startswith("event:"):
+                        event = line.split(":", 1)[1].strip()
+                    elif line.startswith("data:") and event == "agent":
+                        arrived.add(json.loads(line.split(":", 1)[1])
+                                    ["agent"])
+                        if len(arrived) >= launches:
+                            done.set()
+                            return
+
+        def post(ids):
+            for agent_id in ids:
+                status = 429
+                while status == 429:
+                    status, _, body = gw.request(
+                        "POST", f"/worlds/{wid}/launch",
+                        {"steps": 4, "agent_id": agent_id})
+                    if status == 429:
+                        time.sleep(0.01)
+                assert status == 202, body
+
+        watcher = threading.Thread(target=watch, daemon=True)
+        watcher.start()
+        time.sleep(0.1)  # let the subscription attach
+        ids = [f"ld-{k}" for k in range(launches)]
+        clients = [threading.Thread(target=post, args=(ids[w::4],))
+                   for w in range(4)]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join()
+        assert done.wait(120), f"{len(arrived)}/{launches} outcomes"
+        watcher.join(timeout=10)
+        _, _, snap = gw.request("GET", f"/worlds/{wid}")
+        gw.request("DELETE", f"/worlds/{wid}")
+    assert arrived == set(ids)
+    assert sum(o["status"] == "finished"
+               for o in snap["agents"].values()) == launches
+
+
 def test_http_admission_429_carries_retry_after():
     with GatewayFixture(max_inflight=1, retry_after=2.5) as gw:
         _, _, made = gw.request(

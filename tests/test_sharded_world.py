@@ -15,6 +15,7 @@ The contract under test (see :mod:`repro.node.sharded`):
 import pytest
 
 from repro import AgentStatus, NetworkParams, RollbackMode, ShardedWorld
+from repro.bench.workloads import BANK, DIRECTORY, TourAgent, make_tour_plan
 from repro.errors import UsageError
 from repro.resources.bank import Bank, OverdraftPolicy
 from repro.resources.directory import InfoDirectory
@@ -188,6 +189,46 @@ def test_batching_composes_with_sharding():
     plain = run_swarm(4)
     batched = run_swarm(4, net_params=NetworkParams(batch_window=0.05))
     assert batched.outcomes() == plain.outcomes()
+
+
+def run_tour_swarm(n_shards, n_agents=16, seed=40):
+    """Twice the single-kernel reference swarm (8 agents) of 6-step
+    tours on the 8-node ring, each rolling back once."""
+    world = ShardedWorld(n_shards=n_shards, seed=seed)
+    for i in range(N_NODES):
+        node = world.add_node(f"n{i}")
+        bank = Bank(BANK)
+        bank.seed_account("merchant", 1_000_000,
+                          overdraft=OverdraftPolicy.ALLOWED)
+        bank.seed_account("escrow", 1_000_000,
+                          overdraft=OverdraftPolicy.ALLOWED)
+        node.add_resource(bank)
+        directory = InfoDirectory(DIRECTORY)
+        directory.publish("offers", [{"item": "widget", "price": 10 + i}])
+        node.add_resource(directory)
+    for a in range(n_agents):
+        rotated = RING[a % N_NODES:] + RING[:a % N_NODES]
+        plan = make_tour_plan(rotated, 6, mixed_fraction=0.4,
+                              rollback_depth=5)
+        world.launch(TourAgent(f"shard-{seed}-{a}", plan),
+                     at=plan.steps[0].node, method="run",
+                     mode=RollbackMode.BASIC)
+    world.run()
+    return world
+
+
+def test_four_shards_spread_the_event_load_at_identical_outcomes():
+    single, sharded = run_tour_swarm(1), run_tour_swarm(4)
+    for world in (single, sharded):
+        outcomes = world.outcomes()
+        assert all(o["status"] == "finished" for o in outcomes.values())
+        assert all(o["rollbacks_completed"] == 1
+                   for o in outcomes.values())
+    assert sharded.outcomes() == single.outcomes()
+    busiest = [max(w.sim.events_processed for w in world.shards)
+               for world in (single, sharded)]
+    assert busiest[1] == 232
+    assert busiest[1] < busiest[0]
 
 
 # -- misc ----------------------------------------------------------------------

@@ -12,9 +12,12 @@ Covers the two delivery-semantics contracts the refactor introduced:
   exhausts its budget splits back into singles with fresh budgets.
 """
 
+import pytest
 
 from repro import AgentStatus, NetworkParams
 from repro.agent.packages import Protocol
+from repro.bench.harness import build_tour_world
+from repro.bench.workloads import TourAgent, TourPlan, make_tour_plan
 from repro.net.batching import BATCH_KIND, BatchingTransport, batch_frame_bytes
 from repro.net.network import SimTransport
 from repro.net.transport import Transport
@@ -270,6 +273,48 @@ def test_world_routes_shadow_copies_through_the_batcher():
     assert batched.metrics.count("net.batches") > 0
     assert batched.metrics.count("net.messages") < \
         plain.metrics.count("net.messages")
+
+
+def run_tour_ft_swarm(batch_window, n_agents=8, seed=11):
+    """Eight FT tour agents on a lock-free 6-step tour: co-located
+    agents commit together, so their shadow copies share links."""
+    nodes = [f"n{i}" for i in range(4)]
+    base = make_tour_plan(nodes, 6, rollback_times=0)
+    for spec in base.steps:
+        spec.kind = "ace"
+    plan = TourPlan(steps=base.steps, decision_node=base.decision_node,
+                    rollback_to=None)
+    world = build_tour_world(
+        4, seed=seed, net_params=NetworkParams(batch_window=batch_window))
+    for i in range(4):
+        world.ft.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
+    for a in range(n_agents):
+        world.launch(TourAgent(f"batch-{a}", plan), at=nodes[0],
+                     method="run", protocol=Protocol.FAULT_TOLERANT)
+    world.run(max_events=5_000_000)
+    assert all(r.status is AgentStatus.FINISHED
+               for r in world.agents.values())
+    return world.metrics
+
+
+def test_batching_cuts_network_events_at_equal_payload():
+    """The batching window is the only knob: shadow traffic and bytes
+    stay put, physical network events fall by seven eighths."""
+    plain = run_tour_ft_swarm(0.0)
+    assert plain.count("net.messages") == 48
+    shadow_bytes = plain.total_bytes("net.shadow-copy")
+    # A pickle size: banded, since it moves with the interpreter.
+    assert shadow_bytes == pytest.approx(109_656, rel=0.05)
+    for window in (0.01, 0.02, 0.05):
+        batched = run_tour_ft_swarm(window)
+        assert (batched.count("net.messages.shadow-copy")
+                == plain.count("net.messages.shadow-copy"))
+        assert batched.total_bytes("net.shadow-copy") == shadow_bytes
+        assert batched.count("net.messages") < plain.count("net.messages")
+        assert batched.count("net.batches") > 0
+    reduction = 1 - batched.count("net.messages") / plain.count(
+        "net.messages")
+    assert reduction == 0.875
 
 
 def test_batching_is_off_by_default():
