@@ -147,7 +147,6 @@ def main():
     supply_before = auditor.money_supply()
 
     agent = ShoppingAgent("shopper")
-    serials_before_rollback: list[str] = []
 
     record = world.launch(agent, at="home", method="withdraw_cash",
                           mode=RollbackMode.BASIC)

@@ -8,11 +8,11 @@ rolls the whole thing back before finishing with a different strategy.
 Run:  python examples/quickstart.py
 
 Scaling out: swap ``World`` for ``ShardedWorld(n_shards=N)`` to
-partition the nodes across N kernels, and add ``workers="process"``
-to run each kernel in its own worker process on a real core — same
-seeded outcomes on every backend (see the "Multiprocess shards" knobs
-in ROADMAP.md; agents and resources must then be defined in an
-importable module, as everything here is).
+partition the nodes across N kernels, or for
+``ProcShardedWorld(n_shards=N)`` to run shards 1..N-1 in worker
+processes on real cores — same seeded outcomes on every backend (see
+the "Multiprocess shards" knobs in ROADMAP.md; agents and resources
+must then be defined in an importable module, as everything here is).
 """
 
 from repro import (

@@ -46,7 +46,6 @@ from repro.journal import (
     FileJournal,
     MemoryJournal,
     WorldJournal,
-    open_backend,
     resume_world,
 )
 from repro.itinerary import Itinerary, ItineraryAgent, StepEntry, SubItinerary
@@ -145,7 +144,6 @@ __all__ = [
     "WorldJournal",
     "MemoryJournal",
     "FileJournal",
-    "open_backend",
     "resume_world",
     "serialization_stats",
     "WorldKilled",

@@ -99,14 +99,6 @@ class CompensationRegistry:
                 raise UsageError(f"compensation {name!r} already registered")
         self._ops[name] = RegisteredOp(name=name, kind=kind, fn=fn)
 
-    def snapshot_ops(self) -> dict[str, RegisteredOp]:
-        """Copy of the current registrations (for scoped restore)."""
-        return dict(self._ops)
-
-    def restore_ops(self, ops: dict[str, RegisteredOp]) -> None:
-        """Replace the registrations with a previous snapshot."""
-        self._ops = dict(ops)
-
     def resolve(self, name: str) -> RegisteredOp:
         """Look up ``name`` or raise :class:`UnknownCompensation`."""
         op = self._ops.get(name)

@@ -10,12 +10,11 @@ from repro.journal.backends import (
     FileJournal,
     JournalBackend,
     MemoryJournal,
-    open_backend,
 )
 from repro.journal.journal import RecoveredRun, WorldJournal
 from repro.journal.resume import resume_world
 
 __all__ = [
     "WorldJournal", "RecoveredRun", "resume_world", "JournalBackend",
-    "MemoryJournal", "FileJournal", "open_backend",
+    "MemoryJournal", "FileJournal",
 ]

@@ -137,11 +137,7 @@ class FileJournal(JournalBackend):
     Appends collect in memory; :meth:`flush` writes them to the file
     with ``os.write`` and :meth:`sync` then fsyncs it.  The journal
     flushes at every epoch commit and syncs at every input op and
-    whenever a world call returns, so the ``fsync`` policy reads:
-    ``"commit"`` (default) — fsync at every input op and whenever a
-    world call returns; ``"always"`` — additionally fsync every append
-    (each record individually durable, slower); ``"never"`` — only
-    flush to the OS (fast, survives process death but not power loss).
+    whenever a world call returns, so those are the fsync points.
 
     An ``OSError`` from a write or an fsync (``ENOSPC``, ``EIO``)
     raises :class:`~repro.errors.JournalError` with the ``OSError`` as
@@ -152,12 +148,8 @@ class FileJournal(JournalBackend):
     interior corruption.  Recover by reopening the file.
     """
 
-    def __init__(self, path, fsync: str = "commit"):
-        if fsync not in ("commit", "always", "never"):
-            raise UsageError(f"unknown fsync policy {fsync!r} "
-                             f"(use 'commit', 'always' or 'never')")
+    def __init__(self, path):
         self.path = os.fspath(path)
-        self.fsync = fsync
         self._pending = bytearray()
         self._failed: Optional[OSError] = None
         self._file = open(self.path, "ab", buffering=0)
@@ -181,8 +173,6 @@ class FileJournal(JournalBackend):
     def append(self, payload: bytes) -> None:
         self._refuse_after_failure("append")
         self._pending += frame(payload)
-        if self.fsync == "always":
-            self.sync()
 
     def flush(self) -> None:
         if self._pending:
@@ -191,8 +181,7 @@ class FileJournal(JournalBackend):
 
     def sync(self) -> None:
         self.flush()
-        if self.fsync != "never":
-            self._io("fsync", os.fsync, self._file.fileno())
+        self._io("fsync", os.fsync, self._file.fileno())
 
     def read_all(self) -> tuple[list[bytes], bool]:
         self.flush()
@@ -256,11 +245,3 @@ def _offset_of(buf: bytes, count: int) -> int:
         length, _crc = _HEADER.unpack_from(buf, offset)
         offset += _HEADER.size + length
     return offset
-
-
-def open_backend(spec: Optional[str] = None, **kwargs) -> JournalBackend:
-    """Convenience factory: ``None``/``"memory"`` or a path (append-only
-    file)."""
-    if spec is None or spec == "memory":
-        return MemoryJournal()
-    return FileJournal(os.fspath(spec), **kwargs)

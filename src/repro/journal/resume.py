@@ -43,8 +43,8 @@ def resume_world(journal: WorldJournal):
 
     Re-opens a journal written by a crashed (or killed) run: rebuilds
     the world from the config record (any backend — ``World``,
-    ``ShardedWorld``, ``ProcShardedWorld`` — with its recorded knobs,
-    including ``lockstep`` and the start method), re-applies the ops
+    ``ShardedWorld``, ``ProcShardedWorld`` — with its recorded seed,
+    shard count, epoch and world keywords), re-applies the ops
     (topology, launches, crash/kill plans), deterministically
     re-executes the committed barrier sequence, verifies the event
     digest of every replayed barrier, then re-arms the journal so the
@@ -115,32 +115,18 @@ def _build_world(config: dict[str, Any], journal: WorldJournal):
             f"t={live.get('at')}, {live.get('events_processed')} events "
             f"in) and lacks the run's prefix — it is a telemetry/audit "
             f"journal, not a resumable one")
+    # The config is read by name, so keys older journals also carry
+    # for retired knobs (``lockstep``, ``start_method``,
+    # ``journal_epoch``, the ring wire's ``ipc`` and ``ring_size``) are
+    # ignored.  A journal whose run the current schedule no longer
+    # reproduces fails the frontier check with JournalDiverged.
     kwargs = restore(config["world_kwargs"])
-    # Journals from before the sharded schedules narrowed to "auto" /
-    # "serial" may record "optimistic" (pinned bit-identical to serial
-    # turns, so they resume exactly) or a forced "parallel" (equal to
-    # "auto" on an independent workload; an entangled one fails the
-    # frontier check with JournalDiverged).
-    lockstep = config.get("lockstep", "auto")
-    if lockstep in ("optimistic", "parallel"):
-        lockstep = "auto"
     if backend == "world":
-        return World(seed=config["seed"], journal=journal,
-                     journal_epoch=config["journal_epoch"], **kwargs)
-    if backend == "sharded":
-        return ShardedWorld(n_shards=config["n_shards"],
-                            seed=config["seed"], epoch=config["epoch"],
-                            lockstep=lockstep,
-                            journal=journal, **kwargs)
-    if backend == "proc":
-        # Journals written while the process backend still had a
-        # shared-memory ring wire also record its ``ipc`` mode and ring
-        # capacity; the pipe is the only wire now, so both are ignored.
-        return ProcShardedWorld(n_shards=config["n_shards"],
-                                seed=config["seed"], epoch=config["epoch"],
-                                start_method=config["start_method"],
-                                lockstep=lockstep,
-                                journal=journal, **kwargs)
+        return World(seed=config["seed"], journal=journal, **kwargs)
+    if backend in ("sharded", "proc"):
+        cls = ShardedWorld if backend == "sharded" else ProcShardedWorld
+        return cls(n_shards=config["n_shards"], seed=config["seed"],
+                   epoch=config["epoch"], journal=journal, **kwargs)
     raise UsageError(f"journal config names unknown backend {backend!r}")
 
 

@@ -3,11 +3,11 @@ for the rest.
 
 :class:`~repro.node.sharded.ShardedWorld` partitions a world across N
 kernels but runs them all in one Python process — N-way logical
-concurrency, one core.  :class:`ProcShardedWorld` (also reachable as
-``ShardedWorld(workers="process")``) keeps the exact same lockstep
-epoch protocol and runs N shards on N−1 :mod:`multiprocessing` worker
-processes plus the coordinator process itself, so epochs of
-independent shards execute on real cores in parallel.
+concurrency, one core.  :class:`ProcShardedWorld` keeps the exact same
+lockstep epoch protocol and runs N shards on N−1
+:mod:`multiprocessing` worker processes plus the coordinator process
+itself, so epochs of independent shards execute on real cores in
+parallel.
 ``ProcShardedWorld(n_shards=1)`` spawns no worker at all.
 
 Architecture
@@ -89,17 +89,19 @@ a schedule per run:
   turns, every foreign read returns exactly what the in-process live
   read would — the two backends walk the same event sequence.
 
-``lockstep="auto"`` (default) selects per run; ``"serial"`` forces
-serial turns on every workload.
+The schedule is not a knob: the workload selects it, and a run switches
+from parallel epochs to serial turns for good the first time it becomes
+entangled.
 
 Process-picklability contract
 -----------------------------
 
-Everything that crosses the pipe must pickle under the ``spawn`` start
-method: agents and resources by importable class reference, bridge
-traffic as data (no closures — give-up context travels as declarative
-tags), compensations registered at *import time* of an importable
-module (the registry is rebuilt per process from imports).  Violations
+Workers start with the ``spawn`` method, so everything that crosses
+the pipe must pickle: agents and resources by importable class
+reference, bridge traffic as data (no closures — give-up context
+travels as declarative tags), compensations registered at *import
+time* of an importable module (the registry is rebuilt per process
+from imports).  Violations
 surface at ship time through
 :func:`~repro.storage.serialization.assert_picklable`, which names the
 offending attribute instead of burying it in a worker traceback.
@@ -114,7 +116,6 @@ shard outage — rather than a hang on a pipe that will never answer.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 import operator
 import pickle
@@ -124,7 +125,6 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.errors import LockConflict, UsageError, WorkerDied, WorkerError
-from repro.node.runtime import World
 from repro.node.lockstep import aggregate_counters
 from repro.node.sharded import (
     CrossShardBridge,
@@ -139,13 +139,6 @@ from repro.scope import current as current_scope
 from repro.storage import serialization
 from repro.storage.serialization import assert_picklable, capture, restore
 from repro.tx.locks import LockManager
-
-
-#: The ``world_kwargs`` a worker forwards to its kernel: every
-#: :class:`~repro.node.runtime.World` parameter the worker does not set
-#: itself.
-_WORLD_KWARGS = frozenset(inspect.signature(World.__init__).parameters) \
-    - {"self", "seed", "journal"}
 
 
 def _dumps(obj: Any) -> bytes:
@@ -602,9 +595,8 @@ class _WorkerServer:
         while not self.stopped:
             while not self.conn.poll(0.5):
                 # Orphan defense: a SIGKILLed coordinator can't run the
-                # daemon-reaping atexit hook, and under ``fork`` sibling
-                # workers keep the pipe open so no EOF ever arrives.
-                # Poll the parent's liveness instead and exit on our own.
+                # daemon-reaping atexit hook, so poll the parent's
+                # liveness and exit on our own.
                 parent = multiprocessing.parent_process()
                 if parent is None or not parent.is_alive():
                     return
@@ -811,12 +803,6 @@ class ProcShardedWorld(ShardCoordinator):
         seed: Root seed; shard ``i`` runs at ``seed + 100_003 * i``.
         epoch: Virtual-time length of one lockstep epoch (defaults to
             the network latency).
-        start_method: :mod:`multiprocessing` start method
-            (``"spawn"`` default — everything crossing the pipe must
-            pickle; see the module docstring's contract).
-        lockstep: Epoch schedule: ``"auto"`` (serial turns for
-            entangled workloads, parallel epochs otherwise) or
-            ``"serial"`` (serial turns always).
         journal: Attach a :class:`~repro.journal.WorldJournal` for
             crash-resumable execution (the coordinator journals the
             ops and commits one marker per barrier).
@@ -825,9 +811,9 @@ class ProcShardedWorld(ShardCoordinator):
             pickle.
 
     Raises:
-        UsageError: ``n_shards < 1``, bad ``epoch`` / ``lockstep``
-            values, a ``world_kwargs`` name the kernel does not take,
-            or unpicklable ``world_kwargs``.
+        UsageError: ``n_shards < 1``, a non-positive ``epoch``, a
+            ``world_kwargs`` name the kernel does not take, or
+            unpicklable ``world_kwargs``.
         WorkerDied: Later, from any call whose worker process died.
         WorkerError: Later, when a worker raises remotely (carries
             the remote traceback).
@@ -835,21 +821,12 @@ class ProcShardedWorld(ShardCoordinator):
 
     def __init__(self, n_shards: int = 2, seed: int = 0,
                  epoch: Optional[float] = None,
-                 start_method: str = "spawn",
-                 lockstep: str = "auto",
                  journal: Optional[Any] = None,
                  **world_kwargs: Any):
         # First, so a facade whose construction failed closes cleanly.
         self._handles: list[_ShardHandle] = []
-        self._init_coordinator(n_shards, seed, epoch, lockstep, journal,
-                               world_kwargs)
-        unknown = sorted(set(world_kwargs) - _WORLD_KWARGS)
-        if unknown:
-            raise UsageError(f"unknown world keyword {unknown[0]!r} "
-                             f"(a worker kernel takes "
-                             f"{', '.join(sorted(_WORLD_KWARGS))})")
+        self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
         assert_picklable(world_kwargs, "world configuration")
-        self._start_method = start_method
         self._world_kwargs = world_kwargs
         if journal is not None:
             self._record_journal_config(journal)
@@ -866,11 +843,9 @@ class ProcShardedWorld(ShardCoordinator):
             [{} for _ in range(n_shards)]
         self._staged_items: list[list] = [[] for _ in range(n_shards)]
 
-        mp = multiprocessing.get_context(start_method)
+        mp = multiprocessing.get_context("spawn")
         config = {"n_shards": n_shards, "seed": seed,
                   "world_kwargs": world_kwargs}
-        # Workers start before shard 0 is built, so a forked child never
-        # inherits the coordinator-hosted kernel.
         for index in range(1, n_shards):
             parent_conn, child_conn = mp.Pipe()
             process = mp.Process(target=_worker_entry,
@@ -975,15 +950,12 @@ class ProcShardedWorld(ShardCoordinator):
         self._cycle(barrier=barrier, run=True, max_events=max_events,
                     revives=revives)
 
-    def _flush(self, barrier: float) -> int:
+    def _flush(self, barrier: float) -> None:
         """Route the pending bridge traffic into the staged inboxes; they
         ship with each shard's next command (the scatter)."""
-        routed = 0
         for shard, action, transfer in self.bridge.route(
                 list(self._suspended)):
             self._staged_items[shard].append((action, transfer))
-            routed += 1
-        return routed
 
     def _idle_step(self, max_events: int) -> bool:
         if any(self._staged_items):
@@ -1007,9 +979,7 @@ class ProcShardedWorld(ShardCoordinator):
 
     def _journal_config(self) -> dict[str, Any]:
         return dict(backend="proc", seed=self.seed, n_shards=self.n_shards,
-                    epoch=self.epoch, start_method=self._start_method,
-                    lockstep=self.lockstep,
-                    world_kwargs=capture(self._world_kwargs))
+                    epoch=self.epoch, world_kwargs=capture(self._world_kwargs))
 
     def _journal_digest(self) -> tuple:
         """Per-shard event counts at the barrier — the commit digest."""
@@ -1105,12 +1075,6 @@ class ProcShardedWorld(ShardCoordinator):
         """The lockstep virtual clock (all shards agree at barriers)."""
         return max(handle.now for handle in self._handles)
 
-    def _serial(self) -> bool:
-        """Does this cycle run serial turns?  ``"auto"`` picks them
-        once the workload is entangled (FT alternates or failure
-        injection); independent workloads run parallel epochs."""
-        return self.lockstep == "serial" or self._entangled
-
     def _sync_records(self) -> None:
         """Pull every worker's pending record deltas into the merged
         table (end of a run: the independent-epoch schedule ships
@@ -1184,7 +1148,7 @@ class ProcShardedWorld(ShardCoordinator):
             "views": self._views_delta(shard) if self._entangled else None,
             "last_flush_at": self.last_flush_at,
             "want_dump": self._entangled,
-            "ship_records": self._serial(),
+            "ship_records": self._entangled,
         }
 
     def _cycle(self, barrier: Optional[float], run: bool,
@@ -1214,7 +1178,7 @@ class ProcShardedWorld(ShardCoordinator):
                     targets.append(shard)
                 else:
                     handle.catch_up = handle.now = until
-        if self._serial():
+        if self._entangled:
             for shard in targets:
                 self._dispatch(shard, barrier, run, max_events, revives,
                                cap_to_now)

@@ -139,9 +139,9 @@ class World(LockstepWorld):
         journal: Attach a :class:`~repro.journal.WorldJournal` making
             this world a journaling coordinator (config + ops + one
             commit marker per epoch barrier; see
-            :func:`~repro.journal.resume_world`).
-        journal_epoch: Virtual-time length of one journal commit epoch
-            (defaults to ``net_params.latency``).
+            :func:`~repro.journal.resume_world`).  Its commit epochs
+            are ``net_params.latency`` long, the grid the sharded
+            backends default to.
 
     Raises:
         UsageError: On invalid knob combinations (negative epochs,
@@ -156,13 +156,10 @@ class World(LockstepWorld):
                  registry: Optional[CompensationRegistry] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  ft_params: Optional["FTParams"] = None,
-                 journal: Optional["WorldJournal"] = None,
-                 journal_epoch: Optional[float] = None):
+                 journal: Optional["WorldJournal"] = None):
         from repro.exactly_once.fault_tolerant import FTParams
 
         self.journal = journal
-        self.journal_epoch = journal_epoch if journal_epoch is not None \
-            else net_params.latency
         self.sim = Simulator(seed)
         self.metrics = Metrics()
         self.timing = timing
@@ -220,7 +217,6 @@ class World(LockstepWorld):
         from repro.storage.serialization import capture
         return dict(
             backend="world", seed=self.sim._seed,
-            journal_epoch=self.journal_epoch,
             world_kwargs=capture({
                 "timing": self.timing, "net_params": self.net_params,
                 "logging_mode": self.logging_mode,
@@ -424,9 +420,9 @@ class World(LockstepWorld):
         """Run the simulation until idle (or ``until``).
 
         With a journal attached the run is epoch-ized: events execute
-        in ``journal_epoch`` intervals on the same deterministic grid
-        the sharded drivers use, with a commit marker handed to the OS
-        at each barrier, and the ``kill_world`` check between them.
+        in ``net_params.latency`` intervals on the same deterministic
+        grid the sharded drivers use, with a commit marker handed to
+        the OS at each barrier, and the ``kill_world`` check between them.
         The commits are fsynced once, when the call returns or raises:
         a process crash loses at most the epoch it interrupted, a power
         loss at most this call's barriers.
@@ -464,7 +460,7 @@ class World(LockstepWorld):
         return [self]
 
     def _epoch_length(self) -> float:
-        return self.journal_epoch
+        return self.net_params.latency
 
     def _stop_at(self, until: float, max_events: int) -> None:
         """Nothing to do: :meth:`run` idle-advances the clock to
@@ -476,8 +472,8 @@ class World(LockstepWorld):
 
         The reentrant twin of :meth:`run`: each call executes the next
         barrier of the *same* deterministic epoch grid the journaled run
-        loop walks (``journal_epoch`` spacing, the lockstep walk every
-        backend shares), with the same commit marker and ``kill_world``
+        loop walks (``net_params.latency`` spacing, the lockstep walk
+        every backend shares), with the same commit marker and ``kill_world``
         check per barrier — ``run()`` is exactly ``while world.step_epoch(): pass``, so a
         stepped run and a straight run of the same seed produce
         identical event order, outcomes and trace digests.  Long-lived

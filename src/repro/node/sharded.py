@@ -76,6 +76,7 @@ accepts.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
@@ -83,6 +84,7 @@ from typing import TYPE_CHECKING, Any, Optional
 from repro.errors import UsageError
 from repro.node.lockstep import LockstepWorld, returns_durable
 from repro.node.runtime import LEDGER_NODE, AgentRecord, World
+from repro.sim.timing import DEFAULT_NETWORK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.agent.agent import MobileAgent
@@ -91,6 +93,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.messages import Message
     from repro.node.node import Node
     from repro.tx.manager import Transaction
+
+
+#: The ``world_kwargs`` a shard forwards to its kernel: every
+#: :class:`~repro.node.runtime.World` parameter the driver does not set
+#: itself.
+_WORLD_KWARGS = frozenset(inspect.signature(World.__init__).parameters) \
+    - {"self", "seed", "journal"}
 
 
 @dataclass
@@ -294,23 +303,19 @@ class CrossShardBridge:
         self.transfers_total += moved
         return deliveries
 
-    def flush(self, shards: list["ShardWorld"], barrier: float) -> int:
+    def flush(self, shards: list["ShardWorld"], barrier: float) -> None:
         """Route every pending forward and apply it to its destination.
 
         Runs between epochs, when every live shard's clock sits exactly
         at ``barrier``; deliveries are applied at the barrier instant
-        in deterministic order.  Returns the number of transfers moved
-        (retained shadow retries for suspended shards don't count).
+        in deterministic order.
         """
-        moved = 0
         for shard, action, transfer in self.route(
                 [w.sim.suspended for w in shards]):
             if action == "give-up":
                 apply_give_up(shards[shard], transfer)
             else:
                 apply_transfer(shards[shard], transfer)
-                moved += 1
-        return moved
 
 
 def apply_transfer(world: "ShardWorld", transfer: _Transfer) -> None:
@@ -482,30 +487,30 @@ class ShardCoordinator(LockstepWorld):
     ledger quorum check.  A driver supplies ``_place`` (create
     a node in a shard), ``_shard_now`` and ``_schedule_kill`` (one
     shard's clock and kill event), ``shard_suspended``, ``_flush``
-    (route the pending bridge traffic at a barrier, returning how much
-    moved), ``_serialization_counters`` and ``ledger_claims``, plus the
+    (route the pending bridge traffic at a barrier),
+    ``_serialization_counters`` and ``ledger_claims``, plus the
     hooks of :class:`~repro.node.lockstep.LockstepWorld`.
     """
 
     def _init_coordinator(self, n_shards: int, seed: int,
-                          epoch: Optional[float], lockstep: str,
+                          epoch: Optional[float],
                           journal: Optional["WorldJournal"],
                           world_kwargs: dict[str, Any]) -> None:
         """Validate the shared knobs and set the shared state."""
         if n_shards < 1:
             raise UsageError(f"need at least 1 shard, got {n_shards}")
-        if lockstep not in ("auto", "serial"):
-            raise UsageError(f"unknown lockstep mode {lockstep!r} "
-                             f"(use 'auto' or 'serial')")
-        net_params = world_kwargs.get("net_params")
+        unknown = sorted(set(world_kwargs) - _WORLD_KWARGS)
+        if unknown:
+            raise UsageError(f"unknown world keyword {unknown[0]!r} "
+                             f"(a shard kernel takes "
+                             f"{', '.join(sorted(_WORLD_KWARGS))})")
         if epoch is None:
-            epoch = net_params.latency if net_params is not None else 0.005
+            epoch = world_kwargs.get("net_params", DEFAULT_NETWORK).latency
         if epoch <= 0:
             raise UsageError(f"epoch must be positive, got {epoch}")
         self.n_shards = n_shards
         self.seed = seed
         self.epoch = epoch
-        self.lockstep = lockstep
         self.journal = journal
         self.bridge = CrossShardBridge(n_shards)
         #: Virtual time of the most recent bridge flush — the takeover
@@ -590,7 +595,7 @@ class ShardCoordinator(LockstepWorld):
                 and self.shard_suspended(o.shard)]
 
     def _route(self, barrier: float) -> None:
-        moved = self._flush(barrier)
+        self._flush(barrier)
         self.last_flush_at = barrier
 
     def _idle_step(self, max_events: int) -> bool:
@@ -716,51 +721,22 @@ class ShardedWorld(ShardCoordinator):
         epoch: Virtual-time length of one lockstep epoch (defaults to
             the network latency — cross-shard traffic can never skip
             a barrier it should have been routed at).
-        workers: ``"inline"`` runs every kernel in this process;
-            ``"process"`` returns a
-            :class:`~repro.node.procshard.ProcShardedWorld` instead
-            (construction-time dispatch — extra keyword arguments
-            such as ``lockstep`` / ``start_method`` flow through).
         journal: Attach a :class:`~repro.journal.WorldJournal` for
             crash-resumable execution.
-        lockstep: Epoch schedule knob, accepted for facade parity
-            with the process backend: ``"auto"`` / ``"serial"``.
-            In-process shards always execute sequentially against
-            live sibling state, so both already *are* the serial
-            schedule here; the knob changes nothing but is recorded
-            in the journal config.
         **world_kwargs: Forwarded to every shard's
             :class:`~repro.node.runtime.World` (``net_params``,
             ``ft_params``, ``timing``, ...).
 
     Raises:
-        UsageError: ``n_shards < 1``, a non-positive ``epoch``, an
-            unknown ``workers`` or ``lockstep`` mode.
+        UsageError: ``n_shards < 1``, a non-positive ``epoch`` or a
+            ``world_kwargs`` name the kernel does not take.
     """
 
-    def __new__(cls, n_shards: int = 2, seed: int = 0,
-                epoch: Optional[float] = None, workers: str = "inline",
-                **world_kwargs: Any):
-        if cls is ShardedWorld and workers == "process":
-            # Construction-time dispatch: ``ShardedWorld(workers=
-            # "process")`` hands back the multiprocess driver (a
-            # sibling facade, not a subclass — __init__ below is then
-            # skipped because the instance is not a ShardedWorld).
-            from repro.node.procshard import ProcShardedWorld
-            return ProcShardedWorld(n_shards=n_shards, seed=seed,
-                                    epoch=epoch, **world_kwargs)
-        if workers not in ("inline", "process"):
-            raise UsageError(f"unknown workers mode {workers!r} "
-                             f"(use 'inline' or 'process')")
-        return super().__new__(cls)
-
     def __init__(self, n_shards: int = 2, seed: int = 0,
-                 epoch: Optional[float] = None, workers: str = "inline",
+                 epoch: Optional[float] = None,
                  journal: Optional["WorldJournal"] = None,
-                 lockstep: str = "auto",
                  **world_kwargs: Any):
-        self._init_coordinator(n_shards, seed, epoch, lockstep, journal,
-                               world_kwargs)
+        self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
         self._world_kwargs = dict(world_kwargs)
         if journal is not None:
             self._record_journal_config(journal)
@@ -800,8 +776,8 @@ class ShardedWorld(ShardCoordinator):
                 outage.restart_at, self.bridge.take_backlog(outage.shard))
         super()._advance(barrier, revivals, max_events)
 
-    def _flush(self, barrier: float) -> int:
-        return self.bridge.flush(self.shards, barrier)
+    def _flush(self, barrier: float) -> None:
+        self.bridge.flush(self.shards, barrier)
 
     def _apply_crash_plans(self, plans: list) -> None:
         for plan in plans:
@@ -811,7 +787,6 @@ class ShardedWorld(ShardCoordinator):
         from repro.storage.serialization import capture
         return dict(backend="sharded", seed=self.seed,
                     n_shards=self.n_shards, epoch=self.epoch,
-                    lockstep=self.lockstep,
                     world_kwargs=capture(self._world_kwargs))
 
     # -- topology -------------------------------------------------------------------

@@ -92,8 +92,6 @@ class ScenarioAgent(MobileAgent):
 
     def __init__(self, agent_id: str, plan):
         super().__init__(agent_id)
-        from repro.scenarios.ops import ensure_registered
-        ensure_registered()  # registry resets must not orphan scn.* logs
         self.plan = list(plan)
         self.customer = f"cust-{agent_id}"
         self.sro["pos"] = 0

@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 
 from repro.compensation.registry import (
-    GLOBAL_REGISTRY,
     agent_compensation,
     mixed_compensation,
     resource_compensation,
@@ -110,22 +109,3 @@ def refund_voucher(wro, bank, params, ctx):
     bank.transfer("merchant", params["customer"], params["amount"],
                   compensating=True)
     wro.setdefault("voided", []).append(params["step"])
-
-
-#: The decoration-time registrations, kept for :func:`ensure_registered`.
-_SCENARIO_OPS = tuple(
-    op for name, op in GLOBAL_REGISTRY.snapshot_ops().items()
-    if name.startswith("scn."))
-
-
-def ensure_registered() -> None:
-    """Re-register the ``scn.*`` operations if a reset dropped them.
-
-    Test harnesses snapshot and restore the process-global registry
-    around each test; a restore taken before this module was first
-    imported silently unregisters the scenario ops.  Re-registering the
-    identical functions is idempotent, so every scenario entry point
-    calls this defensively.
-    """
-    for op in _SCENARIO_OPS:
-        GLOBAL_REGISTRY.register(op.name, op.kind, op.fn)

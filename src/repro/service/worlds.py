@@ -43,7 +43,6 @@ class WorldSpec:
     nodes: int = 4
     n_shards: int = 2
     seed: int = 0
-    lockstep: str = "auto"
     epoch: Optional[float] = None
     journal: str = "memory"  # "memory" | "none"
 
@@ -79,8 +78,7 @@ class WorldSpec:
         return {
             "backend": self.backend, "nodes": self.nodes,
             "n_shards": self.n_shards, "seed": self.seed,
-            "lockstep": self.lockstep, "epoch": self.epoch,
-            "journal": self.journal,
+            "epoch": self.epoch, "journal": self.journal,
         }
 
     def node_names(self) -> list[str]:
@@ -181,15 +179,10 @@ def build_world(spec: WorldSpec):
     if spec.backend == "world":
         world: Any = World(seed=spec.seed, journal=journal)
     else:
-        kwargs: dict[str, Any] = {"n_shards": spec.n_shards,
-                                  "seed": spec.seed,
-                                  "lockstep": spec.lockstep,
-                                  "journal": journal}
-        if spec.epoch is not None:
-            kwargs["epoch"] = spec.epoch
         backend = ShardedWorld if spec.backend == "sharded" \
             else ProcShardedWorld
-        world = backend(**kwargs)
+        world = backend(n_shards=spec.n_shards, seed=spec.seed,
+                        epoch=spec.epoch, journal=journal)
     try:
         for i, name in enumerate(spec.node_names()):
             node = world.add_node(name)

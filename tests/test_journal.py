@@ -37,7 +37,6 @@ from repro.journal import (
     FileJournal,
     MemoryJournal,
     WorldJournal,
-    open_backend,
     resume_world,
 )
 from repro.journal.backends import frame, parse_frames
@@ -126,16 +125,6 @@ def test_parse_frames_torn_variants():
     # Intact stream.
     payloads, torn = parse_frames(buf, "t")
     assert (payloads, torn) == ([b"alpha", b"bravo"], False)
-
-
-def test_open_backend_dispatch(tmp_path):
-    assert isinstance(open_backend(None), MemoryJournal)
-    assert isinstance(open_backend("memory"), MemoryJournal)
-    fj = open_backend(tmp_path / "j.log")
-    assert isinstance(fj, FileJournal)
-    fj.close()
-    with pytest.raises(UsageError):
-        FileJournal(tmp_path / "j2.log", fsync="sometimes")
 
 
 # -- WorldJournal: commit and recovery frontier ------------------------------------

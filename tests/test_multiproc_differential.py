@@ -26,9 +26,6 @@ picklable — the worker-process contract.
 
 import pytest
 
-# Imported at module load, not inside a test: perf.agents registers its
-# compensations on import, and the per-test registry snapshot keeps only
-# registrations that predate the test.
 from perf.agents import PerfAgent
 from perf.inputs import make_inputs
 from perf.kernel import launch_all, lay_out, new_world
@@ -232,56 +229,125 @@ def test_proc_journal_with_retired_wire_config_still_resumes(monkeypatch):
 
 def test_proc_journal_with_retired_optimistic_lockstep_still_resumes(
         monkeypatch):
-    """Journals written while the process backend had an optimistic
-    (speculative) epoch schedule record ``lockstep="optimistic"``.  That
-    schedule was pinned bit-identical to serial turns, so resume folds
-    it to ``"auto"`` and reproduces the uninterrupted run."""
+    """Journals written while the epoch schedule and the worker start
+    method were construction knobs record ``lockstep`` (``"optimistic"``
+    — the retired speculative schedule, pinned bit-identical to serial
+    turns — ``"parallel"`` or ``"serial"``) and ``start_method``.
+    Resume ignores both keys, and each such journal of an entangled run
+    reproduces the uninterrupted run."""
     from repro.journal import MemoryJournal, WorldJournal
 
+    outage = SCENARIOS["kill-restart-mid"][0]
+    uninterrupted = run_differential_scenario("proc", seed=11, outage=outage)
     record_config = WorldJournal.record_config
+    for retired in ({"lockstep": "optimistic"},
+                    {"lockstep": "parallel", "start_method": "spawn"},
+                    {"lockstep": "serial", "start_method": "spawn"}):
+        shared = MemoryJournal()
+        with monkeypatch.context() as patch:
+            patch.setattr(WorldJournal, "record_config",
+                          lambda self, retired=retired, **data:
+                          record_config(self, **dict(data, **retired)))
+            resumed, killed = run_crash_resume_scenario(
+                "proc", seed=11, kill_at=0.06, outage=outage,
+                journal_factory=lambda shared=shared: WorldJournal(shared))
+        assert killed, retired
+        assert resumed == uninterrupted, retired
+        config = WorldJournal(shared).recover().config
+        assert {key: config[key] for key in retired} == retired
 
-    def legacy_record_config(self, **data):
-        data["lockstep"] = "optimistic"
-        record_config(self, **data)
 
-    monkeypatch.setattr(WorldJournal, "record_config", legacy_record_config)
-    shared = MemoryJournal()
-    factory = lambda: WorldJournal(shared)  # noqa: E731
-    assert_crash_resume("proc", seed=11, kill_at=0.06,
-                        outage=SCENARIOS["kill-restart-mid"][0],
-                        journal_factory=factory)
-    assert WorldJournal(shared).recover().config["lockstep"] == "optimistic"
+def test_world_journal_with_retired_journal_epoch_still_resumes(monkeypatch):
+    """``World`` journals recorded their commit grid as ``journal_epoch``;
+    the grid is now always ``net_params.latency``.  A journal written on
+    that grid or another one resumes to the uninterrupted run: replay
+    walks the journaled barriers verbatim, the continuation takes the
+    latency grid, and one kernel routes nothing at a barrier, so only
+    the markers move, never the events."""
+    from repro import World
+    from repro.journal import MemoryJournal, WorldJournal
+
+    outage = SCENARIOS["kill-restart-mid"][0]
+    uninterrupted = run_differential_scenario("world", seed=11,
+                                              outage=outage)
+    record_config = WorldJournal.record_config
+    barriers = {}
+    for grid in (0.005, 0.0125):
+        shared = MemoryJournal()
+        journals = []
+
+        def factory():
+            # The second journal is the recovery, which runs the code
+            # as it is now: the old grid is gone by then.
+            if journals:
+                patch.undo()
+            journals.append(WorldJournal(shared))
+            return journals[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(WorldJournal, "record_config",
+                          lambda self, grid=grid, **data:
+                          record_config(self, **dict(data,
+                                                     journal_epoch=grid)))
+            patch.setattr(World, "_epoch_length", lambda self, grid=grid: grid)
+            resumed, killed = run_crash_resume_scenario(
+                "world", seed=11, kill_at=0.06, outage=outage,
+                journal_factory=factory)
+        assert killed, grid
+        assert resumed == uninterrupted, grid
+        recovered = WorldJournal(shared).recover()
+        assert recovered.config["journal_epoch"] == grid
+        barriers[grid] = [data["barrier"] for kind, data in recovered.entries
+                          if kind == "epoch"]
+    # The old grid really moved the markers.
+    assert barriers[0.005] != barriers[0.0125]
 
 
 def test_forced_parallel_entangled_journal_fails_the_frontier_check(
         monkeypatch):
     """A journal of an entangled run under the retired forced
-    ``lockstep="parallel"`` resumes under ``"auto"`` (serial turns),
-    which walks a different event sequence: resume refuses it with a
-    typed error instead of continuing a different run."""
+    ``lockstep="parallel"`` resumes under the one schedule left (serial
+    turns on an entangled run), which walks a different event sequence:
+    resume refuses it with a typed error instead of continuing a
+    different run, whatever other retired keys the config carries."""
     from repro import ProcShardedWorld
     from repro.errors import JournalDiverged, WorldKilled
     from repro.journal import MemoryJournal, WorldJournal, resume_world
 
-    shared = MemoryJournal()
-    with monkeypatch.context() as patch:
-        record_config = WorldJournal.record_config
-        patch.setattr(WorldJournal, "record_config",
-                      lambda self, **data: record_config(
-                          self, **dict(data, lockstep="parallel")))
-        # The retired schedule: parallel epochs on an entangled run.
-        patch.setattr(ProcShardedWorld, "_serial", lambda self: False)
-        world = build_ft_ring("proc", seed=11, journal=WorldJournal(shared))
-        try:
-            world.kill_shard(1, at=0.08, restart_at=2.0)
-            launch_ft_tours(world)
-            world.kill_world(at=0.3)
-            with pytest.raises(WorldKilled):
-                world.run(until=120.0)
-        finally:
-            world.close()
-    with pytest.raises(JournalDiverged):
-        resume_world(WorldJournal(shared))
+    for retired in ({"lockstep": "parallel"},
+                    {"lockstep": "parallel", "start_method": "spawn"}):
+        shared = MemoryJournal()
+        with monkeypatch.context() as patch:
+            record_config = WorldJournal.record_config
+            patch.setattr(WorldJournal, "record_config",
+                          lambda self, retired=retired, **data:
+                          record_config(self, **dict(data, **retired)))
+            # The retired schedule: parallel epochs on an entangled run,
+            # every turn dispatched before any reply is collected.
+            cycle, collect = ProcShardedWorld._cycle, ProcShardedWorld._collect
+            deferred = []
+
+            def parallel_cycle(self, *args, **kwargs):
+                cycle(self, *args, **kwargs)
+                for shard in deferred:
+                    collect(self, shard)
+                deferred.clear()
+
+            patch.setattr(ProcShardedWorld, "_cycle", parallel_cycle)
+            patch.setattr(ProcShardedWorld, "_collect",
+                          lambda self, shard: deferred.append(shard))
+            world = build_ft_ring("proc", seed=11,
+                                  journal=WorldJournal(shared))
+            try:
+                world.kill_shard(1, at=0.08, restart_at=2.0)
+                launch_ft_tours(world)
+                world.kill_world(at=0.3)
+                with pytest.raises(WorldKilled):
+                    world.run(until=120.0)
+            finally:
+                world.close()
+        with pytest.raises(JournalDiverged):
+            resume_world(WorldJournal(shared))
 
 
 # -- launch is a ship: mid-run launches and the repo benchmark's inputs ------------

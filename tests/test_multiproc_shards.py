@@ -6,9 +6,8 @@ The contract under test (see :mod:`repro.node.procshard`):
   byte-identical results on ``ShardedWorld`` and ``ProcShardedWorld``:
   outcomes, aggregate counters, epoch count, event count, and the
   kernel event-stream digests;
-* **facade parity** — construction-time dispatch via
-  ``ShardedWorld(workers="process")``, argument validation, record
-  identity across ``run`` calls;
+* **facade parity** — argument validation, record identity across
+  ``run`` calls;
 * **failure surfacing** — a worker-side error arrives as
   :class:`~repro.errors.WorkerError` with the remote traceback; a
   hard worker-process death (SIGKILL) as
@@ -154,25 +153,6 @@ def test_process_runs_are_deterministic(proc_worlds):
     assert first.trace_digests() == second.trace_digests()
 
 
-def test_forced_serial_lockstep_matches_parallel(proc_worlds):
-    """An independent swarm runs parallel epochs under ``"auto"``;
-    forcing serial turns must not move a bit."""
-    parallel = run_swarm(build(proc_worlds(n_shards=2, seed=7,
-                                           lockstep="auto")))
-    serial = run_swarm(build(proc_worlds(n_shards=2, seed=7,
-                                         lockstep="serial")))
-    assert serial.outcomes() == parallel.outcomes()
-    assert serial.trace_digests() == parallel.trace_digests()
-
-
-@pytest.mark.parametrize("lockstep", ["hopeful", "optimistic", "parallel"])
-def test_unknown_lockstep_rejected_by_both_backends(lockstep):
-    with pytest.raises(UsageError, match="unknown lockstep mode"):
-        ShardedWorld(n_shards=2, lockstep=lockstep)
-    with pytest.raises(UsageError, match="unknown lockstep mode"):
-        ProcShardedWorld(n_shards=2, lockstep=lockstep)
-
-
 # -- shard 0 in the coordinator -------------------------------------------------
 
 
@@ -308,8 +288,7 @@ def test_idle_turns_are_skipped_with_identical_digests():
 # -- view deltas ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("lockstep", ["serial"])
-def test_view_deltas_rebuild_the_coordinator_views(lockstep):
+def test_view_deltas_rebuild_the_coordinator_views():
     """Oracle for the delta barrier exchange.  After every step, each
     worker's merged views equal the full views the coordinator would
     have served it at its last dispatch, through a shard
@@ -317,7 +296,7 @@ def test_view_deltas_rebuild_the_coordinator_views(lockstep):
     deltas."""
     import copy
 
-    world = build_ft_ring("proc", seed=5, lockstep=lockstep)
+    world = build_ft_ring("proc", seed=5)
     expected = {}
     seen = {"empty": 0, "partial": 0}
 
@@ -362,31 +341,28 @@ def test_view_deltas_rebuild_the_coordinator_views(lockstep):
 # -- facade parity ----------------------------------------------------------------
 
 
-def test_workers_kwarg_dispatches_to_process_driver(proc_worlds):
-    world = ShardedWorld(n_shards=2, seed=0, workers="process")
-    try:
-        assert isinstance(world, ProcShardedWorld)
-    finally:
-        world.close()
-    assert isinstance(ShardedWorld(n_shards=2, seed=0), ShardedWorld)
+@pytest.mark.parametrize("backend", ["sharded", "proc"])
+def test_validation_mirrors_in_process_facade(backend, proc_worlds,
+                                              monkeypatch):
+    make = ShardedWorld if backend == "sharded" else proc_worlds
     with pytest.raises(UsageError):
-        ShardedWorld(n_shards=2, workers="threads")
-
-
-def test_validation_mirrors_in_process_facade(proc_worlds, monkeypatch):
-    with pytest.raises(UsageError):
-        ProcShardedWorld(n_shards=0)
+        make(n_shards=0)
     with monkeypatch.context() as patch:
         def no_spawn(*_args, **_kwargs):
             raise AssertionError("a worker process was started")
 
         patch.setattr(multiprocessing, "get_context", no_spawn)
-        # A keyword the worker kernel does not take (including the
-        # retired wire knob) fails here, not in a child's TypeError.
-        for bad in ({"bogus": 1}, {"ipc": "pipe"}):
-            with pytest.raises(UsageError, match=repr(next(iter(bad)))):
-                ProcShardedWorld(n_shards=2, **bad)
-    world = proc_worlds(n_shards=2, seed=0)
+        # A keyword the shard kernel does not take (including every
+        # retired construction knob) fails here with one error on both
+        # backends, not in a kernel's or a child's TypeError.
+        for bad in ({"bogus": 1}, {"ipc": "pipe"}, {"lockstep": "serial"},
+                    {"journal_epoch": 0.5}, {"start_method": "fork"},
+                    {"workers": "process"}):
+            with pytest.raises(UsageError,
+                               match=f"unknown world keyword "
+                                     f"{next(iter(bad))!r}"):
+                make(n_shards=2, **bad)
+    world = make(n_shards=2, seed=0)
     world.add_node("x", shard=1)
     assert world.shard_of("x") == 1
     with pytest.raises(UsageError):

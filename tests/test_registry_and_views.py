@@ -1,10 +1,13 @@
 """Unit tests: compensation registry, WRO view, resource views."""
 
+import sys
+
 import pytest
 
 from repro.agent.agent import MobileAgent
 from repro.agent.context import WROView
 from repro.compensation.registry import (
+    GLOBAL_REGISTRY,
     CompensationRegistry,
     agent_compensation,
     mixed_compensation,
@@ -59,6 +62,26 @@ def test_registry_conflicting_reregistration_rejected():
     registry.register("dup", OperationKind.RESOURCE, op1)  # same fn ok
     with pytest.raises(UsageError, match="already registered"):
         registry.register("dup", OperationKind.RESOURCE, op2)
+
+
+# These two run in order: the first imports a module whose op
+# registers at import, inside the test body; the second needs that
+# registration to have outlived the first test.
+
+def test_module_first_imported_in_a_test_registers_its_op():
+    assert "tests.import_time_ops" not in sys.modules
+    import tests.import_time_ops  # noqa: F401
+
+    assert "t.import_time_note" in GLOBAL_REGISTRY.names()
+
+
+def test_import_time_registration_outlives_the_importing_test():
+    if "tests.import_time_ops" not in sys.modules:
+        pytest.skip("runs after the test that first imports the module")
+    op = GLOBAL_REGISTRY.resolve("t.import_time_note")
+    assert op.kind is OperationKind.AGENT
+    module = sys.modules["tests.import_time_ops"]
+    assert op.fn is module.forget_import_time_note
 
 
 # -- WRO view -------------------------------------------------------------------

@@ -579,13 +579,12 @@ def test_http_error_mapping():
         assert status == 400 and "unknown backend" in err["error"]
         status, _, err = gw.request("POST", "/worlds", {"nodes": "four"})
         assert status == 400
+        # The schedule is not a knob: a spec naming one is rejected.
         for backend in ("sharded", "proc"):
-            for lockstep in ("optimistic", "parallel"):
-                status, _, err = gw.request(
-                    "POST", "/worlds",
-                    {"backend": backend, "lockstep": lockstep})
-                assert status == 400
-                assert "unknown lockstep mode" in err["error"]
+            status, _, err = gw.request(
+                "POST", "/worlds", {"backend": backend, "lockstep": "auto"})
+            assert status == 400
+            assert "unknown world-spec key(s) ['lockstep']" in err["error"]
         _, _, made = gw.request("POST", "/worlds",
                                 {"backend": "world", "nodes": 4})
         wid = made["world"]
