@@ -344,6 +344,12 @@ class BridgedFaultTolerance(FaultTolerance):
         self._inbound_shadows: dict[int, tuple] = {}
         self._inbound_seq = itertools.count()
 
+    def claims(self) -> dict[int, str]:
+        """This replica's claims, work_id -> holder (staged included)."""
+        ledger = self.ledger
+        return {key[1]: ledger.get(key) for key in ledger.keys()
+                if isinstance(key, tuple) and key and key[0] == "claim"}
+
     # -- placement ----------------------------------------------------------------
 
     def _placement_of(self, node: Optional[str]) -> Optional[int]:

@@ -12,11 +12,14 @@ revivals fall inside it, where a kill lands and when the commit marker
 is written.  The same seed therefore gives the same barrier sequence,
 commit markers and trace digests on every backend by construction.
 
+The entry points live here once too: :meth:`LockstepWorld.run`,
+:meth:`LockstepWorld.step_epoch` and :meth:`LockstepWorld.launch`.
+
 A commit hands its marker to the OS; :func:`returns_durable` is the
-one place that makes it durable.  It wraps every entry point of the
-walk (``run`` and ``step_epoch`` on each backend) and fsyncs the
-journal whenever control goes back to the caller — on return and on
-raise, ``WorldKilled`` included — as do :meth:`LockstepWorld.
+one place that makes it durable.  It wraps both entry points of the
+walk (``run`` and ``step_epoch``) and fsyncs the journal whenever
+control goes back to the caller — on return and on raise,
+``WorldKilled`` included — as do :meth:`LockstepWorld.
 commit_journal` and :meth:`LockstepWorld.close`.  A ``run()`` over K
 barriers thus pays one fsync, not K.
 
@@ -33,7 +36,10 @@ A backend supplies only the hooks that differ:
 * :meth:`~LockstepWorld._stop_at` — what a run capped at ``until`` does
   when the next event lies past the cap;
 * :meth:`~LockstepWorld._journal_digest` — the execution digest each
-  commit marker carries.
+  commit marker carries;
+* :meth:`~LockstepWorld._owner_of` and
+  :meth:`~LockstepWorld._ship_launch` — which kernel hosts a launch's
+  node, and how its journaled bundle gets there.
 
 The defaults drive the kernels :meth:`~LockstepWorld._kernels` returns
 in this process; the process backend overrides the kernel-facing hooks
@@ -44,9 +50,13 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 from typing import Any, Optional
 
 from repro.errors import JournalError, UsageError, WorldKilled
+
+#: Barriers one ``run()`` walks before it calls the walk a livelock.
+MAX_EPOCHS = 1_000_000
 
 
 def next_epoch_barrier(soonest: float, epoch: float,
@@ -189,6 +199,17 @@ class LockstepWorld:
         """The config record a resume rebuilds this world from."""
         raise NotImplementedError
 
+    def _owner_of(self, node: str) -> Any:
+        """What hosts ``node`` (UsageError when nothing does)."""
+        raise NotImplementedError
+
+    def _ship_launch(self, owner: Any, bundle: bytes,
+                     launch_kwargs: dict[str, Any]) -> Any:
+        """Launch a restored copy of ``bundle`` on ``owner``."""
+        from repro.storage.serialization import restore
+        agent, at, method, kwargs = restore(bundle)
+        return owner._launch(agent, at=at, method=method, **kwargs)
+
     def _apply_crash_plans(self, plans: list) -> None:
         """Hand each plan to the kernel hosting its node."""
         raise NotImplementedError
@@ -248,16 +269,53 @@ class LockstepWorld:
             raise WorldKilled(barrier, kill)
         return True
 
+    @returns_durable
+    def run(self, until: Optional[float] = None,
+            max_events: int = 10_000_000,
+            _replay: Optional[list] = None) -> None:
+        """Walk the barriers until every kernel is drained (or ``until``).
+
+        One :meth:`_step` per barrier, at most ``max_events`` events per
+        kernel and epoch; past :data:`MAX_EPOCHS` barriers the walk is
+        a livelock (:class:`~repro.errors.UsageError`).  The commits are
+        fsynced once, when the call returns or raises.  A cut at
+        ``until`` inside an epoch with an event due caps that barrier
+        there, so the continued walk can differ from a straight run;
+        see "Cutting a run" in ``docs/determinism.md``.  ``_replay``
+        (resume only) walks the journaled barriers verbatim instead.
+        """
+        replay = iter(_replay) if _replay is not None else None
+        for _ in range(MAX_EPOCHS):
+            if not self._step(until, max_events, replay):
+                return
+        raise UsageError(
+            f"run exceeded {MAX_EPOCHS} epochs; likely livelock")
+
+    @returns_durable
+    def step_epoch(self, max_events: int = 10_000_000) -> bool:
+        """Advance one barrier of the walk; False once the world is idle.
+
+        The reentrant twin of :meth:`run`, which is exactly ``while
+        self.step_epoch(): pass``, so a stepped run reproduces a
+        straight run bit for bit; hosts (the service gateway) launch
+        and read telemetry between calls.  A call may route a pending
+        bridge flush or ship a staged inbox without advancing the clock
+        (still True).  Idle calls are repeatable; a later
+        :meth:`launch` makes the next call True again.
+        """
+        return self._step(None, max_events)
+
     # -- journal / kill seams --------------------------------------------------------
 
-    def _record_journal_config(self, journal: Any) -> None:
-        """Write the config record.
+    def _record_journal_config(self) -> None:
+        """Write the config record, if a journal is attached.
 
         A resume's disarmed journal already holds it; an armed journal
         that does was handed to another world first, and
         ``record_config`` refuses it.
         """
-        if journal.armed:
+        journal = self.journal
+        if journal is not None and journal.armed:
             journal.record_config(**self._journal_config())
 
     def _journal_op(self, op: str, **data: Any) -> None:
@@ -339,14 +397,38 @@ class LockstepWorld:
         """Create several nodes at once (round-robin across shards)."""
         return [self.add_node(n) for n in names]
 
+    def launch(self, agent: Any, at: str, method: str,
+               **launch_kwargs: Any) -> Any:
+        """Inject ``agent`` into node ``at``'s input queue, starting at
+        ``method``; returns its live record.
+
+        Validate, journal, execute: an unknown node or an agent id
+        already launched is refused (:class:`~repro.errors.UsageError`)
+        before anything is journaled.  Launch is a ship: the owner runs
+        a restored copy of the journaled bundle — what a worker process
+        and a resume run — never the caller's object.
+        """
+        from repro.storage.serialization import assert_picklable, capture
+        owner = self._owner_of(at)
+        if agent.agent_id in self.agents:
+            raise UsageError(f"agent {agent.agent_id!r} already launched")
+        try:
+            bundle = capture((agent, at, method, launch_kwargs))
+        except (pickle.PicklingError, AttributeError, TypeError):
+            # Name the attribute at fault instead of a bare pickle error.
+            assert_picklable(agent, f"agent {agent.agent_id!r}")
+            raise
+        # The journal keeps the ship bundle verbatim, so replay
+        # re-launches byte-identical launch state.
+        self._journal_op("launch", bundle=bundle)
+        return self._ship_launch(owner, bundle, launch_kwargs)
+
     def apply_crash_plans(self, plans) -> None:
         """Schedule node-level outages on whichever kernels host the
         nodes — the facade twin of ``failures.apply_plan``."""
+        from repro.storage.serialization import capture
         plans = list(plans)
-        journal = self.journal
-        if self._owns_ops and journal is not None and journal.armed:
-            from repro.storage.serialization import capture
-            journal.record_op("crash_plans", blob=capture(plans))
+        self._journal_op("crash_plans", blob=capture(plans))
         self._apply_crash_plans(plans)
 
     def resource_state(self, node: str, resource: str) -> Any:

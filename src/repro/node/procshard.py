@@ -199,6 +199,25 @@ def _record_progress(record: Any) -> tuple:
             record.transfer_bytes)
 
 
+def _merge_record(agents: dict[str, Any], incoming: Any) -> Optional[Any]:
+    """Merge a shipped record copy into ``agents`` and return the live
+    record, or None when the copy is stale (left on a shard the agent
+    migrated off).  Updates in place: closures and callers hold it."""
+    existing = agents.get(incoming.agent_id)
+    if existing is None:
+        agents[incoming.agent_id] = incoming
+        return incoming
+    if _record_progress(incoming) < _record_progress(existing):
+        return None
+    if incoming.final_agent is None:
+        # Broadcast copies travel with final_agent stripped (see
+        # ProcShardedWorld._merge_record_blob); a captured agent
+        # already here must survive the merge.
+        incoming.final_agent = existing.final_agent
+    existing.__dict__.update(incoming.__dict__)
+    return existing
+
+
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
@@ -315,13 +334,6 @@ class RemoteShardContext:
                           for item, tx in mirror.held_items()}
         return out
 
-    def claims_dump(self) -> dict[int, str]:
-        """This shard's replica contents (staged writes included, like
-        a live :meth:`~repro.storage.stable.StableStore.get`)."""
-        ledger = self.world.ft.ledger
-        return {key[1]: ledger.get(key) for key in ledger.keys()
-                if isinstance(key, tuple) and key and key[0] == "claim"}
-
 
 #: Commands that change a shard's state: an idle turn's skipped
 #: ``catch_up`` rides the next one (``fetch`` is a pure read,
@@ -375,24 +387,12 @@ class _WorkerServer:
 
     # -- record delta tracking ------------------------------------------------------
 
-    def _merge_records(self, records: dict[str, bytes]) -> None:
-        for agent_id, blob in records.items():
-            incoming = restore(blob)
-            existing = self.world.agents.get(agent_id)
-            if existing is None:
-                self.world.agents[agent_id] = incoming
-            elif _record_progress(incoming) >= _record_progress(existing):
-                if incoming.final_agent is None:
-                    # Broadcast copies travel with final_agent stripped
-                    # (see ProcShardedWorld._merge_record_blob); a copy
-                    # already captured locally must survive the merge.
-                    incoming.final_agent = existing.final_agent
-                # In place: protocol closures hold the record object.
-                existing.__dict__.update(incoming.__dict__)
-            else:
-                continue  # stale copy: keep the fresher local state
-            self._record_prints[agent_id] = _record_fingerprint(
-                self.world.agents[agent_id])
+    def _merge_records(self, blobs) -> None:
+        for blob in blobs:
+            record = _merge_record(self.world.agents, restore(blob))
+            if record is not None:
+                self._record_prints[record.agent_id] = \
+                    _record_fingerprint(record)
 
     def _record_deltas(self) -> dict[str, bytes]:
         deltas: dict[str, bytes] = {}
@@ -411,7 +411,7 @@ class _WorkerServer:
         dump: dict[str, Any] = {}
         version = self.world.ft.ledger.version
         if published.get("claims") != version:
-            dump["claims"] = self.ctx.claims_dump()
+            dump["claims"] = self.world.ft.claims()
             published["claims"] = version
         for part, value in (("locks", self.ctx.lock_contributions()),
                             ("down", self.world.failures.down_nodes())):
@@ -463,8 +463,7 @@ class _WorkerServer:
             # agent's own state and the launch arguments (e.g. the
             # start-node string also being plan[0]), so the package the
             # worker packs is byte-identical to an in-process launch.
-            agent, at, method, kwargs = restore(payload["bundle"])
-            record = world._launch(agent, at=at, method=method, **kwargs)
+            record = world._ship_launch(world, payload["bundle"], {})
             self._record_prints[record.agent_id] = \
                 _record_fingerprint(record)
             return {"record": capture(record)}
@@ -487,7 +486,7 @@ class _WorkerServer:
     def _apply_inbox(self, records: dict[str, bytes], items: list) -> None:
         """Merge broadcast records, then apply routed bridge items."""
         world = self.world
-        self._merge_records(records)
+        self._merge_records(records.values())
         if items:
             self._scanned_at = None
         for action, transfer in items:
@@ -498,10 +497,7 @@ class _WorkerServer:
                 # The agent's record travelled with it; merge before
                 # delivery so the dispatch sees current state exactly
                 # like the in-process shared record table would.
-                agent_id = (transfer.package.agent_id
-                            if transfer.package is not None
-                            else transfer.message.payload.agent_id)
-                self._merge_records({agent_id: transfer.record_blob})
+                self._merge_records((transfer.record_blob,))
             apply_transfer(world, transfer)
 
     def _handle_epoch(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -554,7 +550,7 @@ class _WorkerServer:
         if what == "summary":
             return world.metrics.summary()
         if what == "ledger":
-            return self.ctx.claims_dump()
+            return world.ft.claims()
         if what == "resource":
             return world.node(payload["node"]).get_resource(
                 payload["resource"])
@@ -670,6 +666,10 @@ class _ShardHandle:
         self.send(op, payload or {})
         return self.recv()
 
+    def fetch(self, what: str, **args: Any) -> Any:
+        """One read of the shard's state (a ``fetch`` command)."""
+        return self.request("fetch", dict(args, what=what))["value"]
+
 
 class _WorkerHandle(_ShardHandle):
     """The pipe and process of one shard worker."""
@@ -766,21 +766,20 @@ class NodeProxy:
             raise UsageError(
                 f"cannot share a resource across worker processes "
                 f"({from_node!r} is not in shard {self.shard})")
-        journal = self._world.journal
-        if journal is not None and journal.armed:
-            journal.record_op("share_resource", node=self.name,
-                              from_node=from_node, name=resource)
+        self._world._journal_op("share_resource", node=self.name,
+                                from_node=from_node, name=resource)
         self._world._handles[self.shard].request(
             "share_resource", {"node": self.name, "from_node": from_node,
                                "resource": resource})
 
     def get_resource(self, name: str):
         """A pickled snapshot of the resource's current worker-side state."""
-        return self._world.resource_state(self.name, name)
+        return self._world._handles[self.shard].fetch(
+            "resource", node=self.name, resource=name)
 
     def queue_length(self) -> int:
-        return self._world._handles[self.shard].request(
-            "fetch", {"what": "queue_length", "node": self.name})["value"]
+        return self._world._handles[self.shard].fetch(
+            "queue_length", node=self.name)
 
 
 class ProcShardedWorld(ShardCoordinator):
@@ -819,17 +818,16 @@ class ProcShardedWorld(ShardCoordinator):
             the remote traceback).
     """
 
+    _BACKEND = "proc"
+
     def __init__(self, n_shards: int = 2, seed: int = 0,
                  epoch: Optional[float] = None,
                  journal: Optional[Any] = None,
                  **world_kwargs: Any):
         # First, so a facade whose construction failed closes cleanly.
         self._handles: list[_ShardHandle] = []
-        self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
         assert_picklable(world_kwargs, "world configuration")
-        self._world_kwargs = world_kwargs
-        if journal is not None:
-            self._record_journal_config(journal)
+        self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
         self._entangled = False
         # Barrier-merged global state (see the module docstring).
         self._suspended = [False] * n_shards
@@ -977,10 +975,6 @@ class ProcShardedWorld(ShardCoordinator):
                     revives={}, cap_to_now=True)
         self._sync_records()
 
-    def _journal_config(self) -> dict[str, Any]:
-        return dict(backend="proc", seed=self.seed, n_shards=self.n_shards,
-                    epoch=self.epoch, world_kwargs=capture(self._world_kwargs))
-
     def _journal_digest(self) -> tuple:
         """Per-shard event counts at the barrier — the commit digest."""
         return tuple(handle.events for handle in self._handles)
@@ -999,38 +993,26 @@ class ProcShardedWorld(ShardCoordinator):
     def node(self, name: str) -> NodeProxy:
         return NodeProxy(self, name, self.shard_of(name))
 
-    def set_alternates(self, node: str, *alternates: str) -> None:
-        """Declare step alternates for ``node``, visible to all workers."""
-        self._journal_op("set_alternates", node=node,
-                         alternates=tuple(alternates))
+    def _share_alternates(self, node: str,
+                          alternates: tuple[str, ...]) -> None:
         self._entangled = True
-        self.ft_alternates[node] = tuple(alternates)
         for handle in self._handles:
             handle.request("set_alternates",
                            {"node": node, "alternates": alternates})
 
     # -- agent management --------------------------------------------------------------
 
-    def launch(self, agent, at: str, method: str, **launch_kwargs: Any):
-        """Launch ``agent`` at node ``at`` (in whichever shard hosts it).
+    def _owner_of(self, node: str) -> int:
+        return self.shard_of(node)
 
-        Launch is a ship: the owning shard runs a restored copy of the
-        agent, never the caller's object.  Returns the coordinator's
-        live :class:`~repro.node.runtime.AgentRecord` copy — merged in
-        place at every barrier, so the reference stays current across
-        :meth:`run` calls; results are read through it and
-        :meth:`outcomes`.
-        """
+    def _ship_launch(self, owner: int, bundle: bytes,
+                     launch_kwargs: dict[str, Any]) -> Any:
+        """Ship the bundle to the owning shard; returns the coordinator's
+        record copy, which every barrier merges into in place."""
         from repro.agent.packages import Protocol
         protocol = launch_kwargs.get("protocol", Protocol.BASIC)
         if Protocol(protocol) is Protocol.FAULT_TOLERANT:
             self._entangled = True
-        assert_picklable(agent, f"agent {agent.agent_id!r}")
-        owner = self.shard_of(at)
-        bundle = capture((agent, at, method, launch_kwargs))
-        # The journal reuses the ship bundle verbatim, so replay
-        # re-launches byte-identical launch state.
-        self._journal_op("launch", bundle=bundle)
         # The owner's inbox routed at the last barrier ships along and
         # applies first: in-process, that flush already scheduled it.
         reply = self._handles[owner].request(
@@ -1039,24 +1021,14 @@ class ProcShardedWorld(ShardCoordinator):
                        "items": self._staged_items[owner]})
         self._pending_records[owner] = {}
         self._staged_items[owner] = []
-        self._merge_record_blob(reply["record"], origin=owner)
-        return self.agents[agent.agent_id]
+        return self._merge_record_blob(reply["record"], origin=owner)
 
-    def _merge_record_blob(self, blob: bytes, origin: int) -> None:
-        record = restore(blob)
-        existing = self.agents.get(record.agent_id)
-        if existing is None:
-            self.agents[record.agent_id] = record
-        elif _record_progress(record) >= _record_progress(existing):
-            if record.final_agent is None:
-                # A delta that bounced through a worker holding only
-                # the final_agent-stripped broadcast copy must not
-                # erase the captured agent the coordinator already has.
-                record.final_agent = existing.final_agent
-            # In place: callers hold the object launch() returned.
-            existing.__dict__.update(record.__dict__)
-        else:
-            return  # stale copy from a worker the agent migrated off
+    def _merge_record_blob(self, blob: bytes, origin: int) -> Any:
+        """Merge one shard's record copy and stage its rebroadcast to
+        every other shard; returns the live record (None when stale)."""
+        record = _merge_record(self.agents, restore(blob))
+        if record is None:
+            return None
         if record.final_agent is not None:
             # The re-broadcast copy drops the captured final agent: no
             # worker reads a foreign record's final_agent (it is pure
@@ -1067,6 +1039,7 @@ class ProcShardedWorld(ShardCoordinator):
         for shard in range(self.n_shards):
             if shard != origin:
                 self._pending_records[shard][record.agent_id] = blob
+        return record
 
     # -- execution ----------------------------------------------------------------------
 
@@ -1082,8 +1055,7 @@ class ProcShardedWorld(ShardCoordinator):
         coordinator's inspection copies catch up here)."""
         for handle in self._handles:
             try:
-                deltas = handle.request(
-                    "fetch", {"what": "record_deltas"})["value"]
+                deltas = handle.fetch("record_deltas")
             except WorkerDied:
                 continue  # a dead shard's last state is already merged
             for _agent_id, blob in deltas.items():
@@ -1243,8 +1215,7 @@ class ProcShardedWorld(ShardCoordinator):
                  ) -> dict[str, int]:
         """Aggregate counters/byte totals fetched from every worker."""
         return aggregate_counters(
-            [h.request("fetch", {"what": "summary"})["value"]
-             for h in self._handles],
+            [h.fetch("summary") for h in self._handles],
             exclude_prefixes)
 
     def events_processed(self) -> int:
@@ -1252,14 +1223,7 @@ class ProcShardedWorld(ShardCoordinator):
 
     def shard_metrics(self, shard: int):
         """A snapshot of one worker's :class:`~repro.sim.metrics.Metrics`."""
-        return self._handles[shard].request(
-            "fetch", {"what": "metrics"})["value"]
-
-    def resource_state(self, node: str, resource: str) -> Any:
-        """Pickled snapshot of a worker-hosted resource's current state."""
-        return self._handles[self.shard_of(node)].request(
-            "fetch", {"what": "resource", "node": node,
-                      "resource": resource})["value"]
+        return self._handles[shard].fetch("metrics")
 
     def _serialization_counters(self) -> dict[str, Any]:
         """Summed per-shard serialization counters.
@@ -1270,8 +1234,7 @@ class ProcShardedWorld(ShardCoordinator):
         directions of the exchange are visible.
         """
         merged = dict(aggregate_counters(
-            [h.request("fetch", {"what": "ser_stats"})["value"]
-             for h in self._handles]))
+            [h.fetch("ser_stats") for h in self._handles]))
         own = serialization.stats()
         for key in serialization.IPC_STAT_KEYS:
             merged[key] = merged.get(key, 0) + own.get(key, 0)
@@ -1279,8 +1242,7 @@ class ProcShardedWorld(ShardCoordinator):
 
     def shard_serialization_stats(self, shard: int) -> dict[str, int]:
         """One shard's own serialization counters (its scope's table)."""
-        return self._handles[shard].request(
-            "fetch", {"what": "ser_stats"})["value"]
+        return self._handles[shard].fetch("ser_stats")
 
     def enable_trace_digest(self) -> None:
         """Turn on every worker kernel's event-stream digest."""
@@ -1289,21 +1251,12 @@ class ProcShardedWorld(ShardCoordinator):
 
     def trace_digests(self) -> list[Optional[int]]:
         """Per-shard kernel event-stream digests (see Simulator)."""
-        return [h.request("fetch", {"what": "trace_digest"})["value"]
-                for h in self._handles]
+        return [h.fetch("trace_digest") for h in self._handles]
 
     def timelines(self) -> list[list]:
         """None: shard timelines stay in their own processes (the
         service reports ``agent`` / ``epoch`` events instead)."""
         return []
 
-    # -- ledger inspection (tests / benches) ----------------------------------------------
-
-    def ledger_claims(self) -> dict[int, dict[int, str]]:
-        """Every replica's view of every claim: work_id -> shard -> holder."""
-        claims: dict[int, dict[int, str]] = {}
-        for handle in self._handles:
-            dump = handle.request("fetch", {"what": "ledger"})["value"]
-            for work_id, holder in dump.items():
-                claims.setdefault(work_id, {})[handle.shard] = holder
-        return claims
+    def _replica_claims(self, shard: int) -> dict[int, str]:
+        return self._handles[shard].fetch("ledger")

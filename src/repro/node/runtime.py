@@ -45,7 +45,7 @@ from repro.log.rollback_log import RollbackLog
 from repro.net.batching import BatchingTransport
 from repro.net.network import SimTransport
 from repro.net.transport import Transport
-from repro.node.lockstep import LockstepWorld, returns_durable
+from repro.node.lockstep import LockstepWorld
 from repro.node.node import Node
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
@@ -193,8 +193,7 @@ class World(LockstepWorld):
             RollbackMode.OPTIMIZED: OptimizedRollback(self),
             RollbackMode.SAGA: SagaRollback(self),
         }
-        if journal is not None:
-            self._record_journal_config(journal)
+        self._record_journal_config()
 
     def _make_fault_tolerance(self):
         """FT driver factory; the sharded world installs the bridged one."""
@@ -296,44 +295,25 @@ class World(LockstepWorld):
                mode: RollbackMode = RollbackMode.BASIC,
                protocol: Protocol = Protocol.BASIC,
                initial_savepoints: Optional[list] = None) -> AgentRecord:
-        """Inject ``agent`` into ``at``'s input queue, starting at ``method``.
+        """:meth:`~repro.node.lockstep.LockstepWorld.launch` with its
+        keywords named.  ``initial_savepoints`` — (sp_id, virtual) pairs
+        written into the fresh log before the first step, so the agent
+        can roll back to its very beginning (itinerary agents use this
+        for the savepoint "before the execution of [the first
+        sub-itinerary] starts")."""
+        return super().launch(agent, at, method, mode=mode,
+                              protocol=protocol,
+                              initial_savepoints=initial_savepoints)
 
-        ``initial_savepoints`` — (sp_id, virtual) pairs written into the
-        fresh rollback log before the first step, so the agent can roll
-        back to its very beginning (itinerary agents use this for the
-        savepoint "before the execution of [the first sub-itinerary]
-        starts").  Returns the live :class:`AgentRecord`.
-
-        Launch is a ship: the world runs a restored copy of ``agent``
-        (one capture/restore round trip, exactly what the process
-        backend and journal replay run), never the caller's object, so
-        the agent's pickled size cannot depend on caller-side object
-        identity.  Read results through the returned record and
-        :meth:`outcomes`.
-        """
-        from repro.storage.serialization import capture, restore
-
-        self.node(at)  # an unknown node is refused before journaling
-        # Launch is a ship: run the restored bundle, exactly as the
-        # worker-process backend and journal replay do, so the agent's
-        # pickled size never depends on caller-side object identity
-        # (e.g. interned SRO keys).
-        bundle = capture((agent, at, method,
-                          {"mode": mode, "protocol": protocol,
-                           "initial_savepoints": initial_savepoints}))
-        self._journal_op("launch", bundle=bundle)
-        agent, at, method, kwargs = restore(bundle)
-        return self._launch(agent, at, method, **kwargs)
+    def _owner_of(self, node: str) -> "World":
+        self.node(node)
+        return self
 
     def _launch(self, agent: MobileAgent, at: str, method: str,
                 mode: RollbackMode = RollbackMode.BASIC,
                 protocol: Protocol = Protocol.BASIC,
                 initial_savepoints: Optional[list] = None) -> AgentRecord:
-        """Launch an already-shipped (restored) agent: no journaling.
-
-        The sharded coordinators call this on the hosting shard once
-        they have canonicalized and journaled the launch themselves.
-        """
+        """Launch an already validated, journaled and shipped agent."""
         from repro.log.entries import SavepointEntry
         from repro.log.modes import sro_image_hashed
         from repro.storage.serialization import snapshot
@@ -361,8 +341,6 @@ class World(LockstepWorld):
         record = AgentRecord(agent_id=agent.agent_id,
                              mode=RollbackMode(mode),
                              protocol=Protocol(protocol))
-        if agent.agent_id in self.agents:
-            raise UsageError(f"agent {agent.agent_id!r} already launched")
         self.agents[agent.agent_id] = record
         package = AgentPackage.pack(PackageKind.STEP, agent, log,
                                     step_index=0, mode=record.mode,
@@ -413,45 +391,21 @@ class World(LockstepWorld):
 
     # -- execution ------------------------------------------------------------------------------
 
-    @returns_durable
     def run(self, until: Optional[float] = None,
             max_events: int = 10_000_000,
             _replay: Optional[list] = None) -> None:
         """Run the simulation until idle (or ``until``).
 
-        With a journal attached the run is epoch-ized: events execute
-        in ``net_params.latency`` intervals on the same deterministic
-        grid the sharded drivers use, with a commit marker handed to
-        the OS at each barrier, and the ``kill_world`` check between them.
-        The commits are fsynced once, when the call returns or raises:
-        a process crash loses at most the epoch it interrupted, a power
-        loss at most this call's barriers.
-
-        ``until`` on a journaled run: when the epoch the cut falls in
-        has an event due before ``until``, that barrier is capped at
-        ``until`` and commits there, so the journal holds one barrier
-        a straight run does not (one kernel routes nothing at a
-        barrier, so the events themselves are unchanged); a cut with
-        no event due before it is exact.  See "Cutting a run" in
-        ``docs/determinism.md``.
-
-        ``_replay`` is the resume driver's input: the
-        journaled barrier sequence is re-executed verbatim (commits
-        stay suppressed because the journal is disarmed), reproducing
-        the original walk even where ``until``-capping or same-instant
-        barriers made it diverge from the pure grid.
+        Without a journal the kernel runs straight through (``max_events``
+        bounds the whole run); with one it walks the shared barrier grid
+        (:meth:`~repro.node.lockstep.LockstepWorld.run`).  Either way the
+        clock ends at ``until``.
         """
-        if _replay is not None:
-            for barrier in _replay:
-                self.sim.run_epoch(barrier, max_events=max_events)
-            return
         if self.journal is None:
             self.sim.run(until=until, max_events=max_events)
             return
-        while self._step(until, max_events):
-            pass
+        super().run(until, max_events, _replay)
         if until is not None:
-            # Idle advance to ``until``, matching the plain path.
             self.sim.run(until=until, max_events=max_events)
 
     # The lockstep walk (LockstepWorld._step) over this one kernel.
@@ -465,24 +419,6 @@ class World(LockstepWorld):
     def _stop_at(self, until: float, max_events: int) -> None:
         """Nothing to do: :meth:`run` idle-advances the clock to
         ``until`` itself."""
-
-    @returns_durable
-    def step_epoch(self, max_events: int = 10_000_000) -> bool:
-        """Advance exactly one epoch barrier; False once the world is idle.
-
-        The reentrant twin of :meth:`run`: each call executes the next
-        barrier of the *same* deterministic epoch grid the journaled run
-        loop walks (``net_params.latency`` spacing, the lockstep walk
-        every backend shares), with the same commit marker and ``kill_world``
-        check per barrier — ``run()`` is exactly ``while world.step_epoch(): pass``, so a
-        stepped run and a straight run of the same seed produce
-        identical event order, outcomes and trace digests.  Long-lived
-        hosts (the service gateway) interleave launches and telemetry
-        reads between calls.  Idle calls (False) are safe and repeated:
-        new work scheduled later — another :meth:`launch` — simply makes
-        the next call return True again.
-        """
-        return self._step(None, max_events)
 
     # -- outcome hooks (called by drivers) ----------------------------------------------------------
 

@@ -82,12 +82,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import UsageError
-from repro.node.lockstep import LockstepWorld, returns_durable
+from repro.node.lockstep import LockstepWorld
 from repro.node.runtime import LEDGER_NODE, AgentRecord, World
 from repro.sim.timing import DEFAULT_NETWORK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.agent.agent import MobileAgent
     from repro.agent.packages import AgentPackage
     from repro.journal.journal import WorldJournal
     from repro.net.messages import Message
@@ -480,23 +479,26 @@ class ShardWorld(World):
 class ShardCoordinator(LockstepWorld):
     """What the in-process and the process-backed sharded drivers share.
 
-    Node placement, whole-shard outage scheduling (validation, the
-    outage record the lockstep walk selects revivals from), the bridge
-    flush at each barrier with its ``bridge`` audit note, the bounded
-    ``run`` / ``step_epoch`` loop, the serialization stats and the
-    ledger quorum check.  A driver supplies ``_place`` (create
-    a node in a shard), ``_shard_now`` and ``_schedule_kill`` (one
-    shard's clock and kill event), ``shard_suspended``, ``_flush``
-    (route the pending bridge traffic at a barrier),
-    ``_serialization_counters`` and ``ledger_claims``, plus the
-    hooks of :class:`~repro.node.lockstep.LockstepWorld`.
+    Node placement, whole-shard outages, the bridge flush at each
+    barrier, step alternates, the journal config record, the
+    serialization stats and the ledger inspection.  A driver supplies
+    ``_BACKEND``, ``_place`` (create a node in a shard), ``_shard_now``
+    and ``_schedule_kill`` (one shard's clock and kill event),
+    ``shard_suspended``, ``_flush`` (route the pending bridge traffic),
+    ``_share_alternates``, ``_replica_claims`` and
+    ``_serialization_counters``, plus the hooks of
+    :class:`~repro.node.lockstep.LockstepWorld`.
     """
+
+    #: The ``backend`` a journal config record names this driver by.
+    _BACKEND: str
 
     def _init_coordinator(self, n_shards: int, seed: int,
                           epoch: Optional[float],
                           journal: Optional["WorldJournal"],
                           world_kwargs: dict[str, Any]) -> None:
-        """Validate the shared knobs and set the shared state."""
+        """Validate the shared knobs, set the shared state and write the
+        journal's config record."""
         if n_shards < 1:
             raise UsageError(f"need at least 1 shard, got {n_shards}")
         unknown = sorted(set(world_kwargs) - _WORLD_KWARGS)
@@ -512,6 +514,7 @@ class ShardCoordinator(LockstepWorld):
         self.seed = seed
         self.epoch = epoch
         self.journal = journal
+        self._world_kwargs = dict(world_kwargs)
         self.bridge = CrossShardBridge(n_shards)
         #: Virtual time of the most recent bridge flush — the takeover
         #: watchdog's mirror-settlement guard reads it.
@@ -524,6 +527,7 @@ class ShardCoordinator(LockstepWorld):
         self.agents: dict[str, AgentRecord] = {}
         self._node_shard: dict[str, int] = {}
         self._outages: list[_ShardOutage] = []
+        self._record_journal_config()
 
     # -- topology -------------------------------------------------------------------
 
@@ -546,6 +550,22 @@ class ShardCoordinator(LockstepWorld):
         if shard is None:
             raise UsageError(f"no node {name!r}")
         return shard
+
+    def set_alternates(self, node: str, *alternates: str) -> None:
+        """Declare step alternates for ``node``, visible to all shards.
+
+        With ``FTParams.cross_shard_alternates`` (the default) the FT
+        drivers prefer the alternates hosted by other shards, so shadow
+        redundancy survives a whole-kernel outage.
+        """
+        self._journal_op("set_alternates", node=node,
+                         alternates=tuple(alternates))
+        self.ft_alternates[node] = tuple(alternates)
+        self._share_alternates(node, alternates)
+
+    def _share_alternates(self, node: str,
+                          alternates: tuple[str, ...]) -> None:
+        """Hand alternates to shards that cannot read ``ft_alternates``."""
 
     # -- whole-shard failure injection ------------------------------------------------
 
@@ -606,65 +626,11 @@ class ShardCoordinator(LockstepWorld):
         self._route(self.now)
         return True
 
-    @returns_durable
-    def run(self, until: Optional[float] = None,
-            max_epochs: int = 1_000_000,
-            max_events_per_epoch: int = 10_000_000,
-            _replay: Optional[list] = None) -> None:
-        """Run all shards in lockstep epochs until drained (or ``until``).
-
-        Each iteration is one step of the shared lockstep walk (see
-        :mod:`repro.node.lockstep`): pick the next barrier on the epoch
-        grid (skipping grid points no shard has work before — the
-        barrier sequence is a pure function of event times and outage
-        schedules, so runs stay deterministic), revive shards whose
-        restart falls inside the epoch, advance every live shard to the
-        barrier, then flush the bridge.  Suspended kernels are skipped —
-        a dead shard stops advancing — but their scheduled restarts
-        count as work, so a run never terminates with a revival pending.
-
-        With a journal attached each flushed barrier commits a marker,
-        with the ``kill_world`` check around it; the commits are
-        fsynced once, when the call returns or raises.
-
-        ``until``: when the epoch the cut falls in has an event due
-        before ``until``, that barrier is capped at ``until`` and the
-        bridge routes and commits there, so the continued walk can
-        differ from a straight run (the tests' ``build_ft_ring(seed=5)``
-        with ``kill_shard(1, 0.08, restart_at=0.3)``, cut at 0.0514,
-        walks 433 epochs instead of 240).  Both sharded backends walk
-        the same capped grid, and a resume replays it exactly; a cut
-        with no event due before it is exact.  See "Cutting a run" in
-        ``docs/determinism.md``.
-
-        ``_replay`` (resume driver only) walks the journaled barrier
-        sequence verbatim instead of re-deriving it, and returns once
-        exhausted.
-        """
-        replay = iter(_replay) if _replay is not None else None
-        for _ in range(max_epochs):
-            if not self._step(until, max_events_per_epoch, replay):
-                return
-        raise UsageError(
-            f"sharded run exceeded {max_epochs} epochs; likely livelock")
-
-    @returns_durable
-    def step_epoch(self, max_events_per_epoch: int = 10_000_000) -> bool:
-        """Advance one lockstep iteration; False once every shard is idle.
-
-        The reentrant twin of :meth:`run` (which is exactly
-        ``while self.step_epoch(): pass`` bounded by ``max_epochs``):
-        each call picks the next barrier on the same deterministic grid,
-        advances every live kernel to it, flushes the bridge and commits
-        the journal marker, so a stepped run reproduces a straight
-        run's event order, outcomes and trace digests bit for bit.  A
-        call may also resolve a pending bridge flush (or, on the process
-        backend, ship a staged inbox) without advancing the clock —
-        still True — and returns False only when every live kernel is
-        drained and nothing is left to bridge.  Idle calls are
-        repeatable; a later ``launch`` makes the next call True.
-        """
-        return self._step(None, max_events_per_epoch)
+    def _journal_config(self) -> dict[str, Any]:
+        from repro.storage.serialization import capture
+        return dict(backend=self._BACKEND, seed=self.seed,
+                    n_shards=self.n_shards, epoch=self.epoch,
+                    world_kwargs=capture(self._world_kwargs))
 
     def serialization_stats(self) -> dict[str, Any]:
         """Serialization counters summed over every shard.
@@ -681,6 +647,18 @@ class ShardCoordinator(LockstepWorld):
         return dict(sorted(merged.items()))
 
     # -- ledger inspection (tests / benches) -------------------------------------------------
+
+    def _replica_claims(self, shard: int) -> dict[int, str]:
+        """``shard``'s ledger replica: work_id -> holder."""
+        raise NotImplementedError
+
+    def ledger_claims(self) -> dict[int, dict[int, str]]:
+        """Every replica's view of every claim: work_id -> shard -> holder."""
+        claims: dict[int, dict[int, str]] = {}
+        for shard in range(self.n_shards):
+            for work_id, holder in self._replica_claims(shard).items():
+                claims.setdefault(work_id, {})[shard] = holder
+        return claims
 
     def ledger_quorum_agrees(self) -> bool:
         """Do the live replicas agree on every claim, with a majority?
@@ -732,14 +710,13 @@ class ShardedWorld(ShardCoordinator):
             ``world_kwargs`` name the kernel does not take.
     """
 
+    _BACKEND = "sharded"
+
     def __init__(self, n_shards: int = 2, seed: int = 0,
                  epoch: Optional[float] = None,
                  journal: Optional["WorldJournal"] = None,
                  **world_kwargs: Any):
         self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
-        self._world_kwargs = dict(world_kwargs)
-        if journal is not None:
-            self._record_journal_config(journal)
         self.shards: list[ShardWorld] = []
         for index in range(n_shards):
             world = ShardWorld(shard_index=index, sharded=self,
@@ -783,31 +760,16 @@ class ShardedWorld(ShardCoordinator):
         for plan in plans:
             self.world_of(plan.node).failures.apply_plan([plan])
 
-    def _journal_config(self) -> dict[str, Any]:
-        from repro.storage.serialization import capture
-        return dict(backend="sharded", seed=self.seed,
-                    n_shards=self.n_shards, epoch=self.epoch,
-                    world_kwargs=capture(self._world_kwargs))
-
     # -- topology -------------------------------------------------------------------
 
     def world_of(self, name: str) -> ShardWorld:
         """The shard world hosting node ``name``."""
         return self.shards[self.shard_of(name)]
 
+    _owner_of = world_of
+
     def node(self, name: str) -> "Node":
         return self.world_of(name).node(name)
-
-    def set_alternates(self, node: str, *alternates: str) -> None:
-        """Declare step alternates for ``node``, visible to all shards.
-
-        With ``FTParams.cross_shard_alternates`` (the default) the FT
-        drivers prefer the alternates hosted by other shards, so shadow
-        redundancy survives a whole-kernel outage.
-        """
-        self._journal_op("set_alternates", node=node,
-                         alternates=tuple(alternates))
-        self.ft_alternates[node] = tuple(alternates)
 
     # -- cross-shard state seams (the worker-mode boundary) ---------------------------
     #
@@ -845,25 +807,6 @@ class ShardedWorld(ShardCoordinator):
         """Read ``shard``'s ledger replica's view of one claim."""
         return self.shards[shard].ft.ledger.get(("claim", work_id))
 
-    # -- agent management -----------------------------------------------------------------
-
-    def launch(self, agent: "MobileAgent", at: str, method: str,
-               **launch_kwargs: Any) -> AgentRecord:
-        """Launch ``agent`` at node ``at`` (in whichever shard hosts it).
-
-        Launch is a ship: the shard runs a restored copy of ``agent``,
-        never the caller's object (see :meth:`World.launch`); read
-        results through the returned record and :meth:`outcomes`.
-        """
-        from repro.storage.serialization import capture, restore
-        # Launch is a ship: the shard runs the restored bundle, as a
-        # worker process does, and replay re-launches the same bytes.
-        bundle = capture((agent, at, method, launch_kwargs))
-        self._journal_op("launch", bundle=bundle)
-        agent, at, method, launch_kwargs = restore(bundle)
-        return self.world_of(at)._launch(agent, at=at, method=method,
-                                         **launch_kwargs)
-
     # -- results ----------------------------------------------------------------------------
 
     def shard_metrics(self, shard: int) -> Any:
@@ -875,14 +818,5 @@ class ShardedWorld(ShardCoordinator):
         from repro.storage.serialization import stats
         return dict(stats())
 
-    # -- ledger inspection (tests / benches) -------------------------------------------------
-
-    def ledger_claims(self) -> dict[int, dict[int, str]]:
-        """Every replica's view of every claim: work_id -> shard -> holder."""
-        claims: dict[int, dict[int, str]] = {}
-        for world in self.shards:
-            for key in world.ft.ledger.keys():
-                if isinstance(key, tuple) and key and key[0] == "claim":
-                    claims.setdefault(key[1], {})[world.shard_index] = \
-                        world.ft.ledger.get(key)
-        return claims
+    def _replica_claims(self, shard: int) -> dict[int, str]:
+        return self.shards[shard].ft.claims()

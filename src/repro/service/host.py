@@ -48,6 +48,13 @@ from repro.service.worlds import (
 )
 
 
+#: Seconds a launch request waits for the stepper to apply its command.
+LAUNCH_TIMEOUT = 30.0
+#: Seconds an idle stepper parks before it steps again (a launch or a
+#: drain wakes it sooner).
+IDLE_WAIT = 0.05
+
+
 class AdmissionFull(Exception):
     """The launch was rejected by admission control (HTTP 429)."""
 
@@ -138,24 +145,19 @@ class WorldHost:
     launched-but-unfinished agents; ``max_pending`` — bound of the
     launch hand-off queue; ``retry_after`` — seconds suggested to
     rejected clients; ``sub_depth`` — per-subscriber event queue bound;
-    ``metrics_every`` — barriers between ``metrics`` events;
-    ``launch_timeout`` — how long a launch request waits for the
-    stepper to apply its command.
+    ``metrics_every`` — barriers between ``metrics`` events.
     """
 
     def __init__(self, world_id: str, spec: WorldSpec, *,
                  max_inflight: int = 8, max_pending: int = 64,
                  retry_after: float = 1.0, sub_depth: int = 512,
-                 metrics_every: int = 16, launch_timeout: float = 30.0,
-                 idle_wait: float = 0.05):
+                 metrics_every: int = 16):
         self.world_id = world_id
         self.spec = spec
         self.max_inflight = max_inflight
         self.retry_after = retry_after
         self.sub_depth = sub_depth
         self.metrics_every = metrics_every
-        self.launch_timeout = launch_timeout
-        self.idle_wait = idle_wait
         self.world, self.journal = build_world(spec)
         self._commands: queue.Queue = queue.Queue(maxsize=max_pending)
         #: Guards world state across one barrier (stepper) and during
@@ -175,7 +177,7 @@ class WorldHost:
         self._stopping = threading.Event()
         self._drained = threading.Event()
         #: Kicks the stepper out of its idle park (a launch arrived or
-        #: a drain began) without waiting out ``idle_wait``.
+        #: a drain began) without waiting out :data:`IDLE_WAIT`.
         self._wake = threading.Event()
         self.events_dropped = 0
         #: Final snapshot captured at drain time, before the world
@@ -251,10 +253,10 @@ class WorldHost:
                 f"launch queue full ({self._commands.maxsize} pending)",
                 self.retry_after) from None
         self._wake.set()
-        if not cmd.done.wait(self.launch_timeout):
+        if not cmd.done.wait(LAUNCH_TIMEOUT):
             raise UsageError(
                 f"launch of {agent_id!r} not applied within "
-                f"{self.launch_timeout}s")
+                f"{LAUNCH_TIMEOUT}s")
         if cmd.error is not None:
             with self._meta_lock:
                 inflight.discard(agent_id)
@@ -353,7 +355,7 @@ class WorldHost:
                     self._post_step(progressed)
                 if not progressed and not applied:
                     # Idle: park until a launch arrives or drain starts.
-                    self._wake.wait(self.idle_wait)
+                    self._wake.wait(IDLE_WAIT)
                     self._wake.clear()
         except BaseException as exc:  # pragma: no cover - defensive
             self._emit("error", {"error": f"{type(exc).__name__}: {exc}"})

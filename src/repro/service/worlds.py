@@ -19,6 +19,7 @@ execution backends (``world``, ``sharded``, ``proc``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -70,6 +71,12 @@ class WorldSpec:
         if not isinstance(self.n_shards, int) or self.n_shards < 1:
             raise UsageError(f"n_shards must be an int >= 1, got "
                              f"{self.n_shards!r}")
+        if type(self.seed) is not int:
+            raise UsageError(f"seed must be an int, got {self.seed!r}")
+        if self.epoch is not None and not (
+                type(self.epoch) in (int, float) and 0 < self.epoch < math.inf):
+            raise UsageError(f"epoch must be null or a positive number, "
+                             f"got {self.epoch!r}")
         if self.journal not in ("memory", "none"):
             raise UsageError(f"journal must be 'memory' or 'none', got "
                              f"{self.journal!r}")

@@ -6,14 +6,23 @@
 :class:`~repro.node.procshard.ProcShardedWorld`.  These tests pin what
 that sharing promises: a run cut into ``run(until=t)`` pieces walks the
 same barriers as a straight run on both sharded backends, and every
-backend answers the same inspection surface.
+backend answers the same inspection surface; a launch is validated
+before it is journaled, so a refused launch leaves a journal that
+resumes; and a resumed world counts the barriers it replays.
 """
 
 import pytest
 
 from repro import MemoryJournal, WorldJournal
-from repro.errors import UsageError
-from tests.helpers import build_ft_ring, launch_ft_tours
+from repro.errors import UsageError, WorldKilled
+from repro.journal import resume_world
+from tests.helpers import (
+    FT_RING,
+    LinearAgent,
+    build_ft_ring,
+    launch_ft_tours,
+    scenario_record,
+)
 
 SHARDED = ("sharded", "proc")
 
@@ -115,3 +124,104 @@ def test_journaled_world_walks_one_epoch_per_commit_marker():
     markers = [kind for kind, _ in journal.recover().entries
                if kind == "epoch"]
     assert world.epochs_run == len(markers) > 0
+
+
+def _launch_records(journal):
+    return [data for kind, data in journal.recover().entries
+            if kind == "launch"]
+
+
+def _journaled_ring_run(backend, refused=None):
+    """The journaled FT ring run to the end, optionally after a refused
+    launch; returns its record, the journal's backend and the error."""
+    shared = MemoryJournal()
+    journal = WorldJournal(shared)
+    world = build_ft_ring(backend, seed=5, journal=journal)
+    error = None
+    try:
+        launch_ft_tours(world)
+        if refused is not None:
+            with pytest.raises(Exception) as excinfo:
+                refused(world)
+            error = excinfo.value
+            assert len(_launch_records(journal)) == 3
+        world.run()
+        return scenario_record(world, backend), shared, error
+    finally:
+        world.close()
+
+
+def _duplicate_id(world):
+    world.launch(LinearAgent("ag-0", FT_RING[:2]), at="n0", method="step")
+
+
+def _unknown_node(world):
+    world.launch(LinearAgent("ag-new", FT_RING[:2]), at="nowhere",
+                 method="step")
+
+
+def _unpicklable(world):
+    agent = LinearAgent("ag-new", FT_RING[:2])
+    agent.callback = lambda: None
+    world.launch(agent, at="n0", method="step")
+
+
+REFUSALS = {"duplicate-id": (_duplicate_id, UsageError),
+            "unknown-node": (_unknown_node, UsageError),
+            "unpicklable": (_unpicklable, TypeError)}
+
+
+@pytest.fixture(scope="module")
+def unrefused_runs():
+    return {}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS.values(), ids=REFUSALS.keys())
+@pytest.mark.parametrize("backend", ("world",) + SHARDED)
+def test_refused_launch_is_not_journaled(backend, refusal, unrefused_runs):
+    """Validate, then journal: a refused launch raises the facade's own
+    error on every backend (never a remote ``WorkerError``), writes no
+    ``launch`` record, and the journal resumes equal to the run that
+    never tried it."""
+    refused, error_type = refusal
+    if backend not in unrefused_runs:
+        unrefused_runs[backend] = _journaled_ring_run(backend)[0]
+    expected = unrefused_runs[backend]
+    record, shared, error = _journaled_ring_run(backend, refused)
+    assert type(error) is error_type
+    if error_type is TypeError:
+        assert ".callback" in str(error)
+    assert record == expected
+    journal = WorldJournal(shared)
+    resumed = resume_world(journal)
+    try:
+        resumed.run()
+        assert scenario_record(resumed, backend) == expected
+    finally:
+        resumed.close()
+
+
+@pytest.mark.parametrize("phase", ("commit", "barrier"))
+def test_resumed_world_counts_every_replayed_epoch(phase):
+    """A journaled ``World`` killed half way and resumed ends with the
+    uninterrupted run's ``epochs_run``: resume replays the journaled
+    barriers through the one walk, which counts each of them."""
+    straight = WorldJournal(MemoryJournal())
+    world = build_ft_ring("world", seed=5, journal=straight)
+    launch_ft_tours(world)
+    world.run()
+    epochs, end, outcomes = world.epochs_run, world.now, world.outcomes()
+
+    shared = MemoryJournal()
+    world = build_ft_ring("world", seed=5, journal=WorldJournal(shared))
+    launch_ft_tours(world)
+    world.kill_world(at=end / 2, phase=phase)
+    with pytest.raises(WorldKilled):
+        world.run()
+    journal = WorldJournal(shared)
+    resumed = resume_world(journal)
+    resumed.run()
+    markers = [kind for kind, _ in journal.recover().entries
+               if kind == "epoch"]
+    assert resumed.outcomes() == outcomes
+    assert resumed.epochs_run == epochs == len(markers)

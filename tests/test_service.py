@@ -579,6 +579,12 @@ def test_http_error_mapping():
         assert status == 400 and "unknown backend" in err["error"]
         status, _, err = gw.request("POST", "/worlds", {"nodes": "four"})
         assert status == 400
+        status, _, err = gw.request("POST", "/worlds",
+                                    {"backend": "sharded", "epoch": "x"})
+        assert status == 400 and "epoch must be" in err["error"]
+        status, _, err = gw.request("POST", "/worlds",
+                                    {"backend": "world", "seed": "x"})
+        assert status == 400 and "seed must be an int" in err["error"]
         # The schedule is not a knob: a spec naming one is rejected.
         for backend in ("sharded", "proc"):
             status, _, err = gw.request(
