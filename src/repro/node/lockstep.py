@@ -33,8 +33,9 @@ A backend supplies only the hooks that differ:
   barrier;
 * :meth:`~LockstepWorld._idle_step` — work left when no kernel has an
   event due (a bridge flush, a staged inbox);
-* :meth:`~LockstepWorld._stop_at` — what a run capped at ``until`` does
-  when the next event lies past the cap;
+* :meth:`~LockstepWorld._sync_records` — end-of-walk work (idle, or
+  stopped by ``until``): the process backend pulls its workers' agent
+  records;
 * :meth:`~LockstepWorld._journal_digest` — the execution digest each
   commit marker carries;
 * :meth:`~LockstepWorld._owner_of` and
@@ -184,12 +185,9 @@ class LockstepWorld:
         """Work left with no event due; True when some was done."""
         return False
 
-    def _stop_at(self, until: float, max_events: int) -> None:
-        """End a run capped at ``until`` whose next event lies past it:
-        every running kernel's clock moves to the cap, nothing routes."""
-        for world in self._kernels():
-            if not world.sim.suspended:
-                world.sim.run_epoch(max(until, world.sim.now))
+    def _sync_records(self) -> None:
+        """Catch the facade's agent records up when a walk stops (they
+        are live in-process, so nothing to do here)."""
 
     def _journal_digest(self) -> tuple:
         """Per-kernel event counts at the barrier — the commit digest."""
@@ -221,12 +219,13 @@ class LockstepWorld:
         """One barrier of the lockstep walk; False when nothing is left.
 
         Picks the next barrier on the epoch grid — skipping grid points
-        no kernel has work before, never behind the running clocks,
-        capped at ``until``, or taken verbatim from ``replay`` (the
-        resume driver's journaled barrier sequence) — revives the
-        shards whose restart falls inside the epoch, advances every
-        live kernel to the barrier, routes the traffic that crossed
-        kernels and commits the barrier's journal marker, with the
+        no kernel has work before, never behind the running clocks —
+        or takes it verbatim from ``replay`` (the resume driver's
+        journaled barrier sequence); stops, with nothing done, when
+        that barrier lies past ``until``.  Otherwise revives the shards
+        whose restart falls inside the epoch, advances every live
+        kernel to the barrier, routes the traffic that crossed kernels
+        and commits the barrier's journal marker, with the
         ``kill_world`` check around the commit.  Scheduled restarts
         count as work, so a walk never ends with a revival pending.
         """
@@ -236,22 +235,23 @@ class LockstepWorld:
         due = self._due_restarts()
         times += [outage.restart_at for outage in due]
         if not times:
-            return self._idle_step(max_events)
-        soonest = min(times)
-        if until is not None and soonest > until:
-            self._stop_at(until, max_events)
-            return False
-        if replay is not None:
+            if self._idle_step(max_events):
+                return True
+            barrier = None  # idle: the walk is over
+        elif replay is not None:
             barrier = next(replay, None)
             if barrier is None:
                 return False  # replayed prefix complete
         else:
             # A revival may be due before the running clocks (they ran
             # on while the dead kernel froze); barriers never move back.
-            barrier = next_epoch_barrier(soonest, self._epoch_length(),
+            barrier = next_epoch_barrier(min(times), self._epoch_length(),
                                          max(clocks, default=self.now))
-            if until is not None and barrier > until:
-                barrier = until
+        if barrier is None or (until is not None and barrier > until):
+            # Idle, or the cut: a barrier past ``until`` is not walked —
+            # nothing runs, routes or commits, and no clock moves.
+            self._sync_records()
+            return False
         revivals = [outage for outage in due if outage.restart_at <= barrier]
         for outage in revivals:
             outage.revived = True
@@ -278,11 +278,13 @@ class LockstepWorld:
         One :meth:`_step` per barrier, at most ``max_events`` events per
         kernel and epoch; past :data:`MAX_EPOCHS` barriers the walk is
         a livelock (:class:`~repro.errors.UsageError`).  The commits are
-        fsynced once, when the call returns or raises.  A cut at
-        ``until`` inside an epoch with an event due caps that barrier
-        there, so the continued walk can differ from a straight run;
-        see "Cutting a run" in ``docs/determinism.md``.  ``_replay``
-        (resume only) walks the journaled barriers verbatim instead.
+        fsynced once, when the call returns or raises.
+
+        The cut: ``run(until=t)`` walks every barrier at or before
+        ``t`` and stops, so :attr:`now` reads the last barrier walked,
+        and a later ``run()`` continues exactly as if the run had never
+        been cut.  ``_replay`` (resume only) walks the journaled
+        barriers verbatim instead of the grid.
         """
         replay = iter(_replay) if _replay is not None else None
         for _ in range(MAX_EPOCHS):

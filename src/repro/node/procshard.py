@@ -721,15 +721,6 @@ class _LocalHandle(_ShardHandle):
         return self.server.serve_one(self._queued.popleft())
 
 
-def _shard_barrier(handle: _ShardHandle, barrier: Optional[float],
-                   cap_to_now: bool) -> Optional[float]:
-    """Where one shard's turn stops: the barrier, or its own clock when
-    a run capped at ``until`` finds it already past (``cap_to_now``)."""
-    if cap_to_now and barrier is not None:
-        return max(barrier, handle.now)
-    return barrier
-
-
 class NodeProxy:
     """Coordinator-side handle for a node living in a worker process.
 
@@ -962,18 +953,7 @@ class ProcShardedWorld(ShardCoordinator):
             self._cycle(barrier=None, run=False, max_events=max_events,
                         revives={})
             return True
-        if super()._idle_step(max_events):
-            return True
-        self._sync_records()
-        return False
-
-    def _stop_at(self, until: float, max_events: int) -> None:
-        # Cap every running kernel's clock at `until`; no flush (as
-        # in-process), but staged inboxes from the last flush still
-        # ship with the command.
-        self._cycle(barrier=until, run=True, max_events=max_events,
-                    revives={}, cap_to_now=True)
-        self._sync_records()
+        return super()._idle_step(max_events)
 
     def _journal_digest(self) -> tuple:
         """Per-shard event counts at the barrier — the commit digest."""
@@ -1050,9 +1030,9 @@ class ProcShardedWorld(ShardCoordinator):
 
     def _sync_records(self) -> None:
         """Pull every worker's pending record deltas into the merged
-        table (end of a run: the independent-epoch schedule ships
-        records with migrating agents, not per epoch, so the
-        coordinator's inspection copies catch up here)."""
+        table (end of a walk, idle or cut: the independent-epoch
+        schedule ships records with migrating agents, not per epoch, so
+        the coordinator's inspection copies catch up here)."""
         for handle in self._handles:
             try:
                 deltas = handle.fetch("record_deltas")
@@ -1107,11 +1087,11 @@ class ProcShardedWorld(ShardCoordinator):
         }
 
     def _epoch_payload(self, shard: int, barrier: Optional[float],
-                       run: bool, max_events: int, revives: dict,
-                       cap_to_now: bool) -> dict[str, Any]:
+                       run: bool, max_events: int,
+                       revives: dict) -> dict[str, Any]:
         handle = self._handles[shard]
         return {
-            "barrier": _shard_barrier(handle, barrier, cap_to_now),
+            "barrier": barrier,
             "run": run and (not handle.suspended or shard in revives),
             "max_events": max_events,
             "items": self._staged_items[shard],
@@ -1124,8 +1104,7 @@ class ProcShardedWorld(ShardCoordinator):
         }
 
     def _cycle(self, barrier: Optional[float], run: bool,
-               max_events: int, revives: dict,
-               cap_to_now: bool = False) -> None:
+               max_events: int, revives: dict) -> None:
         """One coordinated cycle: scatter commands, collect, merge.
 
         Targets every shard that must act this cycle (running kernels
@@ -1145,23 +1124,20 @@ class ProcShardedWorld(ShardCoordinator):
                     or self._pending_records[shard]:
                 targets.append(shard)
             elif run and not handle.suspended:
-                until = _shard_barrier(handle, barrier, cap_to_now)
-                if handle.peek is not None and handle.peek <= until:
+                if handle.peek is not None and handle.peek <= barrier:
                     targets.append(shard)
                 else:
-                    handle.catch_up = handle.now = until
+                    handle.catch_up = handle.now = barrier
         if self._entangled:
             for shard in targets:
-                self._dispatch(shard, barrier, run, max_events, revives,
-                               cap_to_now)
+                self._dispatch(shard, barrier, run, max_events, revives)
                 self._collect(shard)
             return
         dispatched: list[int] = []
         first_death: Optional[WorkerDied] = None
         try:
             for shard in targets:
-                self._dispatch(shard, barrier, run, max_events, revives,
-                               cap_to_now)
+                self._dispatch(shard, barrier, run, max_events, revives)
                 dispatched.append(shard)
         except WorkerDied as died:
             first_death = died
@@ -1178,10 +1154,9 @@ class ProcShardedWorld(ShardCoordinator):
             raise first_death
 
     def _dispatch(self, shard: int, barrier: Optional[float], run: bool,
-                  max_events: int, revives: dict,
-                  cap_to_now: bool) -> None:
+                  max_events: int, revives: dict) -> None:
         payload = self._epoch_payload(shard, barrier, run, max_events,
-                                      revives, cap_to_now)
+                                      revives)
         self._staged_items[shard] = []
         self._pending_records[shard] = {}
         self._handles[shard].send("epoch", payload)

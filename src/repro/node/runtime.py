@@ -396,17 +396,15 @@ class World(LockstepWorld):
             _replay: Optional[list] = None) -> None:
         """Run the simulation until idle (or ``until``).
 
-        Without a journal the kernel runs straight through (``max_events``
-        bounds the whole run); with one it walks the shared barrier grid
-        (:meth:`~repro.node.lockstep.LockstepWorld.run`).  Either way the
-        clock ends at ``until``.
+        An unjournaled run with no ``until`` runs the kernel straight
+        through (``max_events`` bounds the whole run); every cut and
+        every journaled run walks the shared barrier grid and cuts by
+        its rule (:meth:`~repro.node.lockstep.LockstepWorld.run`).
         """
-        if self.journal is None:
-            self.sim.run(until=until, max_events=max_events)
+        if self.journal is None and until is None:
+            self.sim.run(max_events=max_events)
             return
         super().run(until, max_events, _replay)
-        if until is not None:
-            self.sim.run(until=until, max_events=max_events)
 
     # The lockstep walk (LockstepWorld._step) over this one kernel.
 
@@ -415,10 +413,6 @@ class World(LockstepWorld):
 
     def _epoch_length(self) -> float:
         return self.net_params.latency
-
-    def _stop_at(self, until: float, max_events: int) -> None:
-        """Nothing to do: :meth:`run` idle-advances the clock to
-        ``until`` itself."""
 
     # -- outcome hooks (called by drivers) ----------------------------------------------------------
 

@@ -246,8 +246,7 @@ def run_differential_scenario(backend, seed, outage=None, n_agents=3,
         world.run(until=120.0)
         return scenario_record(world, backend)
     finally:
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
 
 
 def run_crash_resume_scenario(backend, seed, kill_at, phase="commit",
@@ -294,8 +293,7 @@ def run_crash_resume_scenario(backend, seed, kill_at, phase="commit",
         except WorldKilled:
             killed = True
     finally:
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
         journal.close()
     journal = journal_factory()
     resumed = resume_world(journal)
@@ -303,8 +301,7 @@ def run_crash_resume_scenario(backend, seed, kill_at, phase="commit",
         resumed.run(until=120.0)
         return scenario_record(resumed, backend), killed
     finally:
-        if hasattr(resumed, "close"):
-            resumed.close()
+        resumed.close()
         journal.close()
 
 

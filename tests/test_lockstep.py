@@ -5,15 +5,18 @@
 :class:`~repro.node.sharded.ShardedWorld` and
 :class:`~repro.node.procshard.ProcShardedWorld`.  These tests pin what
 that sharing promises: a run cut into ``run(until=t)`` pieces walks the
-same barriers as a straight run on both sharded backends, and every
-backend answers the same inspection surface; a launch is validated
-before it is journaled, so a refused launch leaves a journal that
-resumes; and a resumed world counts the barriers it replays.
+same barriers as a straight run on both sharded backends, wherever the
+cuts fall, and a launch after a journaled cut resumes equal to the run
+that was never interrupted; every backend answers the same inspection
+surface; a launch is validated before it is journaled, so a refused
+launch leaves a journal that resumes; and a resumed world counts the
+barriers it replays.
 """
 
 import pytest
 
 from repro import MemoryJournal, WorldJournal
+from repro.agent.packages import Protocol
 from repro.errors import UsageError, WorldKilled
 from repro.journal import resume_world
 from tests.helpers import (
@@ -28,18 +31,17 @@ SHARDED = ("sharded", "proc")
 
 #: ``run(until=t)`` cut sequences, each followed by a plain ``run()``:
 #: a cut before the first barrier, cuts around the shard-1 kill (0.08)
-#: and restart (0.3), and a repeated cut.  None of them falls inside an
-#: epoch with an event due, so the walk equals the straight run's.
+#: and restart (0.3), a repeated cut, a cut inside an epoch with events
+#: due, a cut behind the clock, and five cuts through the outage, most
+#: of them off the barrier grid.  Each walks the straight run's barriers.
 CUTS = {
     "early": [0.0123],
     "around-outage": [0.05, 0.081, 0.2999, 0.31],
     "repeated": [0.1, 0.1, 0.4],
+    "capped": [0.0514],
+    "behind": [0.2, 0.1],
+    "through-outage": [0.0514, 0.0731, 0.1999, 0.3001, 0.777],
 }
-
-#: Cuts that change the walk: 0.0514 falls inside an epoch with events
-#: due, so that barrier is capped at the cut (off the grid the straight
-#: run walks); 0.1 after 0.2 lies behind the clock.
-WALK_CHANGING_CUTS = {"capped": [0.0514], "behind": [0.2, 0.1]}
 
 
 def _outage_run(backend, cuts):
@@ -48,11 +50,12 @@ def _outage_run(backend, cuts):
         world.enable_trace_digest()
         world.kill_shard(1, 0.08, restart_at=0.3)
         launch_ft_tours(world)
-        for i, cut in enumerate(cuts):
+        for cut in cuts:
+            before = world.now
             world.run(until=cut)
-            # A capped run leaves the clock at the cut, never behind
-            # it and never past it.
-            assert world.now == max(cuts[:i + 1])
+            # A cut walks the barriers at or before it: the clock never
+            # passes the cut and never moves back.
+            assert before <= world.now <= max(before, cut)
         world.run()
         return {"outcomes": world.outcomes(),
                 "digests": world.trace_digests(),
@@ -77,10 +80,71 @@ def test_split_runs_equal_straight_runs_on_both_sharded_backends(
         assert _outage_run(backend, cuts) == straight_runs[backend]
 
 
-@pytest.mark.parametrize("cuts", WALK_CHANGING_CUTS.values(),
-                         ids=WALK_CHANGING_CUTS.keys())
-def test_walk_changing_cuts_agree_on_both_sharded_backends(cuts):
-    assert _outage_run("sharded", cuts) == _outage_run("proc", cuts)
+def _cut_then_launch(backend, journal=None):
+    """One FT tour cut at 0.0123, where no barrier lies, then a second
+    FT tour launched at the cut."""
+    world = build_ft_ring(backend, seed=5, journal=journal)
+    launch_ft_tours(world, n_agents=1)
+    world.run(until=0.0123)
+    agent = LinearAgent("ag-late", FT_RING[3:7], savepoints={0: "sp"},
+                        rollback_to="sp")
+    world.launch(agent, at=FT_RING[3], method="step",
+                 protocol=Protocol.FAULT_TOLERANT)
+    return world
+
+
+def _finish(world, journal):
+    """Run ``world`` to the end; its outcomes, events and markers."""
+    try:
+        world.run()
+        return {"outcomes": world.outcomes(),
+                "events": world.events_processed(),
+                "markers": sum(kind == "epoch" for kind, _
+                               in journal.recover().entries)}
+    finally:
+        world.close()
+
+
+@pytest.mark.parametrize("backend", ("world",) + SHARDED)
+def test_launch_after_a_cut_resumes_equal_to_the_straight_run(backend):
+    """A cut journals no clock move, because it makes none: resume
+    replays the barriers walked before the cut, applies the launch on
+    the same clocks, and continues equal to the uninterrupted run."""
+    journal = WorldJournal(MemoryJournal())
+    straight = _finish(_cut_then_launch(backend, journal), journal)
+
+    shared = MemoryJournal()
+    _cut_then_launch(backend, WorldJournal(shared)).close()
+    journal = WorldJournal(shared)
+    resumed = _finish(resume_world(journal), journal)
+    assert resumed == straight
+    assert {o["status"] for o in straight["outcomes"].values()} \
+        == {"finished"}
+
+
+def test_journaled_and_unjournaled_world_cut_alike():
+    journal = WorldJournal(MemoryJournal())
+    journaled = _finish(_cut_then_launch("world", journal), journal)
+    world = _cut_then_launch("world")
+    try:
+        world.run()
+        assert world.outcomes() == journaled["outcomes"]
+        assert world.events_processed() == journaled["events"]
+    finally:
+        world.close()
+
+
+def test_a_cut_behind_the_clock_keeps_it():
+    world = build_ft_ring("world", seed=5)
+    try:
+        launch_ft_tours(world, n_agents=1)
+        world.run(until=0.5)
+        now = world.now
+        assert 0.0 < now <= 0.5
+        world.run(until=0.1)
+        assert world.now == now
+    finally:
+        world.close()
 
 
 @pytest.mark.parametrize("backend", ("world",) + SHARDED)

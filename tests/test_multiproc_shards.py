@@ -392,6 +392,20 @@ def test_launch_record_stays_live_across_runs(proc_worlds):
     assert record.steps_committed == 5
 
 
+def test_a_cut_syncs_the_agent_records(proc_worlds):
+    """A walk stopped by ``until`` pulls the workers' record copies, as
+    an idle one does, so the cut world reads like the in-process one."""
+    worlds = [build(proc_worlds(n_shards=2, seed=3)),
+              build(ShardedWorld(n_shards=2, seed=3))]
+    for world in worlds:
+        world.launch(LinearAgent("cut", RING[:4]), at="n0", method="step")
+        # By 0.1 the agent has committed steps on a worker shard.
+        world.run(until=0.1)
+    assert worlds[0].outcomes() == worlds[1].outcomes()
+    assert worlds[0].record_of("cut").steps_committed > 0
+    worlds[1].close()
+
+
 def test_resource_state_returns_worker_side_snapshot(proc_worlds):
     world = run_swarm(build(proc_worlds(n_shards=2, seed=7)))
     bank = world.resource_state("n0", "bank")

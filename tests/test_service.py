@@ -60,8 +60,7 @@ def scripted_run(world_json, launch_json, agent_id):
         world.run()
         return dict(world.outcomes()), list(world.trace_digests())
     finally:
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
 
 
 def wait_for_agent(host, agent_id, timeout=30.0):

@@ -154,13 +154,16 @@ def test_shard_clocks_agree_at_completion():
     assert world.now == world.shards[0].sim.now
 
 
-def test_run_until_caps_every_shard_clock():
+def test_run_until_stops_every_shard_clock_on_one_barrier():
     world = build_sharded(4)
     agent = LinearAgent("capped", RING[:4])
     world.launch(agent, at="n0", method="step")
     world.run(until=0.02)
-    assert all(abs(w.sim.now - 0.02) < 1e-9 for w in world.shards)
-    # The run can be resumed to completion afterwards.
+    # The cut walks the barriers at or before 0.02: every clock reads
+    # the last one walked, none is moved on to the cut.
+    clocks = {w.sim.now for w in world.shards}
+    assert len(clocks) == 1 and clocks.pop() <= 0.02
+    # The run can be continued to completion afterwards.
     world.run()
     assert world.record_of("capped").status is AgentStatus.FINISHED
 

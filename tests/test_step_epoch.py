@@ -79,8 +79,7 @@ def test_step_epoch_matches_run(backend):
     assert ring_debits(stepped) == ring_debits(straight)
     assert stepped.trace_digests() == straight.trace_digests()
     for world in (straight, stepped):
-        if hasattr(world, "close"):
-            world.close()
+        world.close()
 
 
 @pytest.mark.parametrize("backend", ["world", "sharded"])
