@@ -86,7 +86,7 @@ def part2_ft_takeover():
     bank.seed_account("payee", 0)
     world.node("destination").add_resource(bank)
     # The backup node shadows step executions of the relay.
-    world.ft.set_alternates("relay", "relay-backup")
+    world.set_alternates("relay", "relay-backup")
 
     # The relay crashes just after the agent's package lands there and
     # stays down far beyond the takeover timeout.

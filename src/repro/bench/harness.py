@@ -45,7 +45,7 @@ class TourResult:
 
     status: AgentStatus
     result: Any
-    sim_time: float
+    sim_time: float  # the last barrier the run walked
     finished_at: float
     steps_committed: int
     rollbacks: int
@@ -97,8 +97,7 @@ def run_tour(plan: TourPlan, n_nodes: int,
              protocol: Protocol = Protocol.BASIC,
              seed: int = 0,
              logging_mode: LoggingMode = LoggingMode.STATE,
-             world: Optional[World] = None,
-             max_events: int = 2_000_000) -> TourResult:
+             world: Optional[World] = None) -> TourResult:
     """Run one tour to completion and harvest metrics."""
     from repro.storage import serialization
 
@@ -109,7 +108,7 @@ def run_tour(plan: TourPlan, n_nodes: int,
     stats_before = serialization.stats()
     record = world.launch(agent, at=plan.steps[0].node, method="run",
                           mode=mode, protocol=protocol)
-    world.run(max_events=max_events)
+    world.run()
     serialization_stats = {
         key: value - stats_before[key]
         for key, value in serialization.stats().items()}

@@ -76,8 +76,7 @@ def cmd_tour(args) -> int:
     plan, world = _build(args)
     try:
         result = run_tour(plan, args.nodes, mode=RollbackMode(args.mode),
-                          seed=args.seed, world=world,
-                          max_events=300_000)
+                          seed=args.seed, world=world)
     except RollbackLivelock as exc:
         # The saga baseline earns this honestly: its WRO image restore
         # erases the compensation-produced signal that would stop the

@@ -24,7 +24,7 @@ This module implements a faithful-in-behaviour simplification:
   package ("stale").
 
 Alternates for steps come from a world-level policy (default: none —
-configure with :meth:`FaultTolerance.set_alternates`); alternates for
+configure with the world's ``set_alternates``); alternates for
 compensations come from the end-of-step entries in the rollback log
 (``ctx.declare_alternates``), exactly where the paper puts them.
 
@@ -121,9 +121,8 @@ class FaultTolerance:
     # -- configuration -----------------------------------------------------------
 
     def set_alternates(self, node: str, *alternates: str) -> None:
-        """Declare which nodes shadow step executions of ``node``."""
-        self.world._journal_op("ft_alternates", node=node,
-                               alternates=tuple(alternates))
+        """Declare which nodes shadow step executions of ``node`` (the
+        world facade's ``set_alternates`` journals the op)."""
         self._step_alternates[node] = tuple(alternates)
 
     def step_alternates_for(self, node: str) -> tuple[str, ...]:

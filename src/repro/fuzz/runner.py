@@ -76,11 +76,8 @@ def build_case_world(case: FuzzCase, backend: str):
                               overdraft=OverdraftPolicy.ALLOWED)
         node.add_resource(bank)
     for i, name in enumerate(nodes):
-        alts = (nodes[(i + 1) % len(nodes)], nodes[(i + 2) % len(nodes)])
-        if backend == "world":
-            world.ft.set_alternates(name, *alts)
-        else:
-            world.set_alternates(name, *alts)
+        world.set_alternates(name, nodes[(i + 1) % len(nodes)],
+                             nodes[(i + 2) % len(nodes)])
     return world
 
 

@@ -50,6 +50,8 @@ from repro.storage.serialization import capture, restore
 #: Op record kinds.  An op after the last commit marker is still
 #: applied (it was issued — and synced — after that barrier); any other
 #: record there belongs to the epoch the crash destroyed.
+#: ``ft_alternates`` is the name older journals gave ``set_alternates``
+#: on a plain world; no writer emits it now, resume still replays it.
 OP_KINDS = frozenset({
     "add_node", "add_resource", "share_resource", "set_alternates",
     "ft_alternates", "launch", "crash_plans", "kill_shard",

@@ -156,10 +156,9 @@ def _apply_op(world, kind: str, data: dict[str, Any]) -> None:
         else:
             source = world.node(data["from_node"])
             node.share_resource(source.get_resource(data["name"]))
-    elif kind == "set_alternates":
+    elif kind in ("set_alternates", "ft_alternates"):
+        # ``ft_alternates``: older journals' name for it (see OP_KINDS).
         world.set_alternates(data["node"], *data["alternates"])
-    elif kind == "ft_alternates":
-        world.ft.set_alternates(data["node"], *data["alternates"])
     elif kind == "launch":
         agent, at, method, kwargs = restore(data["bundle"])
         world.launch(agent, at=at, method=method, **kwargs)

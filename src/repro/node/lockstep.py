@@ -12,8 +12,8 @@ revivals fall inside it, where a kill lands and when the commit marker
 is written.  The same seed therefore gives the same barrier sequence,
 commit markers and trace digests on every backend by construction.
 
-The entry points live here once too: :meth:`LockstepWorld.run`,
-:meth:`LockstepWorld.step_epoch` and :meth:`LockstepWorld.launch`.
+The facade lives here once too: ``run``, ``step_epoch``, ``launch``,
+``launch_itinerary`` and ``set_alternates``.
 
 A commit hands its marker to the OS; :func:`returns_durable` is the
 one place that makes it durable.  It wraps both entry points of the
@@ -40,7 +40,9 @@ A backend supplies only the hooks that differ:
   commit marker carries;
 * :meth:`~LockstepWorld._owner_of` and
   :meth:`~LockstepWorld._ship_launch` — which kernel hosts a launch's
-  node, and how its journaled bundle gets there.
+  node, and how its journaled bundle gets there;
+* :meth:`~LockstepWorld._set_alternates` — where the FT drivers read
+  step alternates.
 
 The defaults drive the kernels :meth:`~LockstepWorld._kernels` returns
 in this process; the process backend overrides the kernel-facing hooks
@@ -54,6 +56,7 @@ import math
 import pickle
 from typing import Any, Optional
 
+from repro.agent.packages import Protocol, RollbackMode
 from repro.errors import JournalError, UsageError, WorldKilled
 
 #: Barriers one ``run()`` walks before it calls the walk a livelock.
@@ -212,6 +215,10 @@ class LockstepWorld:
         """Hand each plan to the kernel hosting its node."""
         raise NotImplementedError
 
+    def _set_alternates(self, node: str, alternates: tuple[str, ...]) -> None:
+        """Install ``node``'s step alternates for the FT drivers."""
+        raise NotImplementedError
+
     # -- the walk ----------------------------------------------------------------------
 
     def _step(self, until: Optional[float], max_events: int,
@@ -276,15 +283,17 @@ class LockstepWorld:
         """Walk the barriers until every kernel is drained (or ``until``).
 
         One :meth:`_step` per barrier, at most ``max_events`` events per
-        kernel and epoch; past :data:`MAX_EPOCHS` barriers the walk is
-        a livelock (:class:`~repro.errors.UsageError`).  The commits are
-        fsynced once, when the call returns or raises.
+        kernel and epoch (the bound is per epoch, not per run); past
+        :data:`MAX_EPOCHS` barriers the walk is a livelock
+        (:class:`~repro.errors.UsageError`).  The commits are fsynced
+        once, when the call returns or raises.
 
-        The cut: ``run(until=t)`` walks every barrier at or before
-        ``t`` and stops, so :attr:`now` reads the last barrier walked,
-        and a later ``run()`` continues exactly as if the run had never
-        been cut.  ``_replay`` (resume only) walks the journaled
-        barriers verbatim instead of the grid.
+        :attr:`now` reads the last barrier walked: after an uncut run,
+        the grid point at or just after the last event.  The cut:
+        ``run(until=t)`` walks every barrier at or before ``t`` and
+        stops, and a later ``run()`` continues exactly as if the run
+        had never been cut.  ``_replay`` (resume only) walks the
+        journaled barriers verbatim instead of the grid.
         """
         replay = iter(_replay) if _replay is not None else None
         for _ in range(MAX_EPOCHS):
@@ -321,7 +330,10 @@ class LockstepWorld:
             journal.record_config(**self._journal_config())
 
     def _journal_op(self, op: str, **data: Any) -> None:
-        """Journal a facade-level op (no-op unless this world owns ops)."""
+        """Journal a facade-level op (no-op unless this world owns ops);
+        every op passes here first, so a closed world refuses it here."""
+        if self._closed:
+            raise UsageError("world is closed")
         journal = self.journal
         if self._owns_ops and journal is not None and journal.armed:
             journal.record_op(op, **data)
@@ -400,20 +412,39 @@ class LockstepWorld:
         return [self.add_node(n) for n in names]
 
     def launch(self, agent: Any, at: str, method: str,
-               **launch_kwargs: Any) -> Any:
+               mode: RollbackMode = RollbackMode.BASIC,
+               protocol: Protocol = Protocol.BASIC,
+               initial_savepoints: Optional[list] = None,
+               **unknown: Any) -> Any:
         """Inject ``agent`` into node ``at``'s input queue, starting at
         ``method``; returns its live record.
 
-        Validate, journal, execute: an unknown node or an agent id
-        already launched is refused (:class:`~repro.errors.UsageError`)
+        ``initial_savepoints`` — (sp_id, virtual) pairs written into the
+        fresh log before the first step, so the agent can roll back to
+        its very beginning (see :meth:`launch_itinerary`).
+
+        Validate, journal, execute: an unknown keyword, node, mode or
+        protocol, a duplicate agent id, a ``method`` the agent lacks
+        and a closed world are refused (:class:`~repro.errors.UsageError`)
         before anything is journaled.  Launch is a ship: the owner runs
         a restored copy of the journaled bundle — what a worker process
         and a resume run — never the caller's object.
         """
         from repro.storage.serialization import assert_picklable, capture
+        if unknown:
+            raise UsageError(f"unknown launch keyword {min(unknown)!r}")
         owner = self._owner_of(at)
         if agent.agent_id in self.agents:
             raise UsageError(f"agent {agent.agent_id!r} already launched")
+        try:
+            launch_kwargs = {"mode": RollbackMode(mode),
+                             "protocol": Protocol(protocol),
+                             "initial_savepoints": initial_savepoints}
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if not hasattr(agent, method):
+            raise UsageError(f"{type(agent).__name__} has no step method "
+                             f"{method!r}")
         try:
             bundle = capture((agent, at, method, launch_kwargs))
         except (pickle.PicklingError, AttributeError, TypeError):
@@ -424,6 +455,29 @@ class LockstepWorld:
         # re-launches byte-identical launch state.
         self._journal_op("launch", bundle=bundle)
         return self._ship_launch(owner, bundle, launch_kwargs)
+
+    def launch_itinerary(self, agent: Any,
+                         mode: RollbackMode = RollbackMode.BASIC,
+                         protocol: Protocol = Protocol.BASIC) -> Any:
+        """Launch an :class:`~repro.itinerary.executor.ItineraryAgent`;
+        its itinerary names the start node, method and initial
+        savepoints."""
+        at, method = agent.launch_entry()
+        return self.launch(agent, at=at, method=method, mode=mode,
+                           protocol=protocol,
+                           initial_savepoints=agent.initial_savepoints())
+
+    def set_alternates(self, node: str, *alternates: str) -> None:
+        """Declare which nodes shadow step executions of ``node`` (the
+        FT protocol's takeover and diversion targets), for every kernel.
+
+        With ``FTParams.cross_shard_alternates`` (the default) a sharded
+        world's FT drivers prefer the alternates hosted by other shards,
+        so shadow redundancy survives a whole-kernel outage.
+        """
+        alternates = tuple(alternates)
+        self._journal_op("set_alternates", node=node, alternates=alternates)
+        self._set_alternates(node, alternates)
 
     def apply_crash_plans(self, plans) -> None:
         """Schedule node-level outages on whichever kernels host the
@@ -479,7 +533,7 @@ class LockstepWorld:
         return [world.sim.trace_digest() for world in self._kernels()]
 
     def close(self) -> None:
-        """Release the world; a closed world refuses to step.
+        """Release the world; a closed world refuses every facade op.
 
         Idempotent.  Fsyncs the journal's flushed commits; only the
         process backend holds anything else to release (its worker

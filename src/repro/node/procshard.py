@@ -973,8 +973,7 @@ class ProcShardedWorld(ShardCoordinator):
     def node(self, name: str) -> NodeProxy:
         return NodeProxy(self, name, self.shard_of(name))
 
-    def _share_alternates(self, node: str,
-                          alternates: tuple[str, ...]) -> None:
+    def _set_alternates(self, node: str, alternates: tuple[str, ...]) -> None:
         self._entangled = True
         for handle in self._handles:
             handle.request("set_alternates",
@@ -990,8 +989,7 @@ class ProcShardedWorld(ShardCoordinator):
         """Ship the bundle to the owning shard; returns the coordinator's
         record copy, which every barrier merges into in place."""
         from repro.agent.packages import Protocol
-        protocol = launch_kwargs.get("protocol", Protocol.BASIC)
-        if Protocol(protocol) is Protocol.FAULT_TOLERANT:
+        if launch_kwargs["protocol"] is Protocol.FAULT_TOLERANT:
             self._entangled = True
         # The owner's inbox routed at the last barrier ships along and
         # applies first: in-process, that flush already scheduled it.

@@ -117,9 +117,12 @@ class World(LockstepWorld):
     execution of the same workloads see
     :class:`~repro.node.sharded.ShardedWorld` (in-process shards) and
     :class:`~repro.node.procshard.ProcShardedWorld` (one worker
-    process per shard) — all three run seeded workloads bit-identically,
-    walking the one barrier loop of
-    :class:`~repro.node.lockstep.LockstepWorld`.
+    process per shard) — all three run seeded workloads bit-identically.
+    A world is their one-shard case, with no entry point of its own:
+    every run walks the barrier grid of
+    :class:`~repro.node.lockstep.LockstepWorld` (epochs
+    ``net_params.latency`` long), so ``max_events`` bounds each epoch
+    and an uncut ``run()`` leaves :attr:`now` at the last barrier.
 
     Args:
         seed: Root of every RNG stream; equal seeds give bit-identical
@@ -139,13 +142,11 @@ class World(LockstepWorld):
         journal: Attach a :class:`~repro.journal.WorldJournal` making
             this world a journaling coordinator (config + ops + one
             commit marker per epoch barrier; see
-            :func:`~repro.journal.resume_world`).  Its commit epochs
-            are ``net_params.latency`` long, the grid the sharded
-            backends default to.
+            :func:`~repro.journal.resume_world`).
 
     Raises:
         UsageError: On invalid knob combinations (negative epochs,
-            unknown nodes at launch time, running a closed world...) —
+            unknown nodes at launch time, any op on a closed world...) —
             raised by the respective methods, not the constructor.
     """
 
@@ -291,20 +292,6 @@ class World(LockstepWorld):
 
     # -- agent management -----------------------------------------------------------------
 
-    def launch(self, agent: MobileAgent, at: str, method: str,
-               mode: RollbackMode = RollbackMode.BASIC,
-               protocol: Protocol = Protocol.BASIC,
-               initial_savepoints: Optional[list] = None) -> AgentRecord:
-        """:meth:`~repro.node.lockstep.LockstepWorld.launch` with its
-        keywords named.  ``initial_savepoints`` — (sp_id, virtual) pairs
-        written into the fresh log before the first step, so the agent
-        can roll back to its very beginning (itinerary agents use this
-        for the savepoint "before the execution of [the first
-        sub-itinerary] starts")."""
-        return super().launch(agent, at, method, mode=mode,
-                              protocol=protocol,
-                              initial_savepoints=initial_savepoints)
-
     def _owner_of(self, node: str) -> "World":
         self.node(node)
         return self
@@ -348,19 +335,6 @@ class World(LockstepWorld):
         node.queue.enqueue(package)
         return record
 
-    def launch_itinerary(self, agent: MobileAgent,
-                         mode: RollbackMode = RollbackMode.BASIC,
-                         protocol: Protocol = Protocol.BASIC) -> AgentRecord:
-        """Launch an :class:`~repro.itinerary.executor.ItineraryAgent`.
-
-        The start node/method and the initial savepoints come from the
-        agent's itinerary.
-        """
-        at, method = agent.launch_entry()
-        return self.launch(agent, at=at, method=method, mode=mode,
-                           protocol=protocol,
-                           initial_savepoints=agent.initial_savepoints())
-
     def record_or_none(self, agent_id: str) -> Optional[AgentRecord]:
         """Like :meth:`record_of` but tolerant of unknown agents.
 
@@ -384,29 +358,15 @@ class World(LockstepWorld):
     def _apply_crash_plans(self, plans: list) -> None:
         self.failures.apply_plan(plans)
 
+    def _set_alternates(self, node: str, alternates: tuple[str, ...]) -> None:
+        self.ft.set_alternates(node, *alternates)
+
     def serialization_stats(self) -> dict[str, int]:
         """This process's :data:`repro.storage.serialization.STATS` copy."""
         from repro.storage.serialization import stats
         return stats()
 
-    # -- execution ------------------------------------------------------------------------------
-
-    def run(self, until: Optional[float] = None,
-            max_events: int = 10_000_000,
-            _replay: Optional[list] = None) -> None:
-        """Run the simulation until idle (or ``until``).
-
-        An unjournaled run with no ``until`` runs the kernel straight
-        through (``max_events`` bounds the whole run); every cut and
-        every journaled run walks the shared barrier grid and cuts by
-        its rule (:meth:`~repro.node.lockstep.LockstepWorld.run`).
-        """
-        if self.journal is None and until is None:
-            self.sim.run(max_events=max_events)
-            return
-        super().run(until, max_events, _replay)
-
-    # The lockstep walk (LockstepWorld._step) over this one kernel.
+    # -- the lockstep walk's hooks (LockstepWorld._step) over this one kernel ------------------
 
     def _kernels(self) -> list["World"]:
         return [self]

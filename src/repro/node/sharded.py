@@ -480,14 +480,13 @@ class ShardCoordinator(LockstepWorld):
     """What the in-process and the process-backed sharded drivers share.
 
     Node placement, whole-shard outages, the bridge flush at each
-    barrier, step alternates, the journal config record, the
-    serialization stats and the ledger inspection.  A driver supplies
+    barrier, the journal config record, the serialization stats and the
+    ledger inspection.  A driver supplies
     ``_BACKEND``, ``_place`` (create a node in a shard), ``_shard_now``
     and ``_schedule_kill`` (one shard's clock and kill event),
     ``shard_suspended``, ``_flush`` (route the pending bridge traffic),
-    ``_share_alternates``, ``_replica_claims`` and
-    ``_serialization_counters``, plus the hooks of
-    :class:`~repro.node.lockstep.LockstepWorld`.
+    ``_replica_claims`` and ``_serialization_counters``, plus the hooks
+    of :class:`~repro.node.lockstep.LockstepWorld`.
     """
 
     #: The ``backend`` a journal config record names this driver by.
@@ -519,10 +518,6 @@ class ShardCoordinator(LockstepWorld):
         #: Virtual time of the most recent bridge flush — the takeover
         #: watchdog's mirror-settlement guard reads it.
         self.last_flush_at = float("-inf")
-        #: Step-alternate policy shared by every shard's FT driver: the
-        #: shipping shard must know the alternates of destinations it
-        #: does not host.
-        self.ft_alternates: dict[str, tuple[str, ...]] = {}
         #: Per-agent records: every shard's view of an agent merges here.
         self.agents: dict[str, AgentRecord] = {}
         self._node_shard: dict[str, int] = {}
@@ -550,22 +545,6 @@ class ShardCoordinator(LockstepWorld):
         if shard is None:
             raise UsageError(f"no node {name!r}")
         return shard
-
-    def set_alternates(self, node: str, *alternates: str) -> None:
-        """Declare step alternates for ``node``, visible to all shards.
-
-        With ``FTParams.cross_shard_alternates`` (the default) the FT
-        drivers prefer the alternates hosted by other shards, so shadow
-        redundancy survives a whole-kernel outage.
-        """
-        self._journal_op("set_alternates", node=node,
-                         alternates=tuple(alternates))
-        self.ft_alternates[node] = tuple(alternates)
-        self._share_alternates(node, alternates)
-
-    def _share_alternates(self, node: str,
-                          alternates: tuple[str, ...]) -> None:
-        """Hand alternates to shards that cannot read ``ft_alternates``."""
 
     # -- whole-shard failure injection ------------------------------------------------
 
@@ -686,9 +665,10 @@ class ShardCoordinator(LockstepWorld):
 class ShardedWorld(ShardCoordinator):
     """A simulated mobile-agent system partitioned across N kernels.
 
-    The facade mirrors :class:`~repro.node.runtime.World` where it
-    matters (``add_node`` / ``launch`` / ``run`` / ``agents`` /
-    ``set_alternates``), so benches can swap one for the other.
+    ``add_node`` aside, the facade (``launch`` / ``run`` /
+    ``set_alternates`` / ``agents`` ...) is the one
+    :class:`~repro.node.runtime.World` has too, so workloads swap one
+    for the other.
     ``n_shards=1`` runs the same code path with the bridge idle — the
     reference configuration the determinism tests compare against.
 
@@ -717,6 +697,10 @@ class ShardedWorld(ShardCoordinator):
                  journal: Optional["WorldJournal"] = None,
                  **world_kwargs: Any):
         self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
+        #: Step-alternate policy shared by every shard's FT driver: the
+        #: shipping shard must know the alternates of destinations it
+        #: does not host.
+        self.ft_alternates: dict[str, tuple[str, ...]] = {}
         self.shards: list[ShardWorld] = []
         for index in range(n_shards):
             world = ShardWorld(shard_index=index, sharded=self,
@@ -755,6 +739,9 @@ class ShardedWorld(ShardCoordinator):
 
     def _flush(self, barrier: float) -> None:
         self.bridge.flush(self.shards, barrier)
+
+    def _set_alternates(self, node: str, alternates: tuple[str, ...]) -> None:
+        self.ft_alternates[node] = alternates
 
     def _apply_crash_plans(self, plans: list) -> None:
         for plan in plans:

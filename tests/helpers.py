@@ -136,27 +136,34 @@ class OneShotAgent(MobileAgent):
 FT_RING = [f"n{i}" for i in range(9)]
 
 
+def make_world(backend, seed=0, n_shards=3, **kwargs):
+    """An empty world on ``backend``: ``"world"`` (single kernel),
+    ``"sharded"`` (in-process shards) or ``"proc"`` (worker
+    processes)."""
+    from repro import ProcShardedWorld, ShardedWorld
+
+    if backend == "world":
+        return World(seed=seed, **kwargs)
+    if backend == "sharded":
+        return ShardedWorld(n_shards=n_shards, seed=seed, **kwargs)
+    if backend == "proc":
+        return ProcShardedWorld(n_shards=n_shards, seed=seed, **kwargs)
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 def build_ft_ring(backend, seed=7, n_shards=3, takeover_timeout=0.05,
                   alternates=True, **kwargs):
-    """A ring of banked nodes on any backend, with FT alternates.
+    """A ring of banked nodes on any backend (see :func:`make_world`),
+    with FT alternates.
 
-    ``backend`` is one of ``"world"`` (single kernel), ``"sharded"``
-    (in-process shards) or ``"proc"`` (worker processes).  Node i's
-    alternates are the next two ring nodes, which round-robin placement
-    puts in the two other shards.
+    Node i's alternates are the next two ring nodes, which round-robin
+    placement puts in the two other shards.
     """
-    from repro import FTParams, ProcShardedWorld, ShardedWorld
+    from repro import FTParams
 
     kwargs.setdefault("ft_params",
                       FTParams(takeover_timeout=takeover_timeout))
-    if backend == "world":
-        world = World(seed=seed, **kwargs)
-    elif backend == "sharded":
-        world = ShardedWorld(n_shards=n_shards, seed=seed, **kwargs)
-    elif backend == "proc":
-        world = ProcShardedWorld(n_shards=n_shards, seed=seed, **kwargs)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    world = make_world(backend, seed, n_shards, **kwargs)
     for name in FT_RING:
         node = world.add_node(name)
         bank = Bank("bank")
@@ -166,11 +173,8 @@ def build_ft_ring(backend, seed=7, n_shards=3, takeover_timeout=0.05,
     if alternates:
         ring = FT_RING
         for i, name in enumerate(ring):
-            alts = (ring[(i + 1) % len(ring)], ring[(i + 2) % len(ring)])
-            if backend == "world":
-                world.ft.set_alternates(name, *alts)
-            else:
-                world.set_alternates(name, *alts)
+            world.set_alternates(name, ring[(i + 1) % len(ring)],
+                                 ring[(i + 2) % len(ring)])
     return world
 
 
@@ -305,9 +309,10 @@ def run_crash_resume_scenario(backend, seed, kill_at, phase="commit",
         journal.close()
 
 
-def build_line_world(n_nodes=4, seed=0, **world_kwargs) -> World:
-    """n nodes in a line, each with a bank holding accounts a and b."""
-    world = World(seed=seed, **world_kwargs)
+def build_line_world(n_nodes=4, seed=0, backend="world", **world_kwargs):
+    """n nodes in a line, each with a bank holding accounts a and b and
+    a directory, on any backend (see :func:`make_world`)."""
+    world = make_world(backend, seed, **world_kwargs)
     for i in range(n_nodes):
         node = world.add_node(f"n{i}")
         bank = Bank("bank")

@@ -127,7 +127,7 @@ def test_alternates_keep_config_order_when_knob_off():
 def test_unsharded_world_alternates_unaffected():
     world = World(seed=0)
     world.add_nodes("a0", "a1", "b0")
-    world.ft.set_alternates("a0", "a1", "b0")
+    world.set_alternates("a0", "a1", "b0")
     assert world.ft.alternates_for(
         "a0", make_step_package("xft-plain")) == ("a1", "b0")
     assert world.ft_params.cross_shard_alternates  # knob exists, inert

@@ -22,7 +22,7 @@ def run_once(seed, outages):
         world.failures.random_outages(nodes, horizon=10.0, rate_per_s=0.4,
                                       mean_downtime=0.2)
     result = run_tour(plan, 4, mode=RollbackMode.OPTIMIZED, seed=seed,
-                      world=world, max_events=3_000_000)
+                      world=world)
     return world, result
 
 

@@ -30,7 +30,7 @@ def run_world(plans, n_nodes=4, seed=0, protocol=Protocol.BASIC,
               alternates=()):
     world = build_line_world(n_nodes, seed=seed)
     for node, alts in alternates:
-        world.ft.set_alternates(node, *alts)
+        world.set_alternates(node, *alts)
     # Drop overlapping outages for the same node (the injector ignores
     # a crash of an already-down node, but recovery pairing must stay
     # sane for the test's own bookkeeping).

@@ -10,8 +10,8 @@ from tests.helpers import LinearAgent, bank_of, build_line_world
 
 def test_ft_clean_run_ships_shadows_and_discards_them():
     world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.05))
-    world.ft.set_alternates("n1", "n2")
-    world.ft.set_alternates("n2", "n0")
+    world.set_alternates("n1", "n2")
+    world.set_alternates("n2", "n0")
     agent = LinearAgent("ft-agent", ["n0", "n1", "n2"])
     record = world.launch(agent, at="n0", method="step",
                           protocol=Protocol.FAULT_TOLERANT)
@@ -29,7 +29,7 @@ def test_ft_clean_run_ships_shadows_and_discards_them():
 
 def test_ft_takeover_executes_step_on_alternate_exactly_once():
     world = build_line_world(3, ft_params=FTParams(takeover_timeout=0.1))
-    world.ft.set_alternates("n1", "n2")
+    world.set_alternates("n1", "n2")
     # n1 dies in the middle of its step transaction (the package is in
     # its durable queue, the shadow already at n2) and stays down long.
     world.failures.apply_plan([CrashPlan("n1", at=0.08, duration=20.0)])
@@ -108,7 +108,7 @@ def test_ft_compensation_diverts_to_alternate_node():
     shared_bank = bank_of(world, "n1")
     alt = world.add_node("alt")
     alt.share_resource(shared_bank)
-    world.ft.set_alternates("n1", "alt")
+    world.set_alternates("n1", "alt")
 
     agent = DeclaringAgent("ft-comp", ["n0", "n1", "n2"],
                            savepoints={0: "sp"}, rollback_to="sp")

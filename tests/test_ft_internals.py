@@ -17,7 +17,7 @@ def make_package(agent_id="ft-unit", kind=PackageKind.STEP, **meta):
 
 def test_alternates_for_step_vs_compensation_packages():
     world = build_line_world(3)
-    world.ft.set_alternates("n1", "n2", "n1")  # self filtered out
+    world.set_alternates("n1", "n2", "n1")  # self filtered out
     step_package = make_package()
     assert world.ft.alternates_for("n1", step_package) == ("n2",)
     assert world.ft.alternates_for("n0", step_package) == ()

@@ -147,16 +147,22 @@ def test_rollback_nested_scope_only():
     assert record.rollbacks_completed == 1
 
 
-def test_rollback_enclosing_scope_undoes_both_levels():
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_rollback_enclosing_scope_undoes_both_levels(backend):
+    """The outer scope's savepoint is the one ``launch_itinerary`` has
+    the launch write, so every backend must carry it into the log."""
     inner = SubItinerary("inner", [StepEntry("visit", "n2"),
                                    StepEntry("maybe_rollback", "n0")])
     outer = SubItinerary("outer", [StepEntry("visit", "n1"), inner])
     itinerary = Itinerary().add(outer)
-    world = build_line_world(3)
+    world = build_line_world(3, backend=backend)
     agent = Walker(itinerary, "walk-4")
     agent.sro["rollback_plan"] = {"levels": 1, "until_ticks": 2}
-    record = world.launch_itinerary(agent)
-    world.run(max_events=500_000)
+    try:
+        record = world.launch_itinerary(agent)
+        world.run(max_events=500_000)
+    finally:
+        world.close()
     assert record.status is AgentStatus.FINISHED
     trace = record.result["trace"]
     # The whole outer scope was rolled back (trace restored to empty)

@@ -42,7 +42,9 @@ from repro.journal import (
 from repro.journal.backends import frame, parse_frames
 from repro.journal.journal import OP_KINDS, decode_record, encode_record
 from repro.resources.bank import Bank, OverdraftPolicy
+from repro.storage.serialization import capture, restore
 from tests.helpers import (
+    FT_RING,
     build_ft_ring,
     launch_ft_tours,
     live_attach_journal,
@@ -408,16 +410,31 @@ EFFECT_RECORDS = [
 ]
 
 
+def as_written_before(kind, data):
+    """One record as older writers journaled it: a plain world's step
+    alternates as an ``ft_alternates`` op, and a launch bundle carrying
+    only the keyword its caller passed."""
+    if kind == "set_alternates":
+        return "ft_alternates", data
+    if kind == "launch":
+        agent, at, method, kwargs = restore(data["bundle"])
+        return kind, {"bundle": capture(
+            (agent, at, method, {"protocol": kwargs["protocol"]}))}
+    return kind, data
+
+
 def in_old_format(payloads):
-    """The same journal with effect records before every commit marker
-    and after the last one, as older journals were written."""
+    """The same journal as older writers left it: effect records before
+    every commit marker and after the last one, and the ops in their
+    older shape (:func:`as_written_before`)."""
     effects = [encode_record(kind, data) for kind, data in EFFECT_RECORDS]
     old = MemoryJournal()
     for payload in payloads:
-        if decode_record(payload)[0] == "epoch":
+        kind, data = decode_record(payload)
+        if kind == "epoch":
             for effect in effects:
                 old.append(effect)
-        old.append(payload)
+        old.append(encode_record(*as_written_before(kind, data)))
     for effect in effects:
         old.append(effect)
     return old
@@ -433,10 +450,22 @@ def test_old_format_journal_still_resumes(backend):
         world.run(until=120.0)
     world.close()
     payloads, _torn = store.read_all()
+    # The current writer: ``set_alternates`` on every backend, and
+    # launch bundles that carry all three launch keywords.
+    records = [decode_record(payload) for payload in payloads]
+    kinds = [kind for kind, _ in records]
+    assert "ft_alternates" not in kinds
+    assert kinds.count("set_alternates") == len(FT_RING)
+    for kind, data in records:
+        if kind == "launch":
+            assert sorted(restore(data["bundle"])[3]) == \
+                ["initial_savepoints", "mode", "protocol"]
 
     old = in_old_format(payloads)
     recovered = WorldJournal(old).recover()
     assert recovered.discarded_records == len(EFFECT_RECORDS)
+    assert [kind for kind, _ in recovered.entries].count("ft_alternates") \
+        == len(FT_RING)
     resumed = resume_world(WorldJournal(old))
     try:
         resumed.run(until=120.0)

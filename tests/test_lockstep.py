@@ -9,7 +9,8 @@ same barriers as a straight run on both sharded backends, wherever the
 cuts fall, and a launch after a journaled cut resumes equal to the run
 that was never interrupted; every backend answers the same inspection
 surface; a launch is validated before it is journaled, so a refused
-launch leaves a journal that resumes; and a resumed world counts the
+launch leaves a journal that resumes; a closed world refuses every
+facade op before it journals anything; and a resumed world counts the
 barriers it replays.
 """
 
@@ -230,9 +231,27 @@ def _unpicklable(world):
     world.launch(agent, at="n0", method="step")
 
 
+def _misspelled_keyword(world):
+    world.launch(LinearAgent("ag-new", FT_RING[:2]), at="n0",
+                 method="step", protcol=Protocol.FAULT_TOLERANT)
+
+
+def _unknown_mode(world):
+    world.launch(LinearAgent("ag-new", FT_RING[:2]), at="n0",
+                 method="step", mode="bogus")
+
+
+def _missing_method(world):
+    world.launch(LinearAgent("ag-new", FT_RING[:2]), at="n0",
+                 method="no_such_step")
+
+
 REFUSALS = {"duplicate-id": (_duplicate_id, UsageError),
             "unknown-node": (_unknown_node, UsageError),
-            "unpicklable": (_unpicklable, TypeError)}
+            "unpicklable": (_unpicklable, TypeError),
+            "misspelled-keyword": (_misspelled_keyword, UsageError),
+            "unknown-mode": (_unknown_mode, UsageError),
+            "missing-method": (_missing_method, UsageError)}
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +282,39 @@ def test_refused_launch_is_not_journaled(backend, refusal, unrefused_runs):
         assert scenario_record(resumed, backend) == expected
     finally:
         resumed.close()
+
+
+@pytest.mark.parametrize("journaled", (True, False),
+                         ids=("journaled", "unjournaled"))
+@pytest.mark.parametrize("backend", ("world",) + SHARDED)
+def test_closed_world_refuses_every_facade_op(backend, journaled):
+    """Closed mid-run, a world refuses every facade op with ``world is
+    closed``: no event fires, no clock moves, nothing is journaled."""
+    journal = WorldJournal(MemoryJournal()) if journaled else None
+    world = build_ft_ring(backend, seed=5, journal=journal)
+    launch_ft_tours(world)
+    world.run(until=0.05)
+    world.close()
+
+    def state():
+        return (world.now, world.events_processed(),
+                journal.stats() if journaled else None)
+
+    frozen = state()
+    ops = {
+        "run": lambda: world.run(),
+        "run-until": lambda: world.run(until=1.0),
+        "step_epoch": world.step_epoch,
+        "launch": lambda: world.launch(LinearAgent("ag-new", FT_RING[:2]),
+                                       at="n0", method="step"),
+        "add_node": lambda: world.add_node("late-node"),
+        "set_alternates": lambda: world.set_alternates("n0", "n1"),
+    }
+    for name, op in ops.items():
+        with pytest.raises(UsageError, match="world is closed"):
+            op()
+        assert state() == frozen, name
+    assert "ag-new" not in world.agents
 
 
 @pytest.mark.parametrize("phase", ("commit", "barrier"))

@@ -456,7 +456,7 @@ def test_migration_batched_shadows_fewer_network_events():
         world = build_tour_world(4, seed=47, net_params=NetworkParams(
             batch_window=window))
         for i in range(4):
-            world.ft.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
+            world.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
         for a in range(6):
             world.launch(TourAgent(f"mig-batch-{a}", plan), at="n0",
                          method="run", protocol=Protocol.FAULT_TOLERANT)
@@ -584,7 +584,7 @@ def run_with_outages(rate, seed=9):
         world.failures.random_outages(ring(4), horizon=20.0,
                                       rate_per_s=rate, mean_downtime=0.3)
     return world, run_tour(plan, 4, mode=RollbackMode.BASIC, seed=seed,
-                           world=world, max_events=3_000_000)
+                           world=world)
 
 
 def test_ft_rollback_completes_under_outages():

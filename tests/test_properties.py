@@ -100,7 +100,7 @@ def test_repeated_rollbacks_converge(params, times):
                           rollback_depth=params["n_steps"] - 1,
                           rollback_times=times)
     result = run_tour(plan, params["n_nodes"], mode=RollbackMode.BASIC,
-                      seed=params["seed"], max_events=3_000_000)
+                      seed=params["seed"])
     assert result.status is AgentStatus.FINISHED
     assert result.rollbacks == times
     assert result.result["rolled_back"] == times

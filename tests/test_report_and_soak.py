@@ -17,7 +17,7 @@ def test_soak_long_tour_with_repeated_rollbacks_and_crashes():
     world.failures.random_outages(nodes, horizon=60.0, rate_per_s=0.15,
                                   mean_downtime=0.2)
     result = run_tour(plan, n_nodes, mode=RollbackMode.OPTIMIZED,
-                      seed=123, world=world, max_events=5_000_000)
+                      seed=123, world=world)
     assert result.status is AgentStatus.FINISHED
     assert result.rollbacks == 3
     assert result.result["rolled_back"] == 3

@@ -153,7 +153,7 @@ def test_random_outage_storm_never_loses_the_rollback():
         [f"n{i}" for i in range(4)], horizon=5.0, rate_per_s=0.4,
         mean_downtime=0.2)
     result = run_tour(plan, 4, mode=RollbackMode.BASIC, seed=11,
-                      world=world, max_events=2_000_000)
+                      world=world)
     assert result.status is AgentStatus.FINISHED
     assert result.rollbacks == 1
     assert result.result["rolled_back"] == 1

@@ -251,7 +251,7 @@ def run_ft_swarm(batch_window, n_agents=4):
     world = build_line_world(
         4, seed=3, net_params=NetworkParams(batch_window=batch_window))
     for i in range(4):
-        world.ft.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
+        world.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
     for a in range(n_agents):
         agent = LinearAgent(f"bw{batch_window}-{a}", ["n0", "n1", "n2", "n3"])
         world.launch(agent, at="n0", method="step",
@@ -287,7 +287,7 @@ def run_tour_ft_swarm(batch_window, n_agents=8, seed=11):
     world = build_tour_world(
         4, seed=seed, net_params=NetworkParams(batch_window=batch_window))
     for i in range(4):
-        world.ft.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
+        world.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
     for a in range(n_agents):
         world.launch(TourAgent(f"batch-{a}", plan), at=nodes[0],
                      method="run", protocol=Protocol.FAULT_TOLERANT)
