@@ -78,28 +78,26 @@ __version__ = "1.0.0"
 
 
 def serialization_stats() -> dict:
-    """This process's serialization / IPC counters, as a plain dict.
+    """The caller's serialization / IPC counters, as a plain dict.
 
-    A snapshot of :data:`repro.storage.serialization.STATS` — package
-    capture/restore byte totals, incremental pack reuse, lazy log-entry
-    hydration, and (for the process backend) barrier pipe traffic
-    (``ipc_bytes_copied``; ``ipc_bytes_framed`` / ``ipc_bytes_control``
-    / ``frame_reused`` / ``ring_spills`` stay 0).
+    A snapshot of the counter table of the :class:`~repro.scope.Scope`
+    the caller runs under — the process-default scope outside any
+    world: incremental pack reuse, snapshot fast-path hits, lazy
+    log-entry hydration, and teardown failures the process backend
+    suppressed while closing (``teardown.suppressed``).
 
-    This module-level helper reads the *current process's* counters
-    only.  For a multiprocess run, call
-    :meth:`ProcShardedWorld.serialization_stats` instead: it sums every
-    worker's counters and folds in the coordinator's own IPC
-    accounting; :meth:`ShardedWorld.serialization_stats` returns the
-    same shape for the in-process backend.  Both carry the retired
-    ``spec.*`` keys at 0.
+    A world counts its own work in its own scope, so this helper does
+    not see it: call the world's ``serialization_stats()`` instead
+    (every backend has it; the process backend's sums every shard's
+    table and the coordinator's IPC accounting, and both sharded
+    backends carry the retired ``spec.*`` keys at 0).
 
     Returns:
         A new ``dict`` mapping counter name to value; mutating it does
         not affect the live counters.
     """
-    from repro.storage.serialization import stats
-    return dict(stats())
+    from repro.scope import current
+    return dict(current().stats)
 
 __all__ = [
     "World",

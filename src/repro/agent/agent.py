@@ -45,7 +45,7 @@ class MobileAgent:
     """
 
     def __init__(self, agent_id: Optional[str] = None):
-        self.agent_id = agent_id or f"agent-{next(current_scope().agent_ids)}"
+        self.agent_id = agent_id or f"agent-{current_scope().mint('agent')}"
         self.sro: dict[str, Any] = {}
         self.wro: dict[str, Any] = {}
         self.step_count = 0

@@ -36,7 +36,6 @@ batching co-located migrations serialises nothing extra.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
@@ -49,16 +48,6 @@ from repro.log.rollback_log import (
 )
 from repro.scope import current as current_scope
 from repro.storage.serialization import capture, restore
-
-
-def reset_work_ids() -> None:
-    """Restart the current scope's work-id sequence (test isolation).
-
-    Work ids arbitrate exactly-once execution globally (they key the
-    step ledger); each shard of a process-backed run mints them from
-    its own scope's namespace (see :mod:`repro.scope`).
-    """
-    current_scope().work_ids = itertools.count(1)
 
 
 class PackageKind(str, enum.Enum):
@@ -113,7 +102,7 @@ class AgentPackage:
     # the placement of the primary in a sharded world — shadows carry
     # it so a cross-shard alternate knows which kernel's outage it is
     # watching for without a topology lookup (None when unsharded).
-    work_id: int = field(default_factory=lambda: next(current_scope().work_ids))
+    work_id: int = field(default_factory=lambda: current_scope().mint("work"))
     primary: Optional[str] = None
     primary_shard: Optional[int] = None
     promoted: bool = False

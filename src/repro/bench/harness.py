@@ -60,7 +60,7 @@ class TourResult:
     rollback_latency: float
     final_package_bytes: int
     metrics: dict[str, Any] = field(default_factory=dict)
-    # Incremental-serialization instrumentation for the run: how many
+    # Incremental-serialization instrumentation for the world: how many
     # log-entry pickles actually happened vs were satisfied from entry
     # blob caches, and how many snapshots took the structural fast path.
     serialization_stats: dict[str, int] = field(default_factory=dict)
@@ -99,19 +99,13 @@ def run_tour(plan: TourPlan, n_nodes: int,
              logging_mode: LoggingMode = LoggingMode.STATE,
              world: Optional[World] = None) -> TourResult:
     """Run one tour to completion and harvest metrics."""
-    from repro.storage import serialization
-
     if world is None:
         world = build_tour_world(n_nodes, seed=seed,
                                  logging_mode=logging_mode)
     agent = TourAgent(f"tour-{seed}-{mode.value}", plan)
-    stats_before = serialization.stats()
     record = world.launch(agent, at=plan.steps[0].node, method="run",
                           mode=mode, protocol=protocol)
     world.run()
-    serialization_stats = {
-        key: value - stats_before[key]
-        for key, value in serialization.stats().items()}
     metrics = world.metrics
     latencies = rollback_latencies(world)
     final_bytes = 0
@@ -139,7 +133,7 @@ def run_tour(plan: TourPlan, n_nodes: int,
         else 0.0,
         final_package_bytes=final_bytes,
         metrics=metrics.summary(),
-        serialization_stats=serialization_stats,
+        serialization_stats=world.serialization_stats(),
     )
 
 

@@ -62,7 +62,6 @@ lockstep-epoch bridge:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -341,7 +340,7 @@ class BridgedFaultTolerance(FaultTolerance):
         # adopted into a durable queue; swept back to the bridge if
         # this kernel dies in the window (see :meth:`receive_shadow`).
         self._inbound_shadows: dict[int, tuple] = {}
-        self._inbound_seq = itertools.count()
+        self._inbound_seq = 0
 
     def claims(self) -> dict[int, str]:
         """This replica's claims, work_id -> holder (staged included)."""
@@ -487,7 +486,8 @@ class BridgedFaultTolerance(FaultTolerance):
         bridge instead of stranding it in a frozen kernel — a bridged
         shadow is either adopted or surfaced, never silently dropped.
         """
-        key = next(self._inbound_seq)
+        key = self._inbound_seq
+        self._inbound_seq = key + 1
 
         def _arrive() -> None:
             self._inbound_shadows.pop(key, None)

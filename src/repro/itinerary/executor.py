@@ -171,7 +171,9 @@ class ItineraryAgent(MobileAgent):
         """Push frames down to the first step entry (constructor time)."""
 
         def request_sp(_ctx: None, virtual: bool) -> str:
-            sp_id = SavepointEntry.fresh_id("itin")
+            # Numbered per agent, not minted: the agent is built outside
+            # the world whose scope mints its later ``itin-N`` names.
+            sp_id = f"init-{len(self._initial_savepoints) + 1}"
             self._initial_savepoints.append((sp_id, virtual))
             return sp_id
 

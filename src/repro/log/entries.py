@@ -25,23 +25,11 @@ Four entry families:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.scope import current as current_scope
 from repro.storage import serialization
-
-
-def reset_savepoint_ids() -> None:
-    """Restart the current scope's savepoint id sequence (test isolation).
-
-    Auto-generated savepoint ids must be unique *within one agent's
-    log*; each shard of a process-backed run mints them from its own
-    scope's namespace (see :mod:`repro.scope`), so the names stay
-    collision-free as an agent hops between shards.
-    """
-    current_scope().savepoint_ids = itertools.count(1)
 
 
 class Recoverability:
@@ -172,7 +160,7 @@ class SavepointEntry(LogEntry):
     @staticmethod
     def fresh_id(prefix: str = "sp") -> str:
         """Generate a unique savepoint identifier."""
-        return f"{prefix}-{next(current_scope().savepoint_ids)}"
+        return f"{prefix}-{current_scope().mint('savepoint')}"
 
 
 @dataclass

@@ -23,5 +23,5 @@ class Message:
     kind: str
     payload: Any
     size_bytes: int
-    msg_id: int = field(default_factory=lambda: next(current_scope().message_ids))
+    msg_id: int = field(default_factory=lambda: current_scope().mint("message"))
     retries: int = 0

@@ -13,7 +13,12 @@ is written.  The same seed therefore gives the same barrier sequence,
 commit markers and trace digests on every backend by construction.
 
 The facade lives here once too: ``run``, ``step_epoch``, ``launch``,
-``launch_itinerary`` and ``set_alternates``.
+``launch_itinerary``, ``set_alternates`` and ``serialization_stats``.
+Every entry point that runs or journals (those, ``add_node``,
+``apply_crash_plans`` and ``kill_shard``) runs under the world's own
+:class:`~repro.scope.Scope` (:func:`scoped`), so the ids a world mints
+and the serialization work it counts are its own, whatever else lives
+in the process.
 
 A commit hands its marker to the OS; :func:`returns_durable` is the
 one place that makes it durable.  It wraps both entry points of the
@@ -58,6 +63,7 @@ from typing import Any, Optional
 
 from repro.agent.packages import Protocol, RollbackMode
 from repro.errors import JournalError, UsageError, WorldKilled
+from repro.scope import Scope, entered
 
 #: Barriers one ``run()`` walks before it calls the walk a livelock.
 MAX_EPOCHS = 1_000_000
@@ -102,6 +108,15 @@ def returns_durable(method):
     return entry
 
 
+def scoped(method):
+    """Run ``method`` under the world's own scope (``self.scope``)."""
+    @functools.wraps(method)
+    def entry(self, *args, **kwargs):
+        with entered(self.scope):
+            return method(self, *args, **kwargs)
+    return entry
+
+
 def outcomes_of(agents: dict[str, Any]) -> dict[str, dict[str, Any]]:
     """Canonical per-agent outcomes, for cross-configuration checks.
 
@@ -139,13 +154,14 @@ def aggregate_counters(summaries: list[dict[str, Any]],
 class LockstepWorld:
     """The barrier walk, journal/kill seams and inspection facade.
 
-    Subclasses set ``journal`` and ``agents`` and supply the hooks
-    listed in the module docstring.
+    Subclasses set ``scope``, ``journal`` and ``agents`` and supply the
+    hooks listed in the module docstring.
     """
 
-    #: Whether facade-level ops are journaled here; a shard kernel of a
-    #: sharded world leaves them to its coordinator.
-    _owns_ops = True
+    #: This world's ids and serialization counters (see
+    #: :mod:`repro.scope`), made at construction.
+    scope: Scope
+
     #: The attached :class:`~repro.journal.WorldJournal`, if any.
     journal: Any = None
     _closed = False
@@ -277,6 +293,7 @@ class LockstepWorld:
         return True
 
     @returns_durable
+    @scoped
     def run(self, until: Optional[float] = None,
             max_events: int = 10_000_000,
             _replay: Optional[list] = None) -> None:
@@ -303,6 +320,7 @@ class LockstepWorld:
             f"run exceeded {MAX_EPOCHS} epochs; likely livelock")
 
     @returns_durable
+    @scoped
     def step_epoch(self, max_events: int = 10_000_000) -> bool:
         """Advance one barrier of the walk; False once the world is idle.
 
@@ -330,12 +348,13 @@ class LockstepWorld:
             journal.record_config(**self._journal_config())
 
     def _journal_op(self, op: str, **data: Any) -> None:
-        """Journal a facade-level op (no-op unless this world owns ops);
-        every op passes here first, so a closed world refuses it here."""
+        """Journal a facade-level op (no-op without an armed journal: a
+        shard kernel has none, its sharded world journals); every op
+        passes here first, so a closed world refuses it here."""
         if self._closed:
             raise UsageError("world is closed")
         journal = self.journal
-        if self._owns_ops and journal is not None and journal.armed:
+        if journal is not None and journal.armed:
             journal.record_op(op, **data)
 
     def _journal_commit(self, barrier: float, torn: bool = False) -> None:
@@ -411,6 +430,7 @@ class LockstepWorld:
         """Create several nodes at once (round-robin across shards)."""
         return [self.add_node(n) for n in names]
 
+    @scoped
     def launch(self, agent: Any, at: str, method: str,
                mode: RollbackMode = RollbackMode.BASIC,
                protocol: Protocol = Protocol.BASIC,
@@ -467,6 +487,7 @@ class LockstepWorld:
                            protocol=protocol,
                            initial_savepoints=agent.initial_savepoints())
 
+    @scoped
     def set_alternates(self, node: str, *alternates: str) -> None:
         """Declare which nodes shadow step executions of ``node`` (the
         FT protocol's takeover and diversion targets), for every kernel.
@@ -479,6 +500,7 @@ class LockstepWorld:
         self._journal_op("set_alternates", node=node, alternates=alternates)
         self._set_alternates(node, alternates)
 
+    @scoped
     def apply_crash_plans(self, plans) -> None:
         """Schedule node-level outages on whichever kernels host the
         nodes — the facade twin of ``failures.apply_plan``."""
@@ -531,6 +553,17 @@ class LockstepWorld:
     def trace_digests(self) -> list[Optional[int]]:
         """Per-kernel event-stream digests (see Simulator)."""
         return [world.sim.trace_digest() for world in self._kernels()]
+
+    def _stat_tables(self) -> list[dict[str, int]]:
+        """The counter tables this world's work is counted in."""
+        return [self.scope.stats]
+
+    def serialization_stats(self) -> dict[str, Any]:
+        """This world's serialization / IPC counters, summed over the
+        tables it counts in: its own scope's and, on the process
+        backend, every shard server's (keys at
+        :data:`repro.scope.STAT_KEYS`)."""
+        return aggregate_counters(self._stat_tables())
 
     def close(self) -> None:
         """Release the world; a closed world refuses every facade op.

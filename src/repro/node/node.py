@@ -8,6 +8,7 @@ from repro.agent.packages import AgentPackage, PackageKind
 from repro.errors import UsageError
 from repro.resources.base import TransactionalResource
 from repro.storage.queues import AgentInputQueue, QueueItem
+from repro.storage.serialization import capture
 from repro.storage.stable import StableStore
 from repro.tx.manager import TransactionManager
 
@@ -71,9 +72,7 @@ class Node:
         """Host ``resource`` on this node."""
         if resource.name in self.resources:
             raise UsageError(f"{self.name}: resource {resource.name!r} exists")
-        if self.world.journal is not None and self.world.journal.armed:
-            from repro.storage.serialization import capture
-            self.world._journal_setup("add_resource", node=self.name,
+        self.world.facade._journal_op("add_resource", node=self.name,
                                       blob=capture(resource))
         resource.attach(self.name)
         self.resources[resource.name] = resource
@@ -85,9 +84,9 @@ class Node:
         The resource keeps its primary attachment; this node gains
         access for alternate compensation execution.
         """
-        self.world._journal_setup("share_resource", node=self.name,
-                                  from_node=resource.node,
-                                  name=resource.name)
+        self.world.facade._journal_op("share_resource", node=self.name,
+                                      from_node=resource.node,
+                                      name=resource.name)
         self.resources[resource.name] = resource
 
     def get_resource(self, name: str) -> TransactionalResource:

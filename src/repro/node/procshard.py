@@ -136,7 +136,6 @@ from repro.node.sharded import (
 )
 from repro.scope import Scope, entered
 from repro.scope import current as current_scope
-from repro.storage import serialization
 from repro.storage.serialization import assert_picklable, capture, restore
 from repro.tx.locks import LockManager
 
@@ -152,9 +151,10 @@ def _teardown_step(what: str, fn, *exc_types: type) -> bool:
     the other workers from being joined — but it must not *hide*
     failures either: a stuck worker is undiagnosable if the error
     vanished into ``except Exception: pass``.  Each suppressed failure
-    therefore bumps ``serialization.STATS["teardown.suppressed"]`` and
-    emits a :class:`ResourceWarning` naming the step.  Only the expected
-    ``exc_types`` are caught; anything else propagates.
+    therefore bumps ``teardown.suppressed`` in the caller's scope (see
+    :mod:`repro.scope`) and emits a :class:`ResourceWarning` naming the
+    step.  Only the expected ``exc_types`` are caught; anything else
+    propagates.
 
     Returns ``True`` when ``fn`` completed without raising.
     """
@@ -237,9 +237,11 @@ class RemoteShardContext:
     performed at the same point of the epoch.
     """
 
-    def __init__(self, shard_index: int, n_shards: int):
+    def __init__(self, shard_index: int, n_shards: int, scope: Scope):
         self.shard_index = shard_index
         self.n_shards = n_shards
+        #: The shard server's scope, which its kernel shares.
+        self.scope = scope
         self.world: Optional[ShardWorld] = None
         self._node_shard: dict[str, int] = {}
         self.ft_alternates: dict[str, tuple[str, ...]] = {}
@@ -258,6 +260,10 @@ class RemoteShardContext:
         self._lock_mirrors = {
             shard: LockManager(f"ledger-mirror:{shard}")
             for shard in range(n_shards) if shard != shard_index}
+
+    def _journal_op(self, op: str, **data: Any) -> None:
+        """Nothing to journal: ops reach a shard server already
+        journaled by its coordinator."""
 
     # -- topology ---------------------------------------------------------------
 
@@ -356,7 +362,7 @@ def _build_shard(config: dict[str, Any]
     shard = config["shard_index"]
     scope = Scope(shard)
     with entered(scope):
-        ctx = RemoteShardContext(shard, config["n_shards"])
+        ctx = RemoteShardContext(shard, config["n_shards"], scope)
         world = ShardWorld(shard_index=shard, sharded=ctx,
                            seed=config["seed"] + 100_003 * shard,
                            **config["world_kwargs"])
@@ -738,10 +744,8 @@ class NodeProxy:
     def add_resource(self, resource) -> None:
         assert_picklable(resource,
                          f"resource {resource.name!r} for node {self.name!r}")
-        journal = self._world.journal
-        if journal is not None and journal.armed:
-            journal.record_op("add_resource", node=self.name,
-                              blob=capture(resource))
+        self._world._journal_op("add_resource", node=self.name,
+                                blob=capture(resource))
         self._world._handles[self.shard].request(
             "add_resource", {"node": self.name, "resource": resource})
 
@@ -855,9 +859,10 @@ class ProcShardedWorld(ShardCoordinator):
 
         Teardown is best-effort — one dead worker must not stop the
         others from being shut down — but every suppressed failure is
-        counted in ``serialization.STATS["teardown.suppressed"]`` and
-        surfaced as a :class:`ResourceWarning` (see
-        :func:`_teardown_step`), so a stuck pipe leaves a trail.
+        counted in ``teardown.suppressed`` of the caller's scope (not
+        this world's, which is done once closed) and surfaced as a
+        :class:`ResourceWarning` (see :func:`_teardown_step`), so a
+        stuck pipe leaves a trail.
         """
         if self._closed:
             return
@@ -1198,20 +1203,11 @@ class ProcShardedWorld(ShardCoordinator):
         """A snapshot of one worker's :class:`~repro.sim.metrics.Metrics`."""
         return self._handles[shard].fetch("metrics")
 
-    def _serialization_counters(self) -> dict[str, Any]:
-        """Summed per-shard serialization counters.
-
-        Each shard counts in its own scope, shard 0 included.  The
-        coordinator's own IPC accounting (it encodes the scatter half of
-        every barrier) is folded in on top of the shard sums, so both
-        directions of the exchange are visible.
-        """
-        merged = dict(aggregate_counters(
-            [h.fetch("ser_stats") for h in self._handles]))
-        own = serialization.stats()
-        for key in serialization.IPC_STAT_KEYS:
-            merged[key] = merged.get(key, 0) + own.get(key, 0)
-        return merged
+    def _stat_tables(self) -> list[dict[str, int]]:
+        """The coordinator's table (the scatter half of every barrier's
+        IPC accounting) and every shard's, shard 0 included."""
+        return super()._stat_tables() + [h.fetch("ser_stats")
+                                         for h in self._handles]
 
     def shard_serialization_stats(self, shard: int) -> dict[str, int]:
         """One shard's own serialization counters (its scope's table)."""

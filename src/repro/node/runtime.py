@@ -45,8 +45,9 @@ from repro.log.rollback_log import RollbackLog
 from repro.net.batching import BatchingTransport
 from repro.net.network import SimTransport
 from repro.net.transport import Transport
-from repro.node.lockstep import LockstepWorld
+from repro.node.lockstep import LockstepWorld, scoped
 from repro.node.node import Node
+from repro.scope import Scope
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Simulator
 from repro.sim.metrics import Metrics
@@ -123,6 +124,9 @@ class World(LockstepWorld):
     :class:`~repro.node.lockstep.LockstepWorld` (epochs
     ``net_params.latency`` long), so ``max_events`` bounds each epoch
     and an uncut ``run()`` leaves :attr:`now` at the last barrier.
+    It owns its :class:`~repro.scope.Scope`: its ids start at 1 and its
+    serialization counters are its own, however many worlds ran in the
+    process before it.
 
     Args:
         seed: Root of every RNG stream; equal seeds give bit-identical
@@ -160,6 +164,7 @@ class World(LockstepWorld):
                  journal: Optional["WorldJournal"] = None):
         from repro.exactly_once.fault_tolerant import FTParams
 
+        self.scope = Scope()
         self.journal = journal
         self.sim = Simulator(seed)
         self.metrics = Metrics()
@@ -202,16 +207,13 @@ class World(LockstepWorld):
         return FaultTolerance(self)
 
     # -- world-journal seams ----------------------------------------------------------
-    #
-    # Ops are journaled once, at the user-facing coordinator facade
-    # (``_owns_ops``); setup ops that only ever run once per node
-    # (resource installation) may journal from any owner
-    # (:meth:`_journal_setup`).
 
-    def _journal_setup(self, op: str, **data: Any) -> None:
-        """Journal a once-per-target setup op from any owner."""
-        if self.journal is not None and self.journal.armed:
-            self.journal.record_op(op, **data)
+    @property
+    def facade(self) -> LockstepWorld:
+        """The world whose journal records the ops issued on this
+        kernel's nodes (resource installation): this world itself; a
+        shard's sharded world."""
+        return self
 
     def _journal_config(self) -> dict[str, Any]:
         from repro.storage.serialization import capture
@@ -227,6 +229,7 @@ class World(LockstepWorld):
 
     # -- topology -------------------------------------------------------------------
 
+    @scoped
     def add_node(self, name: str) -> Node:
         """Create a node named ``name``."""
         if name in self.nodes or name == LEDGER_NODE:
@@ -360,11 +363,6 @@ class World(LockstepWorld):
 
     def _set_alternates(self, node: str, alternates: tuple[str, ...]) -> None:
         self.ft.set_alternates(node, *alternates)
-
-    def serialization_stats(self) -> dict[str, int]:
-        """This process's :data:`repro.storage.serialization.STATS` copy."""
-        from repro.storage.serialization import stats
-        return stats()
 
     # -- the lockstep walk's hooks (LockstepWorld._step) over this one kernel ------------------
 

@@ -77,13 +77,13 @@ accepts.
 from __future__ import annotations
 
 import inspect
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import UsageError
-from repro.node.lockstep import LockstepWorld
+from repro.node.lockstep import LockstepWorld, scoped
 from repro.node.runtime import LEDGER_NODE, AgentRecord, World
+from repro.scope import Scope
 from repro.sim.timing import DEFAULT_NETWORK
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,7 +180,7 @@ class CrossShardBridge:
     def __init__(self, n_shards: int) -> None:
         self.n_shards = n_shards
         self._pending: list[_Transfer] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self._ledger_backlog: dict[int, list[tuple]] = {}
         self.transfers_total = 0
         #: Shadow copies abandoned after exhausting their flush-retry
@@ -204,16 +204,21 @@ class CrossShardBridge:
         self._pending = []
         return pending
 
+    def _next_seq(self) -> int:
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
     def adopt(self, transfer: _Transfer) -> None:
         """Re-register a worker-shipped transfer under a fresh sequence."""
-        transfer.seq = next(self._seq)
+        transfer.seq = self._next_seq()
         self._pending.append(transfer)
 
     def forward(self, dest_shard: int, dest_name: str,
                 package: "AgentPackage", at: float) -> None:
         """Hand a committed package to the bridge (source commit action)."""
         self._pending.append(_Transfer(
-            at=at, seq=next(self._seq), kind="package",
+            at=at, seq=self._next_seq(), kind="package",
             dest_shard=dest_shard, dest_name=dest_name, package=package))
 
     def forward_shadow(self, dest_shard: int, message: "Message",
@@ -226,7 +231,7 @@ class CrossShardBridge:
         sweeps an undelivered copy back onto the bridge.
         """
         self._pending.append(_Transfer(
-            at=at, seq=next(self._seq), kind="shadow",
+            at=at, seq=self._next_seq(), kind="shadow",
             dest_shard=dest_shard, dest_name=message.dst, message=message,
             max_retries=max_retries, retries=retries,
             source_shard=source_shard, give_up=give_up))
@@ -238,7 +243,7 @@ class CrossShardBridge:
             if dest == source_shard:
                 continue
             self._pending.append(_Transfer(
-                at=at, seq=next(self._seq), kind="ledger", dest_shard=dest,
+                at=at, seq=self._next_seq(), kind="ledger", dest_shard=dest,
                 ledger_write=(work_id, holder)))
 
     def take_backlog(self, shard: int) -> list[tuple]:
@@ -362,11 +367,9 @@ class ShardWorld(World):
     shipping transaction), the liveness seam (``node_up`` /
     ``reachable`` consult the owning shard's failure injector for
     foreign nodes), and the fault-tolerance driver (the bridged,
-    ledger-replicated variant).
+    ledger-replicated variant).  It shares its sharded world's scope,
+    and ops on its nodes are journaled by that world (its ``facade``).
     """
-
-    #: Ops are journaled by the coordinator facade, not the shard.
-    _owns_ops = False
 
     def __init__(self, shard_index: int, sharded: "ShardedWorld",
                  **world_kwargs: Any):
@@ -375,10 +378,15 @@ class ShardWorld(World):
         self.shard_index = shard_index
         self._sharded = sharded
         super().__init__(**world_kwargs)
+        self.scope = sharded.scope
 
     def _make_fault_tolerance(self):
         from repro.exactly_once.fault_tolerant import BridgedFaultTolerance
         return BridgedFaultTolerance(self)
+
+    @property
+    def facade(self) -> Any:
+        return self._sharded
 
     def node_up(self, name: str) -> bool:
         """Liveness, extended to nodes hosted by other shards.
@@ -485,7 +493,7 @@ class ShardCoordinator(LockstepWorld):
     ``_BACKEND``, ``_place`` (create a node in a shard), ``_shard_now``
     and ``_schedule_kill`` (one shard's clock and kill event),
     ``shard_suspended``, ``_flush`` (route the pending bridge traffic),
-    ``_replica_claims`` and ``_serialization_counters``, plus the hooks
+    and ``_replica_claims``, plus the hooks
     of :class:`~repro.node.lockstep.LockstepWorld`.
     """
 
@@ -512,6 +520,9 @@ class ShardCoordinator(LockstepWorld):
         self.n_shards = n_shards
         self.seed = seed
         self.epoch = epoch
+        #: The coordinator's own ids and counters; the in-process
+        #: shards share it (namespace 0).
+        self.scope = Scope()
         self.journal = journal
         self._world_kwargs = dict(world_kwargs)
         self.bridge = CrossShardBridge(n_shards)
@@ -526,6 +537,7 @@ class ShardCoordinator(LockstepWorld):
 
     # -- topology -------------------------------------------------------------------
 
+    @scoped
     def add_node(self, name: str, shard: Optional[int] = None) -> Any:
         """Create node ``name`` in ``shard`` (round-robin by default)."""
         if name in self._node_shard:
@@ -548,6 +560,7 @@ class ShardCoordinator(LockstepWorld):
 
     # -- whole-shard failure injection ------------------------------------------------
 
+    @scoped
     def kill_shard(self, shard: int, at: float,
                    restart_at: Optional[float] = None) -> None:
         """Schedule a whole-kernel outage of ``shard`` at time ``at``.
@@ -619,7 +632,7 @@ class ShardCoordinator(LockstepWorld):
         epoch schedule they counted is gone, and they are kept so
         per-layer readers find every key.
         """
-        merged = self._serialization_counters()
+        merged = super().serialization_stats()
         merged["spec.epochs_speculated"] = 0
         merged["spec.epochs_rolled_back"] = 0
         merged["spec.conflict_rate"] = 0.0
@@ -710,10 +723,6 @@ class ShardedWorld(ShardCoordinator):
             # to any shard, and whichever shard executes its steps
             # updates the same record.
             world.agents = self.agents
-            # Resource installation on a shard's node journals into
-            # the coordinator's journal (set after construction, so
-            # the shard never writes a config record of its own).
-            world.journal = journal
             self.shards.append(world)
 
     # -- the coordinator hooks ------------------------------------------------------
@@ -799,11 +808,6 @@ class ShardedWorld(ShardCoordinator):
     def shard_metrics(self, shard: int) -> Any:
         """One shard's :class:`~repro.sim.metrics.Metrics` (live)."""
         return self.shards[shard].metrics
-
-    def _serialization_counters(self) -> dict[str, Any]:
-        # Every in-process shard counts into the process-default scope.
-        from repro.storage.serialization import stats
-        return dict(stats())
 
     def _replica_claims(self, shard: int) -> dict[int, str]:
         return self.shards[shard].ft.claims()

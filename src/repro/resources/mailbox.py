@@ -36,7 +36,7 @@ class MessageBoard(TransactionalResource):
         The id is the parameter a retraction needs — a pure resource
         compensation (no agent state required).
         """
-        message_id = f"{self.name}-m{next(current_scope().mailbox_ids)}"
+        message_id = f"{self.name}-m{current_scope().mint('mailbox')}"
         self.write(tx, ("msg", message_id), {
             "topic": topic, "body": body, "sender": sender,
             "state": "unread",

@@ -121,7 +121,7 @@ class Shop(TransactionalResource):
         self.mint.redeem(tx, coins)
         change = self.mint.issue(tx, paid - cost, 1) if paid > cost else []
         self.write(tx, "till", self.read(tx, "till", 0) + cost)
-        serial = next(current_scope().receipt_ids)
+        serial = current_scope().mint("receipt")
         receipt = Receipt(receipt_id=f"{self.name}-r{serial}",
                           shop=self.name, item=item, quantity=quantity,
                           paid=cost, time=now)

@@ -1,31 +1,35 @@
-"""Per-shard process state: id sequences and serialization accounting.
+"""Per-world state: id sequences and serialization accounting.
 
-Several subsystems mint ids from process-wide sequences — exactly-once
-work ids, queue item ids, auto savepoint names, network message ids,
-transaction ids, mailbox message and shop receipt numbers, anonymous
-agent names — and count serialization work in
-:data:`repro.storage.serialization.STATS`.  One :class:`Scope` holds
-all of that state, and :func:`current` returns the scope the calling
-code runs under.
+Several subsystems mint ids — exactly-once work ids, queue item ids,
+auto savepoint names, network message ids, transaction ids, mailbox
+message and shop receipt numbers, anonymous agent names — and count
+serialization work.  One :class:`Scope` holds all of that state, and
+:func:`current` returns the scope the calling code runs under.
 
-Everything runs under the process-default scope :data:`DEFAULT` (which
-``serialization.STATS`` is bound to), so a :class:`~repro.node.runtime.
-World` or an in-process :class:`~repro.node.sharded.ShardedWorld`
-behaves exactly as with plain module counters.  A shard server of the
-process backend (:mod:`repro.node.procshard`) instead builds its kernel
-and executes every command under a private scope whose work-id, item-id
-and savepoint-id sequences start in the shard's namespace.  That holds
-for the shard hosted inside the coordinator process too: it mints the
-ids a fresh worker process would, and its accounting never lands in the
-coordinator's counters or disturbs another world living in the same
-process.
+Every world owns one.  A :class:`~repro.node.runtime.World` makes its
+own at construction; an in-process :class:`~repro.node.sharded.
+ShardedWorld` makes one in namespace 0 that all its shards share; a
+:class:`~repro.node.procshard.ProcShardedWorld` coordinator makes one
+for its launch captures and its half of the barrier IPC accounting,
+and each of its shard servers builds its kernel and executes every
+command under a scope whose work-id, item-id and savepoint-id
+sequences start in the shard's namespace.  The facade's entry points
+(:mod:`repro.node.lockstep`) run under the world's scope, so nothing a
+world executes mints from, or counts into, another world's scope —
+worlds living in the same process never shift each other's ids, and
+the same seed gives the same ids however many worlds ran before.
+
+Code running outside any world (an agent built with no explicit id, a
+bare component under test) uses the process-default scope
+:data:`DEFAULT`; a test of bare components that needs fresh counters
+enters a ``Scope()`` of its own.  A scope holds plain integers and
+dicts only, so it pickles with the state a checkpoint captures.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 from typing import Iterator
 
 #: Width of one shard's work-id, item-id and savepoint-id namespace:
@@ -36,6 +40,12 @@ from typing import Iterator
 #: debug output stays unambiguous.  Far above any realistic number of
 #: ids one run mints.
 ID_STRIDE = 10 ** 9
+
+#: The id sequences that start in the scope's namespace.
+NAMESPACED = ("work", "item", "savepoint")
+
+#: Every id sequence a scope carries (see :meth:`Scope.mint`).
+SEQUENCES = NAMESPACED + ("message", "tx", "mailbox", "receipt", "agent")
 
 #: The serialization counters every scope carries.
 #: ``snapshot_fast`` / ``snapshot_pickle`` — structural vs round-trip
@@ -80,24 +90,24 @@ class Scope:
             range the sequences start in (0 = the plain ``1, 2, ...``).
     """
 
-    __slots__ = ("work_ids", "item_ids", "savepoint_ids", "message_ids",
-                 "txids", "mailbox_ids", "receipt_ids", "agent_ids",
-                 "stats")
+    __slots__ = ("next_ids", "stats")
 
     def __init__(self, namespace: int = 0):
         base = 1 + namespace * ID_STRIDE
-        self.work_ids = itertools.count(base)
-        self.item_ids = itertools.count(base)
-        self.savepoint_ids = itertools.count(base)
-        self.message_ids = itertools.count(1)
-        self.txids = itertools.count(1)
-        self.mailbox_ids = itertools.count(1)
-        self.receipt_ids = itertools.count(1)
-        self.agent_ids = itertools.count(1)
+        #: The id each sequence mints next.
+        self.next_ids = {name: base if name in NAMESPACED else 1
+                         for name in SEQUENCES}
         self.stats = dict.fromkeys(STAT_KEYS, 0)
 
+    def mint(self, sequence: str) -> int:
+        """The next id of ``sequence`` (one of :data:`SEQUENCES`)."""
+        ids = self.next_ids
+        value = ids[sequence]
+        ids[sequence] = value + 1
+        return value
 
-#: The process-default scope: everything outside a shard server.
+
+#: The process-default scope: everything that runs outside a world.
 DEFAULT = Scope()
 
 _CURRENT: contextvars.ContextVar[Scope] = contextvars.ContextVar(

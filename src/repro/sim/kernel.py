@@ -10,7 +10,6 @@ schedule further events.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 import struct
 import zlib
@@ -63,7 +62,7 @@ class Simulator:
         self.rng = random.Random(seed)
         self._seed = seed
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._seq = itertools.count()
+        self._seq = 0
         self._running = False
         self._suspended = False
         self.events_processed = 0
@@ -110,8 +109,10 @@ class Simulator:
         """
         if delay < 0:
             raise UsageError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self.now + delay, priority, next(self._seq), fn, label)
-        heapq.heappush(self._queue, (event.time, priority, event.seq, event))
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(self.now + delay, priority, seq, fn, label)
+        heapq.heappush(self._queue, (event.time, priority, seq, event))
         return event
 
     def schedule_at(self, time: float, fn: Callable[[], None],

@@ -19,7 +19,6 @@ Queue operations are transactional:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -28,16 +27,6 @@ from repro.scope import current as current_scope
 from repro.storage.serialization import size_of
 from repro.tx.manager import Transaction
 
-def reset_item_ids() -> None:
-    """Restart the current scope's queue item id sequence (test isolation).
-
-    Item ids only need to be unique per node queue, but each shard of a
-    process-backed run mints them from its own scope's namespace (see
-    :mod:`repro.scope`), so ids in logs, labels and debug dumps never
-    collide across shards.
-    """
-    current_scope().item_ids = itertools.count(1)
-
 
 @dataclass
 class QueueItem:
@@ -45,7 +34,7 @@ class QueueItem:
 
     payload: Any
     size_bytes: int
-    item_id: int = field(default_factory=lambda: next(current_scope().item_ids))
+    item_id: int = field(default_factory=lambda: current_scope().mint("item"))
     attempts: int = 0
 
 

@@ -20,8 +20,8 @@ Two kinds of copies dominate the hot path:
   touching pickle at all and falls back to the round trip the moment it
   meets a type it does not understand.
 
-Per-scope counters (:data:`STATS` in the process-default scope, see
-:mod:`repro.scope`) make the cache/fast-path behaviour observable from
+Counters in the caller's :class:`~repro.scope.Scope` (a world's own,
+inside one) make the cache/fast-path behaviour observable from
 benches and tests without threading a metrics object through every
 call site.
 """
@@ -31,38 +31,11 @@ from __future__ import annotations
 import pickle
 from typing import Any, TypeVar
 
-from repro.scope import DEFAULT as DEFAULT_SCOPE
 from repro.scope import current as current_scope
 
 T = TypeVar("T")
 
 PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-#: Instrumentation for the incremental-serialization subsystem and the
-#: process backend's barrier exchange: the counter table of the
-#: process-default :class:`~repro.scope.Scope` (keys documented at
-#: :data:`repro.scope.STAT_KEYS`).  Code that counts goes through
-#: ``current_scope().stats`` instead, so a shard server's work lands in
-#: its own scope's table; outside a shard server that table is this one.
-STATS: dict[str, int] = DEFAULT_SCOPE.stats
-
-#: The IPC-accounting subset of :data:`STATS` — the keys the process-
-#: backed world facade folds from the coordinator process into its
-#: summed per-shard stats (both barrier directions stay visible).
-IPC_STAT_KEYS = ("ipc_bytes_framed", "ipc_bytes_copied",
-                 "ipc_bytes_control", "frame_reused", "ring_spills")
-
-
-def reset_stats() -> None:
-    """Zero the current scope's counters (test/bench isolation)."""
-    counters = current_scope().stats
-    for key in counters:
-        counters[key] = 0
-
-
-def stats() -> dict[str, int]:
-    """A point-in-time copy of the current scope's counters."""
-    return dict(current_scope().stats)
 
 
 def capture(obj: Any) -> bytes:

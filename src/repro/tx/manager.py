@@ -55,7 +55,7 @@ class Transaction:
     """
 
     def __init__(self, kind: str, home: str):
-        self.txid: int = next(current_scope().txids)
+        self.txid: int = current_scope().mint("tx")
         self.kind = kind
         self.home = home
         self.state = TxState.ACTIVE

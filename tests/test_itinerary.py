@@ -150,13 +150,18 @@ def test_rollback_nested_scope_only():
 @pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
 def test_rollback_enclosing_scope_undoes_both_levels(backend):
     """The outer scope's savepoint is the one ``launch_itinerary`` has
-    the launch write, so every backend must carry it into the log."""
+    the launch write, so every backend must carry it into the log.  The
+    agent is built in a fresh scope, as in a fresh process: its initial
+    savepoint must not share a name with one the world mints."""
+    from repro.scope import Scope, entered
+
     inner = SubItinerary("inner", [StepEntry("visit", "n2"),
                                    StepEntry("maybe_rollback", "n0")])
     outer = SubItinerary("outer", [StepEntry("visit", "n1"), inner])
     itinerary = Itinerary().add(outer)
     world = build_line_world(3, backend=backend)
-    agent = Walker(itinerary, "walk-4")
+    with entered(Scope()):
+        agent = Walker(itinerary, "walk-4")
     agent.sro["rollback_plan"] = {"levels": 1, "until_ticks": 2}
     try:
         record = world.launch_itinerary(agent)

@@ -16,7 +16,7 @@ barriers it replays.
 
 import pytest
 
-from repro import MemoryJournal, WorldJournal
+from repro import Bank, MemoryJournal, WorldJournal
 from repro.agent.packages import Protocol
 from repro.errors import UsageError, WorldKilled
 from repro.journal import resume_world
@@ -294,6 +294,7 @@ def test_closed_world_refuses_every_facade_op(backend, journaled):
     world = build_ft_ring(backend, seed=5, journal=journal)
     launch_ft_tours(world)
     world.run(until=0.05)
+    node = world.node("n0")
     world.close()
 
     def state():
@@ -309,6 +310,7 @@ def test_closed_world_refuses_every_facade_op(backend, journaled):
                                        at="n0", method="step"),
         "add_node": lambda: world.add_node("late-node"),
         "set_alternates": lambda: world.set_alternates("n0", "n1"),
+        "add_resource": lambda: node.add_resource(Bank("late-bank")),
     }
     for name, op in ops.items():
         with pytest.raises(UsageError, match="world is closed"):

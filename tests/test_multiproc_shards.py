@@ -15,8 +15,11 @@ The contract under test (see :mod:`repro.node.procshard`):
 * **picklability contract** — unpicklable agents/resources are
   rejected at ship time with a message naming the offending attribute;
 * **lazy hydration across the pipe** — entry frames stay lazily
-  hydrated after crossing the process boundary (the per-worker STATS
-  counters match the in-process run's).
+  hydrated after crossing the process boundary (the per-worker
+  serialization counters match the in-process run's);
+* **worlds keep to themselves** — every world owns its ids and
+  counters, so a second world of the same seed in the same process
+  runs identically and the process-default scope never moves.
 """
 
 import multiprocessing
@@ -177,71 +180,72 @@ def _ft_ring_digests(world):
 def test_hosted_shard_leaves_a_live_in_process_world_alone():
     """Half-run an in-process world, run a process-backed world to the
     end in the same process, then finish the first: it ends exactly as
-    a solo run, and the coordinator's counters hold none of shard 0's
-    work (its scope keeps ids and counters to itself)."""
-    from repro.scope import Scope, entered
-    from repro.storage import serialization
-
+    a solo run, with the solo run's counters — shard 0's scope and the
+    coordinator's keep their ids and counters to themselves."""
     def started():
         world = build_ft_ring("sharded", seed=5)
         world.enable_trace_digest()
         launch_ft_tours(world)
         return world
 
-    with entered(Scope()) as solo_scope:
-        solo = started()
-        solo.run()
-        expected = _ft_ring_digests(solo)
-    with entered(Scope()) as scope:
-        first = started()
-        first.run(until=0.5)
-        before = serialization.stats()
-        proc = build_ft_ring("proc", seed=5)
-        try:
-            launch_ft_tours(proc)
-            proc.run()
-            assert all(o["status"] == "finished"
-                       for o in proc.outcomes().values())
-            assert proc.serialization_stats()["entry_blob_serialized"] > 0
-        finally:
-            proc.close()
-        after = serialization.stats()
-        first.run()
-        assert _ft_ring_digests(first) == expected
-    # Only the coordinator's own IPC accounting moved.
-    assert {k: v for k, v in after.items()
-            if k not in serialization.IPC_STAT_KEYS} == \
-        {k: v for k, v in before.items()
-         if k not in serialization.IPC_STAT_KEYS}
-    assert {k: v for k, v in scope.stats.items()
-            if k not in serialization.IPC_STAT_KEYS} == \
-        {k: v for k, v in solo_scope.stats.items()
-         if k not in serialization.IPC_STAT_KEYS}
+    solo = started()
+    solo.run()
+    expected = _ft_ring_digests(solo), solo.serialization_stats()
+    first = started()
+    first.run(until=0.5)
+    proc = build_ft_ring("proc", seed=5)
+    try:
+        launch_ft_tours(proc)
+        proc.run()
+        assert all(o["status"] == "finished"
+                   for o in proc.outcomes().values())
+        assert proc.serialization_stats()["entry_blob_serialized"] > 0
+    finally:
+        proc.close()
+    first.run()
+    assert (_ft_ring_digests(first), first.serialization_stats()) == expected
 
 
-def test_same_seed_twice_in_one_process_is_identical():
-    """A second world of the same seed in the same process starts from
-    fresh shard scopes: equal digests, equal per-shard counters, and
-    nothing absorbed into the coordinator's counters."""
-    from repro.storage import serialization
+def _default_scope_state():
+    from repro.scope import DEFAULT
+    return dict(DEFAULT.stats), dict(DEFAULT.next_ids)
 
+
+@pytest.mark.parametrize("backend", ("world", "sharded", "proc"))
+def test_same_seed_twice_in_one_process_is_identical(backend):
+    """A second world of the same seed in the same process, with no
+    reset between, starts from a fresh scope: equal outcomes, digests,
+    events, epochs, journal bytes, ledger claims and serialization
+    counters — and the process-default scope never moves."""
+    from repro import MemoryJournal, WorldJournal
+
+    default = _default_scope_state()
     runs = []
     for _ in range(2):
-        world = build_ft_ring("proc", seed=5)
+        backend_journal = MemoryJournal()
+        world = build_ft_ring(backend, seed=5,
+                              journal=WorldJournal(backend_journal))
         try:
             world.enable_trace_digest()
             launch_ft_tours(world)
             world.run()
-            stats = world.serialization_stats()
-            runs.append((world.trace_digests(), {
-                k: v for k, v in stats.items()
-                if k not in serialization.IPC_STAT_KEYS}))
+            runs.append({
+                "outcomes": world.outcomes(),
+                "digests": world.trace_digests(),
+                "events": world.events_processed(),
+                "epochs": world.epochs_run,
+                "journal": backend_journal.read_all(),
+                "claims": (world.ledger_claims() if backend != "world"
+                           else None),
+                "stats": world.serialization_stats(),
+            })
         finally:
             world.close()
     assert runs[0] == runs[1]
-    assert runs[0][1]["entry_blob_serialized"] > 0
-    assert all(v == 0 for k, v in serialization.stats().items()
-               if k not in serialization.IPC_STAT_KEYS)
+    assert runs[0]["stats"]["entry_blob_serialized"] > 0
+    assert all(o["status"] == "finished"
+               for o in runs[0]["outcomes"].values())
+    assert _default_scope_state() == default
 
 
 def test_idle_turns_are_skipped_with_identical_digests():
@@ -484,9 +488,6 @@ def test_cross_process_resource_sharing_is_rejected(proc_worlds):
 
 
 def test_entry_frames_stay_lazy_across_the_pipe(proc_worlds):
-    from repro.storage import serialization
-
-    serialization.reset_stats()
     inproc = run_swarm(build(ShardedWorld(n_shards=2, seed=7)))
     inproc_stats = inproc.serialization_stats()
     proc = run_swarm(build(proc_worlds(n_shards=2, seed=7)))

@@ -188,3 +188,33 @@ def test_cyclic_object_graphs_terminate_with_named_offender():
     with pytest.raises(TypeError) as excinfo:
         assert_picklable(cyclic, "cyclic payload")
     assert "$['f']" in str(excinfo.value)
+
+
+def _tick() -> None:
+    pass
+
+
+def test_scope_and_kernel_sequences_pickle_and_continue():
+    """A scope and a kernel count in plain integers, so both pickle
+    without a warning on every supported Python (pickling a stdlib
+    ``count`` iterator is deprecated since 3.12) and every sequence
+    continues where it stopped."""
+    import warnings
+
+    from repro.scope import ID_STRIDE, SEQUENCES, Scope
+    from repro.sim.kernel import Simulator
+
+    scope = Scope(3)
+    first = {name: scope.mint(name) for name in SEQUENCES}
+    assert first["work"] == 1 + 3 * ID_STRIDE
+    assert first["message"] == 1
+    sim = Simulator(seed=1)
+    sim.schedule(0.5, _tick)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scope_copy, sim_copy = restore(capture((scope, sim)))
+    assert {name: scope_copy.mint(name) for name in SEQUENCES} == \
+        {name: value + 1 for name, value in first.items()}
+    assert scope_copy.stats == scope.stats
+    assert sim_copy.schedule(1.0, _tick).seq == 1
+    assert sim_copy.peek_time() == 0.5

@@ -25,7 +25,7 @@ from repro.log.entries import (
     SavepointEntry,
 )
 from repro.log.rollback_log import RollbackLog
-from repro.storage import serialization
+from repro.scope import Scope, entered
 from repro.storage.serialization import capture, restore
 from repro.tx.manager import Transaction
 
@@ -161,11 +161,10 @@ def make_package(n_steps=4):
 
 def test_unpack_hydrates_nothing_eagerly():
     package = make_package()
-    serialization.reset_stats()
-    _agent, log = package.unpack()
-    stats = serialization.stats()
-    assert stats["entry_hydrated"] == 0
-    assert stats["entry_hydration_deferred"] == len(package.log_blobs)
+    with entered(Scope()) as scope:
+        _agent, log = package.unpack()
+    assert scope.stats["entry_hydrated"] == 0
+    assert scope.stats["entry_hydration_deferred"] == len(package.log_blobs)
     assert len(log) == len(package.log_blobs)
     assert log.size_bytes() > 0  # size accounting needs no hydration
 
@@ -173,38 +172,37 @@ def test_unpack_hydrates_nothing_eagerly():
 def test_savepoint_queries_on_fresh_unpack_hydrate_nothing():
     package = make_package()
     _agent, log = package.unpack()
-    serialization.reset_stats()
-    # The packed index answers these without touching a single frame.
-    assert log.has_savepoint("sp-2")
-    assert not log.has_savepoint("nope")
-    assert log.steps_to_rollback("sp-0") == 4
-    assert log.savepoint_ids() == ["sp-0", "sp-2"]
-    assert serialization.stats()["entry_hydrated"] == 0
+    with entered(Scope()) as scope:
+        # The packed index answers these without touching a single frame.
+        assert log.has_savepoint("sp-2")
+        assert not log.has_savepoint("nope")
+        assert log.steps_to_rollback("sp-0") == 4
+        assert log.savepoint_ids() == ["sp-0", "sp-2"]
+    assert scope.stats["entry_hydrated"] == 0
 
 
 def test_append_and_repack_hydrate_nothing():
     package = make_package()
     agent, log = package.unpack()
-    serialization.reset_stats()
-    step(log, "n9", 9)  # the next hop's entries
-    repacked = AgentPackage.pack(PackageKind.STEP, agent, log,
-                                 step_index=9)
-    stats = serialization.stats()
-    assert stats["entry_hydrated"] == 0
-    assert stats["entry_blob_serialized"] == 3  # only the new entries
+    with entered(Scope()) as scope:
+        step(log, "n9", 9)  # the next hop's entries
+        repacked = AgentPackage.pack(PackageKind.STEP, agent, log,
+                                     step_index=9)
+    assert scope.stats["entry_hydrated"] == 0
+    assert scope.stats["entry_blob_serialized"] == 3  # only the new ones
     assert repacked.log_blobs[:len(package.log_blobs)] == package.log_blobs
 
 
 def test_rollback_tail_reads_hydrate_only_the_tail():
     package = make_package(n_steps=4)  # 14 entries, SPs at 0 and 7
     _agent, log = package.unpack()
-    serialization.reset_stats()
-    # One compensation transaction's worth of tail reads: the last
-    # step frame (EOS + 1 OE + BOS = 3 entries).
-    assert log.blocking_non_compensatable("sp-2") is None
-    for _ in range(3):
-        log.pop()
-    hydrated = serialization.stats()["entry_hydrated"]
+    with entered(Scope()) as scope:
+        # One compensation transaction's worth of tail reads: the last
+        # step frame (EOS + 1 OE + BOS = 3 entries).
+        assert log.blocking_non_compensatable("sp-2") is None
+        for _ in range(3):
+            log.pop()
+    hydrated = scope.stats["entry_hydrated"]
     assert 0 < hydrated < len(package.log_blobs)
 
 
@@ -231,6 +229,6 @@ def test_packed_index_round_trips_through_shadow_copies():
     package = make_package()
     shadow = package.as_kind(PackageKind.SHADOW, primary="n0")
     _agent, log = shadow.unpack()
-    serialization.reset_stats()
-    assert log.has_savepoint("sp-2")
-    assert serialization.stats()["entry_hydrated"] == 0
+    with entered(Scope()) as scope:
+        assert log.has_savepoint("sp-2")
+    assert scope.stats["entry_hydrated"] == 0

@@ -28,7 +28,7 @@ from repro.log.entries import (
 )
 from repro.log.modes import LoggingMode, SRODiff, sro_diff
 from repro.log.rollback_log import RollbackLog
-from repro.storage import serialization
+from repro.scope import Scope, entered
 from repro.storage.serialization import capture, restore, snapshot
 from repro.tx.manager import Transaction
 
@@ -90,21 +90,21 @@ def test_snapshot_handles_self_reference():
 
 
 def test_snapshot_falls_back_to_pickle_for_custom_classes():
-    serialization.reset_stats()
     state = {"custom": CustomState([1, 2]), "plain": [3]}
-    copy = snapshot(state)
+    with entered(Scope()) as scope:
+        copy = snapshot(state)
     assert copy == pickle_round_trip(state)
     assert copy["custom"] is not state["custom"]
     assert copy["custom"].value == [1, 2]
-    assert serialization.stats()["snapshot_pickle"] == 1
-    assert serialization.stats()["snapshot_fast"] == 0
+    assert scope.stats["snapshot_pickle"] == 1
+    assert scope.stats["snapshot_fast"] == 0
 
 
 def test_snapshot_fast_path_is_counted():
-    serialization.reset_stats()
-    snapshot({"plain": [1, (2, 3)]})
-    assert serialization.stats()["snapshot_fast"] == 1
-    assert serialization.stats()["snapshot_pickle"] == 0
+    with entered(Scope()) as scope:
+        snapshot({"plain": [1, (2, 3)]})
+    assert scope.stats["snapshot_fast"] == 1
+    assert scope.stats["snapshot_pickle"] == 0
 
 
 # -- entry blob cache --------------------------------------------------------
@@ -124,12 +124,12 @@ def test_entry_blob_cache_does_not_travel():
 
 
 def test_entry_blob_cache_reused_and_invalidated():
-    serialization.reset_stats()
     entry = sp("s1", payload={"k": 1})
-    first = entry.blob()
-    assert entry.blob() is first
-    assert serialization.stats()["entry_blob_serialized"] == 1
-    assert serialization.stats()["entry_blob_reused"] == 1
+    with entered(Scope()) as scope:
+        first = entry.blob()
+        assert entry.blob() is first
+    assert scope.stats["entry_blob_serialized"] == 1
+    assert scope.stats["entry_blob_reused"] == 1
     entry.payload = {"k": 2}
     entry.invalidate_blob()
     second = entry.blob()
@@ -313,11 +313,11 @@ def test_pack_reuses_cached_entry_blobs_incrementally():
     build_step(log, "n0", 0)
     first = AgentPackage.pack(PackageKind.STEP, agent, log, step_index=1)
 
-    serialization.reset_stats()
-    build_step(log, "n1", 1)  # one more hop: 4 new entries
-    second = AgentPackage.pack(PackageKind.STEP, agent, log, step_index=2)
-    stats = serialization.stats()
-    assert stats["entry_blob_serialized"] == 4  # only the new entries
+    with entered(Scope()) as scope:
+        build_step(log, "n1", 1)  # one more hop: 4 new entries
+        second = AgentPackage.pack(PackageKind.STEP, agent, log,
+                                   step_index=2)
+    assert scope.stats["entry_blob_serialized"] == 4  # only the new ones
     # The old frames are reused byte-for-byte.
     assert second.log_blobs[:len(first.log_blobs)] == first.log_blobs
 
@@ -329,10 +329,10 @@ def test_unpack_seeds_blob_caches_for_the_next_pack():
     package = AgentPackage.pack(PackageKind.STEP, agent, log, step_index=1)
 
     restored_agent, restored_log = package.unpack()
-    serialization.reset_stats()
-    repacked = AgentPackage.pack(PackageKind.STEP, restored_agent,
-                                 restored_log, step_index=1)
-    assert serialization.stats()["entry_blob_serialized"] == 0
+    with entered(Scope()) as scope:
+        repacked = AgentPackage.pack(PackageKind.STEP, restored_agent,
+                                     restored_log, step_index=1)
+    assert scope.stats["entry_blob_serialized"] == 0
     assert repacked.log_blobs == package.log_blobs
     assert repacked.size_bytes == package.size_bytes
 

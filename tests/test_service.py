@@ -138,6 +138,30 @@ def test_host_launch_proc_backend_matches_scripted_run():
     assert snap["trace_digests"] == want_dig
 
 
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_world_built_after_a_run_reports_zero_serialization_stats(backend):
+    """A world's counters are its own: one built after another world
+    of the same spec has run reports all-zero serialization stats."""
+    wspec = WorldSpec.from_json(
+        {"backend": backend, "nodes": 4, "n_shards": 2, "seed": 7})
+    lspec = LaunchSpec.from_json({"steps": 6, "mode": "optimized"})
+    first, _journal = build_world(wspec)
+    try:
+        resolved = resolve_launch(lspec, wspec, "ag-first")
+        first.launch(resolved.agent, at=resolved.at,
+                     method=resolved.method, **resolved.kwargs)
+        first.run()
+        assert any(first.serialization_stats().values())
+    finally:
+        first.close()
+    second, _journal = build_world(wspec)
+    try:
+        stats = second.serialization_stats()
+    finally:
+        second.close()
+    assert stats and not any(stats.values())
+
+
 def test_admission_cap_rejects_then_recovers():
     """429 on overflow; after the blocker finishes, the world is fine."""
     spec = WorldSpec.from_json({"backend": "world", "nodes": 4, "seed": 0})

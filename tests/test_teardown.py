@@ -19,36 +19,34 @@ import pytest
 
 from repro.node.procshard import ProcShardedWorld, _teardown_step
 from repro.node.shmring import ShmRing
-from repro.storage import serialization
+from repro.scope import Scope, entered
 
 
 def test_teardown_step_suppresses_counts_and_warns():
     def boom():
         raise OSError("munmap failed")
 
-    before = serialization.STATS["teardown.suppressed"]
-    with pytest.warns(ResourceWarning, match="ring close.*munmap failed"):
+    with entered(Scope()) as scope, \
+            pytest.warns(ResourceWarning, match="ring close.*munmap failed"):
         ok = _teardown_step("ring close (test)", boom, OSError, BufferError)
     assert ok is False
-    assert serialization.STATS["teardown.suppressed"] == before + 1
+    assert scope.stats["teardown.suppressed"] == 1
 
 
 def test_teardown_step_success_is_silent():
-    before = serialization.STATS["teardown.suppressed"]
-    with warnings.catch_warnings():
+    with entered(Scope()) as scope, warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _teardown_step("noop", lambda: None, OSError) is True
-    assert serialization.STATS["teardown.suppressed"] == before
+    assert scope.stats["teardown.suppressed"] == 0
 
 
 def test_teardown_step_lets_unexpected_errors_propagate():
     def boom():
         raise KeyError("not a teardown error")
 
-    before = serialization.STATS["teardown.suppressed"]
-    with pytest.raises(KeyError):
+    with entered(Scope()) as scope, pytest.raises(KeyError):
         _teardown_step("bogus", boom, OSError, BufferError)
-    assert serialization.STATS["teardown.suppressed"] == before
+    assert scope.stats["teardown.suppressed"] == 0
 
 
 def test_shmring_close_failure_is_counted_and_warned():
@@ -69,10 +67,9 @@ def test_shmring_close_failure_is_counted_and_warned():
 
     real = ring.shm
     ring.shm = FussyShm(real)
-    before = serialization.STATS["teardown.suppressed"]
-    with pytest.warns(ResourceWarning, match=name):
+    with entered(Scope()) as scope, pytest.warns(ResourceWarning, match=name):
         ring.close()
-    assert serialization.STATS["teardown.suppressed"] == before + 1
+    assert scope.stats["teardown.suppressed"] == 1
     assert ring.shm is None  # close still completed
     real.close()
     real.unlink()
@@ -82,11 +79,10 @@ def test_shmring_unlink_survives_missing_segment():
     ring = ShmRing.create(4096)
     other = ShmRing.attach(ring.name)
     ring.unlink()
-    before = serialization.STATS["teardown.suppressed"]
-    with warnings.catch_warnings():
+    with entered(Scope()) as scope, warnings.catch_warnings():
         warnings.simplefilter("error")
         other.unlink()  # already gone: silent, not a warning
-    assert serialization.STATS["teardown.suppressed"] == before
+    assert scope.stats["teardown.suppressed"] == 0
 
 
 def test_shmring_del_on_partially_constructed_object():
