@@ -12,14 +12,20 @@ This module implements a faithful-in-behaviour simplification:
 * when a step/compensation package is committed into a primary node's
   queue, *shadow* copies travel (reliably, after commit) to the
   configured alternate nodes;
-* a shadow schedules periodic takeover checks; when the primary is down
-  at check time and the unit of work is unclaimed, the shadow promotes
-  itself to an active package on the alternate node;
-* every fault-tolerant execution first *claims* its ``work_id`` in the
-  **step ledger** inside its transaction.  The ledger — standing for
-  the replicated observer quorum — is the arbitration point: at most
-  one claim commits, so effects happen exactly once no matter how
-  primary and promoted executions race;
+* a shadow schedules periodic takeover checks on the
+  ``takeover_timeout`` grid, so all shadows' checks share instants;
+  when the primary is down at check time and the unit of work is
+  unclaimed, the shadow promotes itself to an active package on the
+  alternate node;
+* every transaction that takes a fault-tolerant package out of a queue
+  — step, compensation, and the rollback start that consumes the
+  step package it aborted — first *claims* its ``work_id`` in the
+  **step ledger** (:func:`~repro.node.execution.claim_work`).  The
+  ledger — standing for the replicated observer quorum — is the
+  arbitration point: at most one claim commits, so effects happen
+  exactly once no matter how primary and promoted executions race,
+  and a claimed package's shadows discard themselves at their next
+  check;
 * an execution that finds a foreign committed claim discards its
   package ("stale").
 
@@ -62,6 +68,7 @@ lockstep-epoch bridge:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -89,7 +96,11 @@ class FTParams:
     Attributes
     ----------
     takeover_timeout:
-        Period of a shadow's takeover checks (virtual seconds).
+        Period of a shadow's takeover checks (virtual seconds).  Checks
+        fire on its grid — at the multiples of ``takeover_timeout`` —
+        so every shadow's checks share instants, and a shadow first
+        checks at the grid point after its arrival.  A check detects
+        an outage at most one period after it began.
     max_takeover_rounds:
         Checks before an unclaimed shadow gives up and self-discards.
     cross_shard_alternates:
@@ -245,8 +256,16 @@ class FaultTolerance:
 
     def _schedule_check(self, node: "Node", item_id: int,
                         rounds: int) -> None:
-        self.world.sim.schedule(
-            self.world.ft_params.takeover_timeout,
+        """Arm the next check on the first ``takeover_timeout`` grid
+        point strictly after now, so every shadow's polls share
+        barriers instead of scattering over the grid."""
+        sim = self.world.sim
+        period = self.world.ft_params.takeover_timeout
+        k = math.floor(sim.now / period) + 1
+        while k * period <= sim.now:  # float guard: strictly after now
+            k += 1
+        sim.schedule_at(
+            k * period,
             lambda: self._takeover_check(node, item_id, rounds),
             label=f"ft-check:{node.name}:{item_id}")
 
@@ -272,6 +291,7 @@ class FaultTolerance:
         else:
             self._observed_up(shadow)
         if rounds + 1 >= self.world.ft_params.max_takeover_rounds:
+            self.world.metrics.incr("ft.shadows_expired")
             self._discard_shadow(node, item_id)
             return
         self._schedule_check(node, item_id, rounds + 1)

@@ -48,7 +48,7 @@ from repro.log.modes import (
     sro_image_hashed,
 )
 from repro.log.rollback_log import RollbackLog
-from repro.node.execution import abort_and_count, finalize
+from repro.node.execution import abort_and_count, claim_work, finalize
 from repro.node.runtime import AgentStatus
 from repro.storage.queues import QueueItem
 from repro.storage.serialization import snapshot
@@ -80,21 +80,8 @@ class StepProtocol:
         tx.charge(world.timing.stable_read(item.size_bytes))
         node.queue.dequeue(tx, item.item_id)
 
-        if package.protocol is Protocol.FAULT_TOLERANT:
-            try:
-                outcome = world.ft.claim(tx, package.work_id, node.name)
-            except LockConflict:
-                # A concurrent claimant (primary vs promoted shadow, or
-                # two promoted shadows in different shards) holds the
-                # claim key on a shared ledger replica.  Abort and let
-                # the queue-driven retry re-read the settled ledger.
-                abort_and_count(node, tx, "claim-conflict")
-                return
-            if outcome == "stale":
-                # Someone else already committed this unit of work.
-                world.metrics.incr("ft.stale_discarded")
-                finalize(node, tx, label="discard-stale")
-                return
+        if not claim_work(node, tx, package):
+            return
 
         agent, log = package.unpack()
         tx.charge(world.timing.serialize(package.size_bytes))

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
+from repro.agent.packages import Protocol
+from repro.errors import LockConflict
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.agent.packages import AgentPackage
     from repro.node.node import Node
     from repro.tx.manager import Transaction
 
@@ -55,3 +59,34 @@ def abort_and_count(node: "Node", tx: "Transaction", reason: str) -> None:
     node.txm.note_abort()
     node.world.metrics.incr(f"tx.aborted.{tx.kind}")
     node.world.metrics.incr(f"abort.{reason}")
+
+
+def claim_work(node: "Node", tx: "Transaction",
+               package: "AgentPackage") -> bool:
+    """Claim a fault-tolerant package's unit of work inside ``tx``.
+
+    Every transaction that takes an FT package out of a queue — step,
+    rollback start, compensation — claims its ``work_id`` in the step
+    ledger, so the package's shadows see the claim and discard
+    themselves instead of promoting work already consumed.  Returns
+    True when the caller may go on (claim staged, or a basic-protocol
+    package); False when ``tx`` was settled here: aborted on a claim
+    conflict (the queue-driven retry re-reads the settled ledger), or
+    finalized as a stale discard when another node's claim committed.
+    """
+    if package.protocol is not Protocol.FAULT_TOLERANT:
+        return True
+    world = node.world
+    try:
+        outcome = world.ft.claim(tx, package.work_id, node.name)
+    except LockConflict:
+        # A concurrent claimant (primary vs promoted shadow, or two
+        # promoted shadows in different shards) holds the claim key on
+        # a shared ledger replica.
+        abort_and_count(node, tx, "claim-conflict")
+        return False
+    if outcome == "stale":
+        world.metrics.incr("ft.stale_discarded")
+        finalize(node, tx, label="discard-stale")
+        return False
+    return True

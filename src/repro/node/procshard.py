@@ -742,12 +742,16 @@ class NodeProxy:
         self.shard = shard
 
     def add_resource(self, resource) -> None:
+        hosted = self._world._resource_names.setdefault(self.name, set())
+        if resource.name in hosted:  # refused before it is journaled
+            raise UsageError(f"{self.name}: resource {resource.name!r} exists")
         assert_picklable(resource,
                          f"resource {resource.name!r} for node {self.name!r}")
         self._world._journal_op("add_resource", node=self.name,
                                 blob=capture(resource))
         self._world._handles[self.shard].request(
             "add_resource", {"node": self.name, "resource": resource})
+        hosted.add(resource.name)
 
     def share_resource_from(self, from_node: str, resource: str) -> None:
         """Replicate ``from_node``'s resource onto this node.
@@ -766,6 +770,7 @@ class NodeProxy:
         self._world._handles[self.shard].request(
             "share_resource", {"node": self.name, "from_node": from_node,
                                "resource": resource})
+        self._world._resource_names.setdefault(self.name, set()).add(resource)
 
     def get_resource(self, name: str):
         """A pickled snapshot of the resource's current worker-side state."""
@@ -824,6 +829,9 @@ class ProcShardedWorld(ShardCoordinator):
         assert_picklable(world_kwargs, "world configuration")
         self._init_coordinator(n_shards, seed, epoch, journal, world_kwargs)
         self._entangled = False
+        #: Per node, the names of the resources its shard hosts, so a
+        #: duplicate ``add_resource`` is refused before it is journaled.
+        self._resource_names: dict[str, set[str]] = {}
         # Barrier-merged global state (see the module docstring).
         self._suspended = [False] * n_shards
         self._claims: list[dict] = [{} for _ in range(n_shards)]

@@ -297,7 +297,11 @@ def test_outage_sweep_completes_exactly_once(name):
     if name == "kill-1":
         latencies = [recovery for *_, recovery in rows]
         assert None not in latencies
-        assert max(latencies) == pytest.approx(0.1)
+        # Checks sit on the takeover_timeout grid (0.05): the first one
+        # after the kill at 0.055 sees the primary down at 0.1, and the
+        # next, once a bridge flush has settled the mirrors, promotes.
+        assert max(latencies) == pytest.approx(0.095)
+        assert max(latencies) <= 2 * 0.05
 
 
 def test_shard_kill_with_restart_discards_stale_primaries():

@@ -1,11 +1,21 @@
 """Integration tests: fault-tolerant protocol (shadows + step ledger)."""
 
 
+import pytest
+
 from repro import AgentStatus, FTParams, RollbackMode
 from repro.agent.packages import Protocol
 from repro.sim.failures import CrashPlan
 
-from tests.helpers import LinearAgent, bank_of, build_line_world
+from tests.helpers import (
+    LinearAgent,
+    bank_of,
+    build_ft_ring,
+    build_line_world,
+    launch_ft_tours,
+)
+
+BACKENDS = ("world", "sharded", "proc")
 
 
 def test_ft_clean_run_ships_shadows_and_discards_them():
@@ -126,3 +136,50 @@ def test_ft_compensation_diverts_to_alternate_node():
     assert world.metrics.count("ft.compensation_diverted") >= 1
     # n1's bank was still compensated (via the shared resource).
     assert shared_bank.peek("a")["balance"] == 990
+
+
+@pytest.mark.parametrize("crash_at", (1.0, 0.26))
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_rollback_start_claims_its_package(backend, crash_at):
+    """The rollback start consumes the wrap step's FT package, so it
+    claims the package's ``work_id`` like any step: the package's
+    shadow on n3 discards itself at its next check.  An unclaimed
+    shadow would promote when n0 crashes — long after the agent
+    finished (1.0), or mid-rollback (0.26), rolling the agent back a
+    second time.  Either way the run must read as the crash-free one:
+    one rollback, no promotion."""
+    world = build_line_world(4, backend=backend,
+                             ft_params=FTParams(takeover_timeout=0.05))
+    try:
+        world.set_alternates("n0", "n3")
+        world.apply_crash_plans([CrashPlan("n0", at=crash_at,
+                                           duration=50.0)])
+        world.launch(LinearAgent("a", ["n0", "n1", "n2"],
+                                 savepoints={0: "sp"}, rollback_to="sp"),
+                     at="n0", method="step",
+                     protocol=Protocol.FAULT_TOLERANT)
+        world.run(until=120.0)
+        outcome = world.outcomes()["a"]
+        assert outcome["status"] == "finished"
+        assert outcome["rollbacks_completed"] == 1
+        assert world.counters().get("ft.promotions", 0) == 0
+    finally:
+        world.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_ft_ring_shadow_is_settled_before_it_expires(backend):
+    """On the crash-free FT ring every shadow is discarded because its
+    work was claimed, never because it ran out of takeover rounds."""
+    world = build_ft_ring(backend, seed=5)
+    try:
+        launch_ft_tours(world)
+        world.run(until=120.0)
+        counters = world.counters()
+        assert counters.get("ft.shadows_expired", 0) == 0
+        assert counters["ft.shadows_shipped"] == (
+            counters.get("ft.shadows_discarded", 0)
+            + counters.get("ft.promotions", 0)
+            + counters.get("ft.shadows_lost", 0))
+    finally:
+        world.close()

@@ -25,6 +25,7 @@ from tests.helpers import (
     LinearAgent,
     build_ft_ring,
     launch_ft_tours,
+    make_world,
     scenario_record,
 )
 
@@ -280,6 +281,32 @@ def test_refused_launch_is_not_journaled(backend, refusal, unrefused_runs):
     try:
         resumed.run()
         assert scenario_record(resumed, backend) == expected
+    finally:
+        resumed.close()
+
+
+@pytest.mark.parametrize("backend", ("world",) + SHARDED)
+def test_duplicate_resource_is_refused_before_it_is_journaled(backend):
+    """A second resource of the same name on a node raises the facade's
+    ``UsageError`` on every backend — for a node hosted by the
+    coordinator and for one in a worker process alike — and leaves one
+    ``add_resource`` record per node, so the journal resumes."""
+    shared = MemoryJournal()
+    journal = WorldJournal(shared)
+    world = make_world(backend, seed=5, journal=journal)
+    try:
+        for name in ("n0", "n1"):  # shards 0 and 1
+            world.add_node(name).add_resource(Bank("bank"))
+            with pytest.raises(UsageError, match="'bank' exists"):
+                world.node(name).add_resource(Bank("bank"))
+        assert journal.stats()["kinds"]["add_resource"] == 2
+    finally:
+        world.close()
+    resumed = resume_world(WorldJournal(shared))
+    try:
+        resumed.run()
+        for name in ("n0", "n1"):
+            assert resumed.resource_state(name, "bank").name == "bank"
     finally:
         resumed.close()
 

@@ -424,9 +424,9 @@ def test_resource_state_returns_worker_side_snapshot(proc_worlds):
 
 def test_worker_side_error_surfaces_with_remote_traceback(proc_worlds):
     world = build(proc_worlds(n_shards=2, seed=0))
-    bank = Bank("bank")
     with pytest.raises(WorkerError) as excinfo:
-        world.node("n0").add_resource(bank)  # duplicate resource name
+        # Reads go to the worker, which refuses this one.
+        world.node("n0").get_resource("no-such-resource")
     assert "UsageError" in str(excinfo.value)
     assert "worker traceback" in str(excinfo.value)
     assert excinfo.value.shard == 0
