@@ -773,7 +773,14 @@ class NodeProxy:
         self._world._resource_names.setdefault(self.name, set()).add(resource)
 
     def get_resource(self, name: str):
-        """A pickled snapshot of the resource's current worker-side state."""
+        """A pickled snapshot of the resource's current worker-side state.
+
+        A name this node does not host is refused here, with the
+        :class:`~repro.errors.UsageError` ``Node.get_resource`` raises,
+        before any worker round trip.
+        """
+        if name not in self._world._resource_names.get(self.name, ()):
+            raise UsageError(f"{self.name}: no resource {name!r}")
         return self._world._handles[self.shard].fetch(
             "resource", node=self.name, resource=name)
 

@@ -21,8 +21,15 @@ GET    ``/worlds/{id}/events``         Server-Sent Events telemetry stream
 The SSE stream carries the host's event feed (``world``, ``launch``,
 ``epoch`` — one per journal commit marker, in commit order — ``agent``,
 ``timeline``, ``metrics``, ``drain``) as ``event:``/``id:``/``data:``
-frames.  A client disconnect cancels only that subscription; the world
-and every other subscriber keep running.
+frames, in ``seq`` order, one socket write per batch of events the
+stepper handed over (typically one barrier's).  A client disconnect
+cancels only that subscription; the world and every other subscriber
+keep running.
+
+``POST /worlds/{id}/launch`` runs admission and the enqueue on the
+event loop (:meth:`~repro.service.host.WorldHost.submit`) and awaits
+the stepper's future: the ``202`` goes out when the launch is applied
+at a barrier, and no executor thread is parked while it waits.
 
 Shutdown (SIGTERM/SIGINT under ``python -m repro serve``, or
 :meth:`Gateway.shutdown`) drains every host — finish the epoch, final
@@ -280,7 +287,8 @@ class Gateway:
             data["tenant"] = headers["x-tenant"]
         spec = LaunchSpec.from_json(data)
         try:
-            result = await self._offload(host.launch, spec)
+            # Resolved by the stepper when it applies or refuses it.
+            result = await asyncio.wrap_future(host.submit(spec))
         except AdmissionFull as exc:
             raise _HttpError(
                 429, str(exc),
@@ -300,17 +308,22 @@ class Gateway:
                      b"Connection: close\r\n\r\n")
         try:
             await writer.drain()
-            while True:
-                item = await sub.aget()
-                if item is None:
-                    writer.write(b"event: end\r\ndata: {}\r\n\r\n")
-                    await writer.drain()
-                    return
-                frame = (f"event: {item['event']}\r\n"
-                         f"id: {item['seq']}\r\n"
-                         f"data: {json.dumps(item['data'], default=repr)}"
-                         f"\r\n\r\n")
-                writer.write(frame.encode("utf-8"))
+            ended = False
+            while not ended:
+                frames = []
+                for item in await sub.batch():
+                    if item is None:
+                        frames.append("event: end\r\ndata: {}\r\n\r\n")
+                        ended = True
+                        break
+                    frames.append(
+                        f"event: {item['event']}\r\n"
+                        f"id: {item['seq']}\r\n"
+                        f"data: {json.dumps(item['data'], default=repr)}"
+                        f"\r\n\r\n")
+                # One write per batch: a barrier's events leave in one
+                # send, in ``seq`` order.
+                writer.write("".join(frames).encode("utf-8"))
                 await writer.drain()
         except (ConnectionError, OSError, asyncio.CancelledError):
             # This subscriber went away; the world keeps running and

@@ -5,19 +5,26 @@ an asyncio event loop.  :class:`WorldHost` owns one live world and runs
 it on a dedicated **stepper thread** via the reentrant
 ``step_epoch()`` seam (PR 10), interleaving between barriers:
 
-* **launch hand-off** — HTTP launch requests enqueue
-  :class:`_LaunchCmd` objects on a *bounded* command queue; the stepper
-  applies them between epochs (so launches serialize in arrival order
-  on the barrier grid) and signals the waiting request thread;
+* **launch hand-off** — :meth:`WorldHost.submit` admits a launch and
+  enqueues a :class:`_LaunchCmd` on a *bounded* command queue without
+  blocking its caller; the stepper applies queued launches between
+  epochs (so launches serialize in arrival order on the barrier grid)
+  and resolves each command's :class:`concurrent.futures.Future` when
+  the launch is applied or refused — the gateway awaits it on its
+  event loop, :meth:`WorldHost.launch` blocks on it;
 * **admission control** — per-tenant in-flight caps and the bounded
   queue itself reject overload with :class:`AdmissionFull`, which the
   gateway maps to ``429`` + ``Retry-After``;
 * **telemetry fan-out** — after each barrier the host emits structured
   events (``epoch`` per journal commit marker, ``agent`` per terminal
   outcome, ``timeline`` deltas, periodic ``metrics`` snapshots) to
-  every :class:`Subscription`.  Subscriber queues are bounded and
-  *never* block the stepper: a slow client drops events (counted in
-  ``events.dropped``), it does not stall the world;
+  every :class:`Subscription`.  The stepper tracks only the agents it
+  has applied and not yet reported, so the per-barrier bookkeeping is
+  O(agents in flight), not O(agents ever launched).  Subscriber queues
+  are bounded and *never* block the stepper: a slow client drops
+  events (counted in ``events_dropped``), it does not stall the world;
+  an async subscriber is woken at most once per pending batch of
+  events;
 * **graceful drain** — :meth:`drain` stops admission, lets the
   in-flight epoch finish, fsyncs the journal, emits a final ``drain``
   event carrying outcomes and trace digests, and closes the world
@@ -34,10 +41,13 @@ import asyncio
 import queue
 import threading
 from collections import deque
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import UsageError
+from repro.node.lockstep import outcomes_of
 from repro.node.runtime import AgentStatus
 from repro.service.worlds import (
     LaunchSpec,
@@ -70,72 +80,84 @@ class HostClosed(Exception):
 @dataclass
 class _LaunchCmd:
     resolved: ResolvedLaunch
-    spec: LaunchSpec
-    done: threading.Event = field(default_factory=threading.Event)
-    result: Optional[dict[str, Any]] = None
-    error: Optional[BaseException] = None
+    #: Resolved by the stepper with the launch record, or with the
+    #: error that refused the launch.
+    future: Future = field(default_factory=Future)
 
 
 class Subscription:
     """One bounded event feed off a :class:`WorldHost`.
 
-    Async subscribers (the SSE handler) pass their event loop: the
-    stepper thread posts events via ``call_soon_threadsafe`` into a
-    bounded :class:`asyncio.Queue`.  Sync subscribers (tests, benches)
-    pass no loop and read a bounded :class:`queue.Queue`.  Either way a
-    full queue **drops** the event and counts it — backpressure never
+    Sync subscribers (tests, benches) pass no loop and read one event
+    at a time with :meth:`get`.  Async subscribers (the SSE handler)
+    pass their event loop and read with :meth:`batch`: the stepper
+    appends under a lock and posts at most one ``call_soon_threadsafe``
+    wake-up per pending batch, so a barrier's events cost the loop one
+    wake-up, not one each.  Either way at most ``depth`` events wait
+    unread; one more is **dropped** and counted — backpressure never
     propagates to the stepper.  A ``None`` item marks the end of the
-    stream (host drained).
+    stream (host drained); it is never dropped.
     """
 
     def __init__(self, depth: int = 256,
                  loop: Optional[asyncio.AbstractEventLoop] = None):
         self.loop = loop
+        self.depth = depth
         self.dropped = 0
         self.closed = False
-        if loop is None:
-            self._sync: Optional[queue.Queue] = queue.Queue(maxsize=depth)
-            self._async: Optional[asyncio.Queue] = None
-        else:
-            self._sync = None
-            self._async = asyncio.Queue(maxsize=depth)
+        self._lock = threading.Lock()
+        self._sync: Optional[queue.Queue] = queue.Queue() \
+            if loop is None else None
+        self._batch: list[Optional[dict[str, Any]]] = []
+        #: A wake-up is posted for the pending batch (async only).
+        self._posted = False
+        self._ready = asyncio.Event()
 
     # -- producer side (stepper thread) -------------------------------------------
 
     def offer(self, item: Optional[dict[str, Any]]) -> None:
         if self.closed:
             return
-        if self._sync is not None:
-            try:
-                self._sync.put_nowait(item)
-            except queue.Full:
+        with self._lock:
+            sync = self._sync
+            unread = sync.qsize() if sync is not None else len(self._batch)
+            if item is not None and unread >= self.depth:
                 self.dropped += 1
-            return
+                return
+            if sync is not None:
+                sync.put_nowait(item)
+                return
+            self._batch.append(item)
+            if self._posted:
+                return
+            self._posted = True
         loop = self.loop
         assert loop is not None
         try:
-            loop.call_soon_threadsafe(self._offer_async, item)
+            loop.call_soon_threadsafe(self._ready.set)
         except RuntimeError:  # loop already closed mid-drain
             self.closed = True
-
-    def _offer_async(self, item: Optional[dict[str, Any]]) -> None:
-        assert self._async is not None
-        try:
-            self._async.put_nowait(item)
-        except asyncio.QueueFull:
-            self.dropped += 1
 
     # -- consumer side ------------------------------------------------------------
 
     def get(self, timeout: Optional[float] = None) -> Optional[dict]:
         """Sync read (None ⇒ stream over); raises ``queue.Empty``."""
-        assert self._sync is not None, "async subscription: use aget()"
+        assert self._sync is not None, "async subscription: use batch()"
         return self._sync.get(timeout=timeout)
 
-    async def aget(self) -> Optional[dict[str, Any]]:
-        """Async read (None ⇒ stream over)."""
-        assert self._async is not None, "sync subscription: use get()"
-        return await self._async.get()
+    async def batch(self) -> list[Optional[dict[str, Any]]]:
+        """Async read: every event offered since the last call, in
+        ``seq`` order (a trailing None ⇒ stream over); waits while
+        there is none."""
+        assert self._sync is None, "sync subscription: use get()"
+        while True:
+            with self._lock:
+                items, self._batch = self._batch, []
+                self._posted = False
+                if items:
+                    return items
+                self._ready.clear()
+            await self._ready.wait()
 
 
 class WorldHost:
@@ -170,7 +192,9 @@ class WorldHost:
         self._seq = 0
         self._agent_seq = 0
         self._inflight: dict[str, set[str]] = {}
-        self._reported: set[str] = set()
+        #: Agents the stepper applied and has not yet reported, in
+        #: launch order: agent id → (live record, tenant).
+        self._unreported: dict[str, tuple[Any, str]] = {}
         self._commits_seen = 0
         self._steps = 0
         self._timeline_pos: list[int] = []
@@ -220,16 +244,23 @@ class WorldHost:
 
     # -- admission + launch -------------------------------------------------------
 
-    def launch(self, spec: LaunchSpec) -> dict[str, Any]:
-        """Admit, enqueue and wait for one launch; returns the record.
+    def submit(self, spec: LaunchSpec) -> Future:
+        """Admit and enqueue one launch without waiting for it.
 
-        Raises :class:`AdmissionFull` on per-tenant overflow or a full
-        hand-off queue, :class:`HostClosed` once draining.
+        Returns a future the stepper resolves with the launch record
+        once the launch is applied at a barrier, or with the error that
+        refused it (a duplicate agent id, :class:`HostClosed` once the
+        host drains); either way the tenant's in-flight slot is freed
+        on refusal.  Raises :class:`AdmissionFull` on per-tenant
+        overflow or a full hand-off queue, :class:`HostClosed` once
+        draining.
         """
-        if self._stopping.is_set():
-            raise HostClosed(f"world {self.world_id} is draining")
+        tenant = spec.tenant
+        # One critical section: the drain takes this lock before it
+        # fails the queued stragglers, so nothing is enqueued after.
         with self._meta_lock:
-            tenant = spec.tenant
+            if self._stopping.is_set():
+                raise HostClosed(f"world {self.world_id} is draining")
             inflight = self._inflight.setdefault(tenant, set())
             if len(inflight) >= self.max_inflight:
                 raise AdmissionFull(
@@ -240,29 +271,33 @@ class WorldHost:
             agent_id = spec.agent_id or f"ag-{self._agent_seq}"
             if agent_id in self.world.agents or agent_id in inflight:
                 raise UsageError(f"agent {agent_id!r} already launched")
+            cmd = _LaunchCmd(resolved=resolve_launch(spec, self.spec,
+                                                     agent_id))
+            try:
+                self._commands.put_nowait(cmd)
+            except queue.Full:
+                raise AdmissionFull(
+                    f"launch queue full ({self._commands.maxsize} "
+                    f"pending)", self.retry_after) from None
             inflight.add(agent_id)
-        resolved = resolve_launch(spec, self.spec, agent_id)
-        resolved.tenant = tenant
-        cmd = _LaunchCmd(resolved=resolved, spec=spec)
-        try:
-            self._commands.put_nowait(cmd)
-        except queue.Full:
-            with self._meta_lock:
-                inflight.discard(agent_id)
-            raise AdmissionFull(
-                f"launch queue full ({self._commands.maxsize} pending)",
-                self.retry_after) from None
         self._wake.set()
-        if not cmd.done.wait(LAUNCH_TIMEOUT):
+        return cmd.future
+
+    def launch(self, spec: LaunchSpec) -> dict[str, Any]:
+        """:meth:`submit` one launch and wait until it is applied;
+        returns the launch record (or raises what refused it)."""
+        future = self.submit(spec)
+        try:
+            return future.result(LAUNCH_TIMEOUT)
+        except FutureTimeout:
             raise UsageError(
-                f"launch of {agent_id!r} not applied within "
-                f"{LAUNCH_TIMEOUT}s")
-        if cmd.error is not None:
-            with self._meta_lock:
-                inflight.discard(agent_id)
-            raise cmd.error
-        assert cmd.result is not None
-        return cmd.result
+                f"launch into world {self.world_id} not applied within "
+                f"{LAUNCH_TIMEOUT}s") from None
+
+    def _release(self, tenant: str, agent_id: str) -> None:
+        """Free one tenant in-flight slot."""
+        with self._meta_lock:
+            self._inflight[tenant].discard(agent_id)
 
     # -- subscriptions ------------------------------------------------------------
 
@@ -331,7 +366,9 @@ class WorldHost:
             if self._final is not None:
                 outcome = self._final["agents"].get(agent_id)
             else:
-                outcome = self.world.outcomes().get(agent_id)
+                record = self.world.agents.get(agent_id)
+                outcome = None if record is None else \
+                    outcomes_of({agent_id: record})[agent_id]
         if outcome is None:
             raise UsageError(f"no agent {agent_id!r}")
         return {"agent": agent_id, "world": self.world_id, **outcome}
@@ -369,49 +406,57 @@ class WorldHost:
                 cmd = self._commands.get_nowait()
             except queue.Empty:
                 return applied
+            resolved, future = cmd.resolved, cmd.future
+            agent_id = resolved.agent.agent_id
+            if not future.set_running_or_notify_cancel():
+                # Its waiter gave up before the barrier: never applied.
+                self._release(resolved.tenant, agent_id)
+                continue
             try:
                 with self._world_lock:
                     record = self.world.launch(
-                        cmd.resolved.agent, at=cmd.resolved.at,
-                        method=cmd.resolved.method, **cmd.resolved.kwargs)
-                cmd.result = {
-                    "agent": record.agent_id, "world": self.world_id,
-                    "tenant": cmd.resolved.tenant,
-                    "status": record.status.value,
-                    "launched_at": self._now(),
-                }
-                self._emit("launch", dict(cmd.result))
-                applied = True
+                        resolved.agent, at=resolved.at,
+                        method=resolved.method, **resolved.kwargs)
             except BaseException as exc:
-                cmd.error = exc
-            finally:
-                cmd.done.set()
+                self._release(resolved.tenant, agent_id)
+                future.set_exception(exc)
+                continue
+            self._unreported[agent_id] = (record, resolved.tenant)
+            result = {
+                "agent": agent_id, "world": self.world_id,
+                "tenant": resolved.tenant,
+                "status": record.status.value,
+                "launched_at": self._now(),
+            }
+            self._emit("launch", dict(result))
+            future.set_result(result)
+            applied = True
+
+    def _emit_commits(self) -> None:
+        """One ``epoch`` event per journal commit not yet reported."""
+        commits = self.journal.commits
+        while self._commits_seen < commits:
+            self._emit("epoch", {"commit": self._commits_seen,
+                                 "barrier": self._now(),
+                                 "epochs": self._steps})
+            self._commits_seen += 1
 
     def _post_step(self, progressed: bool) -> None:
         """Telemetry after one barrier (world lock held)."""
-        world = self.world
         if self.journal is not None:
-            commits = self.journal.stats()["commits"]
-            while self._commits_seen < commits:
-                self._emit("epoch", {"commit": self._commits_seen,
-                                     "barrier": self._now(),
-                                     "epochs": self._steps})
-                self._commits_seen += 1
+            self._emit_commits()
         elif progressed:
             self._emit("epoch", {"commit": None, "barrier": self._now(),
                                  "epochs": self._steps})
         self._emit_timeline()
-        for agent_id, record in world.agents.items():
-            if record.status is AgentStatus.RUNNING:
-                continue
-            if agent_id in self._reported:
-                continue
-            self._reported.add(agent_id)
-            outcome = world.outcomes().get(agent_id, {})
+        finished = [agent_id for agent_id, (record, _tenant)
+                    in self._unreported.items()
+                    if record.status is not AgentStatus.RUNNING]
+        for agent_id in finished:
+            record, tenant = self._unreported.pop(agent_id)
+            outcome = outcomes_of({agent_id: record})[agent_id]
             self._emit("agent", {"agent": agent_id, **outcome})
-            with self._meta_lock:
-                for inflight in self._inflight.values():
-                    inflight.discard(agent_id)
+            self._release(tenant, agent_id)
         if progressed and self.metrics_every \
                 and self._steps % self.metrics_every == 0:
             self._emit_metrics()
@@ -450,13 +495,18 @@ class WorldHost:
     def _shutdown(self) -> None:
         """Drain tail: reject stragglers, commit, report, close."""
         self._stopping.set()
-        while True:
-            try:
-                cmd = self._commands.get_nowait()
-            except queue.Empty:
-                break
-            cmd.error = HostClosed(f"world {self.world_id} is draining")
-            cmd.done.set()
+        stragglers = []
+        with self._meta_lock:  # after it, :meth:`submit` enqueues none
+            while True:
+                try:
+                    stragglers.append(self._commands.get_nowait())
+                except queue.Empty:
+                    break
+        for cmd in stragglers:
+            self._release(cmd.resolved.tenant, cmd.resolved.agent.agent_id)
+            if cmd.future.set_running_or_notify_cancel():
+                cmd.future.set_exception(
+                    HostClosed(f"world {self.world_id} is draining"))
         with self._world_lock:
             world = self.world
             try:
@@ -465,13 +515,7 @@ class WorldHost:
                     # them durable before ``drain`` (and emit any
                     # commit a step that raised left unreported).
                     world.commit_journal()
-                    commits = self.journal.stats()["commits"]
-                    while self._commits_seen < commits:
-                        self._emit("epoch",
-                                   {"commit": self._commits_seen,
-                                    "barrier": self._now(),
-                                    "epochs": self._steps})
-                        self._commits_seen += 1
+                    self._emit_commits()
                 self._emit_timeline()
                 self._emit("drain", {
                     "world": self.world_id, "now": self._now(),

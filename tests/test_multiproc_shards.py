@@ -33,7 +33,12 @@ from repro.bench.workloads import BANK, TourAgent, make_tour_plan
 from repro.errors import UsageError, WorkerDied, WorkerError
 from repro.resources.bank import Bank, OverdraftPolicy
 
-from tests.helpers import LinearAgent, build_ft_ring, launch_ft_tours
+from tests.helpers import (
+    LinearAgent,
+    build_ft_ring,
+    launch_ft_tours,
+    make_world,
+)
 
 N_NODES = 8
 RING = [f"n{i}" for i in range(N_NODES)]
@@ -383,6 +388,30 @@ def test_validation_mirrors_in_process_facade(backend, proc_worlds,
         world.record_of("ghost")
 
 
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_missing_resource_raises_usage_error_on_every_backend(backend,
+                                                              monkeypatch):
+    world = make_world(backend, n_shards=2)
+    try:
+        for name in ("n0", "n1"):  # one per shard where there are shards
+            world.add_node(name).add_resource(Bank("bank"))
+        if backend == "proc":
+            def no_round_trip(*_args, **_kwargs):
+                raise AssertionError("a fetch reached a shard")
+
+            for handle in world._handles:
+                monkeypatch.setattr(handle, "fetch", no_round_trip)
+        for name in ("n0", "n1"):
+            with pytest.raises(UsageError,
+                               match=f"{name}: no resource 'vault'"):
+                world.node(name).get_resource("vault")
+            with pytest.raises(UsageError,
+                               match=f"{name}: no resource 'vault'"):
+                world.resource_state(name, "vault")
+    finally:
+        world.close()
+
+
 def test_launch_record_stays_live_across_runs(proc_worlds):
     world = build(proc_worlds(n_shards=2, seed=3))
     agent = LinearAgent("capped", RING[:4])
@@ -425,11 +454,11 @@ def test_resource_state_returns_worker_side_snapshot(proc_worlds):
 def test_worker_side_error_surfaces_with_remote_traceback(proc_worlds):
     world = build(proc_worlds(n_shards=2, seed=0))
     with pytest.raises(WorkerError) as excinfo:
-        # Reads go to the worker, which refuses this one.
-        world.node("n0").get_resource("no-such-resource")
+        # A read only the worker can refuse: it knows no such view.
+        world._handles[1].fetch("no-such-view")
     assert "UsageError" in str(excinfo.value)
     assert "worker traceback" in str(excinfo.value)
-    assert excinfo.value.shard == 0
+    assert excinfo.value.shard == 1
 
 
 def test_sigkilled_worker_surfaces_as_shard_outage_not_hang(proc_worlds):

@@ -38,6 +38,7 @@ from repro.service import (
     Gateway,
     HostClosed,
     LaunchSpec,
+    Subscription,
     WorldHost,
     WorldSpec,
     build_world,
@@ -369,6 +370,146 @@ def test_slow_subscriber_drops_events_not_the_world():
     assert sub.dropped > 0  # backpressure became drops, not a stall
 
 
+def test_stepper_reads_only_the_agents_in_flight(monkeypatch):
+    """Per barrier the stepper checks the agents it applied and has not
+    reported — never the whole world — and reports each exactly once,
+    in launch order among those finishing at one barrier."""
+    # A coarse barrier grid, so several agents finish at one barrier.
+    spec = WorldSpec.from_json({"backend": "sharded", "nodes": 4,
+                                "n_shards": 2, "seed": 3, "epoch": 1.0})
+    host = WorldHost("w-lean", spec)
+    readers = []
+    outcomes = host.world.outcomes
+
+    def counted_outcomes():
+        readers.append(threading.current_thread())
+        return outcomes()
+
+    monkeypatch.setattr(host.world, "outcomes", counted_outcomes)
+    sub = host.subscribe()
+    host.start()
+    events = []
+
+    def read_until_reported(agents):
+        left = set(agents)
+        while left:
+            item = sub.get(timeout=10)
+            events.append(item)
+            if item["event"] == "agent":
+                left.discard(item["data"]["agent"])
+
+    for wave in range(75):  # 300 launches, four submitted at a time
+        # Ids count down within a wave: launch order is not id order.
+        futures = [host.submit(LaunchSpec(
+            steps=4, agent_id=f"lean-{wave}-{3 - k}")) for k in range(4)]
+        read_until_reported([f.result(timeout=10)["agent"]
+                             for f in futures])
+    assert [t for t in readers if t is host._thread] == []
+    snap = host.drain()
+    assert host._unreported == {}
+    while True:
+        item = sub.get(timeout=5)
+        if item is None:
+            break
+        events.append(item)
+    launched = [e["data"]["agent"] for e in events if e["event"] == "launch"]
+    reported = [e["data"] for e in events if e["event"] == "agent"]
+    assert len(launched) == 300
+    assert sorted(o["agent"] for o in reported) == sorted(launched)
+    for outcome in reported:
+        assert {k: v for k, v in outcome.items() if k != "agent"} \
+            == snap["agents"][outcome["agent"]]
+    # The agent events that follow one epoch event finished at that
+    # barrier: they come in launch order.
+    order = {agent: i for i, agent in enumerate(launched)}
+    groups, group = [], []
+    for item in events:
+        if item["event"] == "epoch":
+            groups.append(group)
+            group = []
+        elif item["event"] == "agent":
+            group.append(order[item["data"]["agent"]])
+    groups.append(group)
+    assert any(len(g) > 1 for g in groups)
+    assert all(g == sorted(g) for g in groups)
+
+
+def test_async_subscription_batches_arrive_in_seq_order(monkeypatch):
+    """A producer thread feeding a subscription on a live loop: every
+    event arrives once, in ``seq`` order, with at most one loop wake-up
+    per batch taken."""
+    loop = asyncio.new_event_loop()
+    posts = []
+    post = loop.call_soon_threadsafe
+
+    def counted_post(*args):
+        posts.append(args)
+        return post(*args)
+
+    monkeypatch.setattr(loop, "call_soon_threadsafe", counted_post)
+    sub = Subscription(depth=100_000, loop=loop)
+    n = 5_000
+
+    def produce():
+        for seq in range(1, n + 1):
+            sub.offer({"seq": seq, "event": "tick", "data": {}})
+        sub.offer(None)
+
+    async def consume():
+        producer = threading.Thread(target=produce)
+        producer.start()
+        got, batches = [], 0
+        while not got or got[-1] is not None:
+            got.extend(await sub.batch())
+            batches += 1
+            await asyncio.sleep(0)
+        producer.join()
+        return got, batches
+
+    try:
+        got, batches = loop.run_until_complete(consume())
+    finally:
+        loop.close()
+    assert got[-1] is None
+    assert [item["seq"] for item in got[:-1]] == list(range(1, n + 1))
+    assert sub.dropped == 0
+    assert 1 <= len(posts) <= batches
+
+
+def test_async_slow_subscriber_counts_every_drop_and_still_ends():
+    spec = WorldSpec.from_json({"backend": "world", "nodes": 4, "seed": 4})
+    host = WorldHost("w-aslow", spec, sub_depth=2)
+    loop = asyncio.new_event_loop()
+    sub = host.subscribe(loop=loop)
+    delivered = []
+
+    async def consume():
+        while not delivered or delivered[-1] is not None:
+            delivered.extend(await sub.batch())
+            await asyncio.sleep(0.05)  # slower than the stepper
+
+    reader = threading.Thread(target=loop.run_until_complete,
+                              args=(consume(),))
+    reader.start()
+    try:
+        host.start()
+        record = host.launch(LaunchSpec(steps=8))
+        wait_for_agent(host, record["agent"])
+        snap = host.drain()
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the end of stream never arrived"
+    finally:
+        loop.close()
+    assert delivered[-1] is None
+    events = delivered[:-1]
+    seqs = [item["seq"] for item in events]
+    assert seqs == sorted(set(seqs))
+    offered = host._seq  # subscribed before the first event
+    assert sub.dropped > 0
+    assert sub.dropped == offered - len(events)
+    assert snap["events_dropped"] == sub.dropped
+
+
 # ---------------------------------------------------------------------------
 # HTTP layer
 
@@ -591,6 +732,79 @@ def test_http_admission_429_carries_retry_after():
         status, _, drained = gw.request("DELETE", f"/worlds/{wid}")
         assert status == 200
         assert "blocker" in drained["agents"]
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+def test_http_launch_refused_at_apply_frees_the_tenant_slot():
+    """Two tenants queue the same agent id before a barrier: the second
+    is refused when applied (400), and its tenant's only in-flight slot
+    is free again."""
+    with GatewayFixture(max_inflight=1) as gw:
+        _, _, made = gw.request(
+            "POST", "/worlds", {"backend": "world", "nodes": 4, "seed": 6})
+        wid = made["world"]
+        host = gw.gateway.hosts[wid]
+        replies = {}
+
+        def post(tenant):
+            replies[tenant] = gw.request(
+                "POST", f"/worlds/{wid}/launch",
+                {"steps": 4, "agent_id": "twin", "tenant": tenant})
+
+        posters = [threading.Thread(target=post, args=(t,))
+                   for t in ("a", "b")]
+        with host._world_lock:  # hold the stepper off the next barrier
+            for tenant, poster in zip(("a", "b"), posters):
+                poster.start()
+                wait_until(lambda t=tenant: "twin" in
+                           host._inflight.get(t, ()))
+        for poster in posters:
+            poster.join(timeout=30)
+        assert replies["a"][0] == 202
+        status, _, err = replies["b"]
+        assert status == 400 and "already launched" in err["error"]
+        status, _, again = gw.request(
+            "POST", f"/worlds/{wid}/launch",
+            {"steps": 4, "agent_id": "b-next", "tenant": "b"})
+        assert status == 202, again
+        _, _, drained = gw.request("DELETE", f"/worlds/{wid}")
+    assert set(drained["agents"]) == {"twin", "b-next"}
+
+
+def test_http_queued_launch_fails_503_when_the_host_drains():
+    """429 and 503 map as before: a full tenant is refused with
+    ``Retry-After``; a launch still queued when the host drains, and
+    one sent after, both get 503."""
+    with GatewayFixture() as gw:
+        # Never started: its launch waits in the queue until the drain.
+        host = WorldHost("w-queued", WorldSpec.from_json(
+            {"backend": "world", "nodes": 4}), max_inflight=1)
+        gw.gateway.hosts["w-queued"] = host
+        reply = {}
+        poster = threading.Thread(target=lambda: reply.update(
+            queued=gw.request("POST", "/worlds/w-queued/launch",
+                              {"steps": 4})))
+        poster.start()
+        wait_until(lambda: host._commands.qsize() == 1)
+        status, headers, err = gw.request(
+            "POST", "/worlds/w-queued/launch", {"steps": 4})
+        assert status == 429 and headers.get("Retry-After") == "1"
+        assert "in flight" in err["error"]
+        host.drain()
+        poster.join(timeout=30)
+        status, _, err = reply["queued"]
+        assert status == 503 and "draining" in err["error"]
+        status, _, err = gw.request(
+            "POST", "/worlds/w-queued/launch", {"steps": 4})
+        assert status == 503 and "draining" in err["error"]
+        assert host._inflight == {"default": set()}
+        gw.gateway.hosts.pop("w-queued")
 
 
 def test_http_error_mapping():

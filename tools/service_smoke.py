@@ -12,8 +12,11 @@ subprocess on a free port:
    streams its outcome over SSE, and that outcome — plus the drained
    world's trace digests — is identical to the same ``(WorldSpec,
    LaunchSpec)`` pair run scripted in this process;
-2. SIGTERM drains gracefully: exit code 0, the drain banner printed;
-3. nothing leaks: no orphan ``multiprocessing`` spawn workers, no
+2. the SSE stream's ``id:`` lines run 1, 2, 3, ... with no gap or
+   repeat up to that outcome, and the drained snapshot counts no
+   dropped event;
+3. SIGTERM drains gracefully: exit code 0, the drain banner printed;
+4. nothing leaks: no orphan ``multiprocessing`` spawn workers, no
    stale ``psm_*`` shared-memory segments.
 
 Exit status 0 on success; any failure raises with a diagnosis.
@@ -42,7 +45,9 @@ def request(base: str, method: str, path: str, body=None):
 
 
 def stream_until_agent(base: str, world_id: str, agent_id: str):
-    """Follow the SSE stream until ``agent_id``'s terminal event."""
+    """Follow the SSE stream until ``agent_id``'s terminal event;
+    returns its outcome and every ``id:`` read up to it."""
+    ids = []
     with urllib.request.urlopen(f"{base}/worlds/{world_id}/events",
                                 timeout=120) as resp:
         event = None
@@ -50,10 +55,12 @@ def stream_until_agent(base: str, world_id: str, agent_id: str):
             line = raw.decode().strip()
             if line.startswith("event:"):
                 event = line.split(":", 1)[1].strip()
+            elif line.startswith("id:"):
+                ids.append(int(line.split(":", 1)[1]))
             elif line.startswith("data:") and event == "agent":
                 data = json.loads(line.split(":", 1)[1])
                 if data.get("agent") == agent_id:
-                    return data
+                    return data, ids
     raise AssertionError("SSE stream ended before the agent event")
 
 
@@ -113,12 +120,17 @@ def main() -> int:
         print(f"launched {agent_id} into {world_id} "
               f"({WORLD_SPEC['backend']} backend)")
 
-        streamed = stream_until_agent(base, world_id, agent_id)
+        streamed, ids = stream_until_agent(base, world_id, agent_id)
         assert streamed["status"] == "finished", streamed
-        print(f"streamed outcome: {streamed['status']}")
+        # Batched delivery keeps the feed gap-free and in seq order.
+        assert ids == list(range(1, len(ids) + 1)), \
+            f"SSE ids not 1, 2, 3, ...: {ids}"
+        print(f"streamed outcome: {streamed['status']} "
+              f"(SSE ids 1..{len(ids)}, no gap or repeat)")
 
         drained = request(base, "DELETE", f"/worlds/{world_id}")
         assert drained["status"] == "drained", drained
+        assert drained["events_dropped"] == 0, drained["events_dropped"]
 
         want_outcomes, want_digests = scripted_run()
         got_agent = json.loads(json.dumps(
