@@ -363,10 +363,9 @@ class BridgedFaultTolerance(FaultTolerance):
         self._inbound_seq = 0
 
     def claims(self) -> dict[int, str]:
-        """This replica's claims, work_id -> holder (staged included)."""
-        ledger = self.ledger
-        return {key[1]: ledger.get(key) for key in ledger.keys()
-                if isinstance(key, tuple) and key and key[0] == "claim"}
+        """This replica's claims, work_id -> holder (staged included);
+        the ledger holds nothing but ``("claim", work_id)`` keys."""
+        return {key[1]: holder for key, holder in self.ledger.items()}
 
     # -- placement ----------------------------------------------------------------
 

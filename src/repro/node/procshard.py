@@ -50,14 +50,17 @@ by :meth:`launch` stay live) and re-broadcasts changed records to the
 other workers with their next command.
 
 A running shard with nothing to do at a barrier — nothing staged, no
-revival, no pending records, and no event due by the barrier — gets no
-turn at all: in-process its kernel would only move its clock.  The
-coordinator moves its copy of that clock instead, and the shard's next
+revival, and no event due by the barrier — gets no turn at all:
+in-process its kernel would only move its clock.  The coordinator
+moves its copy of that clock instead, and the shard's next
 state-bearing command carries the barrier as a ``catch_up`` it runs to
 before anything else, so a launch between barriers sees the barrier
-clock.  A launch also carries the owner's inbox routed at the last
-barrier and applies it first, exactly as the in-process flush already
-scheduled it.
+clock.  Records re-broadcast to such a shard wait the same way: they
+ride its next ``epoch`` or ``launch`` command, which merges them
+before any event runs (only an executing event reads a record).  A
+launch also carries the owner's inbox routed at the last barrier and
+applies it first, exactly as the in-process flush already scheduled
+it.
 
 Entangled workloads and the serial turn schedule
 ------------------------------------------------
@@ -80,11 +83,15 @@ a schedule per run:
   foreign replica's claims and open claim locks, every foreign shard's
   down-node set and the suspension table (served locally by
   :class:`RemoteShardContext`), and returns the worker's own dumps.
-  Both directions travel as deltas: a view ships only the foreign
+  Both directions travel as deltas: a dump ships only the worker's
+  parts that moved since its last dump, and a view only the foreign
   parts that moved since the worker's last turn (the first dispatch
-  ships it whole), and a dump only the worker's parts that
-  moved since its last dump (claims are re-read only when the ledger
-  replica's mutation ``version`` moved).
+  ships it whole).  Claims go finer still: a dump ships its replica's
+  ``(added_or_changed, removed)`` claims against what it last
+  published (re-read only when the ledger's mutation ``version``
+  moved), the coordinator folds it into its copy and queues the moved
+  work ids for every other shard, and each view ships the claims
+  queued for its shard since that shard's last turn.
   Because only one kernel executes at a time and views refresh between
   turns, every foreign read returns exactly what the in-process live
   read would — the two backends walk the same event sequence.
@@ -116,6 +123,7 @@ shard outage — rather than a hang on a pipe that will never answer.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import operator
 import pickle
@@ -280,11 +288,16 @@ class RemoteShardContext:
 
     def update_views(self, views: dict[str, Any]) -> None:
         """Install coordinator views: replace on a full view, merge a
-        ``"delta"`` (which carries only the parts that moved)."""
+        ``"delta"`` (which carries only the parts that moved; claims as
+        ``(added_or_changed, removed)`` per replica)."""
         self._suspended_view = views["suspended"]
         if views.get("delta"):
             self._down_view.update(views["down"])
-            self._claims_view.update(views["claims"])
+            for shard, (changed, removed) in views["claims"].items():
+                replica = self._claims_view[shard]
+                for work_id in removed:
+                    replica.pop(work_id, None)
+                replica.update(changed)
             self._locks_view.update(views["locks"])
         else:
             self._down_view = dict(views["down"])
@@ -387,9 +400,10 @@ class _WorkerServer:
         #: Kernel event count at the last full record scan; None once
         #: an inbox item or revival may have touched a record since.
         self._scanned_at: Optional[int] = None
-        #: What the turn dumps last published (claims as the ledger
-        #: version they were read at), so a dump ships only what moved.
-        self._published: dict[str, Any] = {}
+        #: What the turn dumps last published, so a dump ships only
+        #: what moved: the claims themselves (and the ledger version
+        #: they were read at), the lock contributions, the down set.
+        self._published: dict[str, Any] = {"claims": {}}
 
     # -- record delta tracking ------------------------------------------------------
 
@@ -411,14 +425,22 @@ class _WorkerServer:
         return deltas
 
     def _dump(self) -> dict[str, Any]:
-        """This turn's dump: the claims, open claim locks and down-node
-        set — each only when it moved since the last published dump."""
+        """This turn's dump: the open claim locks and down-node set when
+        they moved since the last published dump, and the claims as a
+        ``(added_or_changed, removed)`` delta against the last published
+        claims (re-read only when the ledger's ``version`` moved)."""
         published = self._published
         dump: dict[str, Any] = {}
         version = self.world.ft.ledger.version
-        if published.get("claims") != version:
-            dump["claims"] = self.world.ft.claims()
-            published["claims"] = version
+        if published.get("claims_version") != version:
+            published["claims_version"] = version
+            claims, before = self.world.ft.claims(), published["claims"]
+            changed = {work_id: holder for work_id, holder in claims.items()
+                       if before.get(work_id) != holder}
+            removed = [work_id for work_id in before if work_id not in claims]
+            if changed or removed:
+                dump["claims"] = (changed, removed)
+                published["claims"] = claims
         for part, value in (("locks", self.ctx.lock_contributions()),
                             ("down", self.world.failures.down_nodes())):
             if published.get(part) != value:
@@ -842,6 +864,10 @@ class ProcShardedWorld(ShardCoordinator):
         # Barrier-merged global state (see the module docstring).
         self._suspended = [False] * n_shards
         self._claims: list[dict] = [{} for _ in range(n_shards)]
+        #: Per receiving shard, per foreign replica, the work ids whose
+        #: claim moved since that shard's last view dispatch.
+        self._claims_queued: list[dict[int, set]] = \
+            [{} for _ in range(n_shards)]
         self._locks: list[dict[int, dict]] = [{} for _ in range(n_shards)]
         self._down: list[frozenset] = [frozenset()] * n_shards
         #: Per shard, the (full) views its worker holds; None until its
@@ -1032,7 +1058,6 @@ class ProcShardedWorld(ShardCoordinator):
             # worker reads a foreign record's final_agent (it is pure
             # inspection surface, served by the coordinator's full
             # copy), and for ballast-heavy agents it dwarfs the record.
-            import dataclasses
             blob = capture(dataclasses.replace(record, final_agent=None))
         for shard in range(self.n_shards):
             if shard != origin:
@@ -1082,22 +1107,27 @@ class ProcShardedWorld(ShardCoordinator):
         """The views to ship ``shard``: a delta against what it holds.
 
         The first dispatch ships the full :meth:`_views_for`; later
-        turns ship only the foreign claims replicas, down sets and lock
-        views that moved, marked ``"delta"`` (the tiny suspension table
-        always ships whole).  Merged by
-        :meth:`RemoteShardContext.update_views`.
+        turns ship, marked ``"delta"``, only the foreign down sets and
+        lock views that moved, and per foreign claims replica the
+        ``(added_or_changed, removed)`` claims queued for ``shard``
+        since its last dispatch — however many turns it skipped or
+        spent suspended (the tiny suspension table always ships
+        whole).  Merged by :meth:`RemoteShardContext.update_views`.
         """
         views = self._views_for(shard)
         sent, self._views_sent[shard] = self._views_sent[shard], views
+        queued, self._claims_queued[shard] = self._claims_queued[shard], {}
         if sent is None:
             return views
+        claims = self._claims
         return {
             "delta": True,
             "suspended": views["suspended"],
-            # _absorb replaces a claims replica only when it changed and
-            # never mutates one, so identity tells which replicas moved.
-            "claims": {j: claims for j, claims in views["claims"].items()
-                       if claims is not sent["claims"][j]},
+            "claims": {
+                j: ({wid: claims[j][wid] for wid in moved
+                     if wid in claims[j]},
+                    [wid for wid in moved if wid not in claims[j]])
+                for j, moved in queued.items()},
             "down": {j: down for j, down in views["down"].items()
                      if down != sent["down"][j]},
             "locks": {j: locks for j, locks in views["locks"].items()
@@ -1127,19 +1157,21 @@ class ProcShardedWorld(ShardCoordinator):
 
         Targets every shard that must act this cycle (running kernels
         with an event due by the barrier, kernels with staged inbox
-        items or records, kernels being revived).  A running kernel with
-        nothing due gets no turn: its clock alone would move, so the
+        items, kernels being revived).  A running kernel with nothing
+        due gets no turn: its clock alone would move, so the
         coordinator moves its copy and the shard catches up with its
-        next state-bearing command (see :meth:`_ShardHandle.send`).  In
-        serial mode each shard's turn completes — and its dumps merge
-        into the canonical views — before the next shard starts, which
-        is what keeps entangled runs identical to the in-process
-        schedule.
+        next state-bearing command (see :meth:`_ShardHandle.send`).
+        Broadcast records alone earn no turn either: they stay in
+        ``_pending_records`` and ride the shard's next ``epoch`` or
+        ``launch`` command, which merges them before it runs any event
+        — and only an executing event reads a record.  In serial mode
+        each shard's turn completes — and its dumps merge into the
+        canonical views — before the next shard starts, which is what
+        keeps entangled runs identical to the in-process schedule.
         """
         targets = []
         for shard, handle in enumerate(self._handles):
-            if self._staged_items[shard] or shard in revives \
-                    or self._pending_records[shard]:
+            if self._staged_items[shard] or shard in revives:
                 targets.append(shard)
             elif run and not handle.suspended:
                 if handle.peek is not None and handle.peek <= barrier:
@@ -1194,9 +1226,16 @@ class ProcShardedWorld(ShardCoordinator):
         dump = reply.get("dump")
         if dump is not None:
             # A dump carries only the parts that moved since the last.
-            claims = dump.get("claims")
-            if claims is not None and claims != self._claims[shard]:
-                self._claims[shard] = claims
+            if "claims" in dump:
+                changed, removed = dump["claims"]
+                replica = self._claims[shard]
+                for work_id in removed:
+                    del replica[work_id]
+                replica.update(changed)
+                moved = changed.keys() | removed
+                for receiver, queued in enumerate(self._claims_queued):
+                    if receiver != shard:
+                        queued.setdefault(shard, set()).update(moved)
             if "down" in dump:
                 self._down[shard] = dump["down"]
             for replica, contribution in dump.get("locks", {}).items():

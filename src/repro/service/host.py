@@ -38,6 +38,7 @@ barrier-consistent state.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import queue
 import threading
 from collections import deque
@@ -303,12 +304,19 @@ class WorldHost:
 
     def subscribe(self, loop: Optional[asyncio.AbstractEventLoop] = None,
                   replay: bool = True) -> Subscription:
-        """Attach one event feed; ``replay`` first delivers the retained
-        backlog (bounded at 1024 events), gap-free with the live tail."""
+        """Attach one event feed; ``replay`` first delivers the newest
+        retained events, gap-free with the live tail.
+
+        The replay fills at most half the subscription's bound
+        (``sub_depth``), so nothing of it is dropped and the live tail
+        has the other half to arrive in before the reader catches up.
+        """
         sub = Subscription(depth=self.sub_depth, loop=loop)
         with self._meta_lock:
             if replay:
-                for item in self._retained:
+                retained = self._retained
+                skip = max(len(retained) - self.sub_depth // 2, 0)
+                for item in itertools.islice(retained, skip, None):
                     sub.offer(item)
             if self._drained.is_set():
                 sub.offer(None)

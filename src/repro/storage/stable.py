@@ -42,6 +42,10 @@ class StableStore:
     def keys(self) -> Iterator[Any]:
         return iter(list(self._data.keys()))
 
+    def items(self) -> list[tuple[Any, Any]]:
+        """A snapshot of the current (possibly tx-staged) contents."""
+        return list(self._data.items())
+
     def put(self, key: Any, value: Any, tx: Optional[Transaction] = None) -> None:
         """Durably set ``key`` to ``value``; undoable when ``tx`` given."""
         if tx is not None:

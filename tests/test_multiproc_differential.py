@@ -428,6 +428,50 @@ def test_pinned_ft_crossshard_input_set_equal_on_both_sharded_backends():
                for o in results[False][0]["outcomes"].values())
 
 
+def test_records_only_barriers_send_no_command():
+    """Input set (seed 11, variant 0) of the ``ft-crossshard`` workload
+    on the serial turn schedule.  Every epoch command goes to a shard
+    with an event due by its barrier, staged bridge items or a
+    revival; broadcast records alone never buy a turn but ride the
+    shard's next command, with the barriers it skipped.  The worker's
+    command count is pinned (435 while records-only turns were
+    taken), and the run equals the in-process one."""
+    inputs = make_inputs("ft-crossshard", 11, 0)
+    inproc = _perf_world(inputs, inproc=True)
+    inproc.enable_trace_digest()
+    inproc.run()
+
+    world = _perf_world(inputs, inproc=False)
+    sent = {handle.shard: 0 for handle in world._handles}
+    records_caught_up = 0
+
+    def spy(handle, send):
+        def wrapped(op, payload):
+            nonlocal records_caught_up
+            if op == "epoch":
+                sent[handle.shard] += 1
+                due = payload["run"] and handle.peek is not None \
+                    and handle.peek <= payload["barrier"]
+                assert due or payload["items"] \
+                    or payload["revive"] is not None, (handle.shard, payload)
+                if payload["records"] and handle.catch_up is not None:
+                    records_caught_up += 1
+            send(op, payload)
+        return wrapped
+
+    try:
+        for handle in world._handles:
+            handle.send = spy(handle, handle.send)
+        world.enable_trace_digest()
+        world.run()
+        assert _perf_observed(world) == _perf_observed(inproc)
+        assert world.trace_digests() == inproc.trace_digests()
+    finally:
+        world.close()
+    assert sent[1] == 316
+    assert records_caught_up > 0
+
+
 def test_pinned_ft_crossshard_input_set_resumes_identically(tmp_path):
     """The same inputs in-process, killed mid-barrier and resumed from
     a reopened file journal, equal the uninterrupted run."""

@@ -347,6 +347,62 @@ def test_view_deltas_rebuild_the_coordinator_views():
     assert seen["partial"] > 0
 
 
+def test_claims_views_stay_exact_through_a_shard_outage():
+    """Claims travel as deltas both ways.  After every barrier of an FT
+    ring whose shard 1 dies and restarts, the coordinator's copy of
+    each claims replica equals the replica itself, and each shard's
+    view of every foreign replica, with the claims still queued for it
+    applied, equals that copy — removals and the claims that moved
+    while the shard was suspended included.  The replicas end holding
+    the in-process run's claims (compared as rows of holders: worker
+    shards mint work ids in their own namespaces)."""
+    def claim_rows(world):
+        return sorted(tuple(sorted(holders.items()))
+                      for holders in world.ledger_claims().values())
+
+    inproc = build_ft_ring("sharded", seed=5)
+    inproc.kill_shard(1, at=0.08, restart_at=2.0)
+    launch_ft_tours(inproc)
+    inproc.run()
+
+    world = build_ft_ring("proc", seed=5)
+    seen = {"removed": 0, "queued_while_suspended": 0}
+    absorb = world._absorb
+
+    def spy(shard, reply):
+        seen["removed"] += len(
+            reply.get("dump", {}).get("claims", ({}, []))[1])
+        absorb(shard, reply)
+
+    world._absorb = spy
+    try:
+        world.kill_shard(1, at=0.08, restart_at=2.0)
+        launch_ft_tours(world)
+        while world.step_epoch():
+            for shard, handle in enumerate(world._handles):
+                assert world._claims[shard] == handle.fetch("ledger")
+                if world._views_sent[shard] is None:
+                    continue  # no turn yet: its first one ships all
+                queued = world._claims_queued[shard]
+                if queued and world.shard_suspended(shard):
+                    seen["queued_while_suspended"] += 1
+                views = handle.fetch("views")["claims"]
+                for replica, view in views.items():
+                    want = world._claims[replica]
+                    for work_id in queued.get(replica, ()):
+                        if work_id in want:
+                            view[work_id] = want[work_id]
+                        else:
+                            view.pop(work_id, None)
+                    assert view == want, (world.epochs_run, shard, replica)
+        assert claim_rows(world) == claim_rows(inproc)
+        assert world.outcomes() == inproc.outcomes()
+    finally:
+        world.close()
+    assert seen["removed"] > 0
+    assert seen["queued_while_suspended"] > 0
+
+
 # -- facade parity ----------------------------------------------------------------
 
 

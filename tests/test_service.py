@@ -348,6 +348,46 @@ def test_subscribe_after_drain_replays_then_ends():
     assert events[-1] == "drain"
 
 
+@pytest.mark.parametrize("kind", ["sync", "async"])
+def test_late_subscriber_replay_runs_gap_free_into_the_live_tail(kind):
+    """A subscriber attached after more events than the host retains
+    gets the newest ones replayed with nothing dropped, and its ``seq``
+    runs on without a gap into the live tail and the end of stream."""
+    spec = WorldSpec.from_json({"backend": "world", "nodes": 4, "seed": 6})
+    host = WorldHost("w-replay", spec).start()
+    for _ in range(40):
+        wait_for_agent(host, host.launch(LaunchSpec(steps=8))["agent"])
+    assert host._seq > host._retained.maxlen
+    loop = asyncio.new_event_loop() if kind == "async" else None
+    sub = host.subscribe(loop=loop)
+    assert sub.dropped == 0
+    record = host.launch(LaunchSpec(steps=8))  # the live tail
+    wait_for_agent(host, record["agent"])
+    host.drain()
+    if kind == "sync":
+        items = []
+        while not items or items[-1] is not None:
+            items.append(sub.get(timeout=5))
+    else:
+        async def consume():
+            got = []
+            while not got or got[-1] is not None:
+                got.extend(await sub.batch())
+            return got
+
+        try:
+            items = loop.run_until_complete(consume())
+        finally:
+            loop.close()
+    seqs = [item["seq"] for item in items[:-1]]
+    assert sub.dropped == 0
+    assert seqs[0] > 1 and seqs == list(range(seqs[0], host._seq + 1))
+    assert any(item["event"] == "launch"
+               and item["data"]["agent"] == record["agent"]
+               for item in items[:-1])
+    assert items[-2]["event"] == "drain"
+
+
 def test_launch_after_drain_raises_host_closed():
     spec = WorldSpec.from_json({"backend": "world", "nodes": 4, "seed": 1})
     host = WorldHost("w-closed", spec).start()
