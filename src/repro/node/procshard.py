@@ -16,8 +16,10 @@ Architecture
 Shards 1..N−1 each run in a worker process behind a pipe.  Shard 0
 runs inside the coordinator, through the very command server a worker
 runs (:class:`_WorkerServer`, reached via :class:`_LocalHandle`): its
-commands and replies still travel as pickles, so no object is shared
-between coordinator and shard state, and it executes under its own
+commands and replies still travel as pickles, except the package bytes
+of its bridge traffic, which pass by reference, so only immutable
+``bytes`` are shared between coordinator and shard state, and it
+executes under its own
 :class:`~repro.scope.Scope`, so its id sequences and serialization
 counters are exactly a worker's and never mix with the coordinator's
 (or with another world living in the same process).  The coordinator
@@ -29,7 +31,10 @@ server and each barrier flush into an explicit exchange:
 * **collect** — every worker's epoch reply carries its bridge outbox
   (agent packages, shadow copies, ledger mirrors — the same
   :class:`~repro.node.sharded._Transfer` objects, pickle-framed and
-  closure-free) plus its agent-record deltas;
+  closure-free) plus its agent-record deltas.  Every package crosses
+  a link as a wire copy (:mod:`repro.node.wire`): a log frame the
+  link's mirrored frame table already holds ships as its key, so each
+  frame crosses a pipe once;
 * **route** — the coordinator's own
   :class:`~repro.node.sharded.CrossShardBridge` re-registers the
   outboxes in shard order (reproducing the in-process global sequence
@@ -126,10 +131,8 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import operator
-import pickle
 import traceback
 import warnings
-from collections import deque
 from typing import Any, Optional
 
 from repro.errors import LockConflict, UsageError, WorkerDied, WorkerError
@@ -142,14 +145,11 @@ from repro.node.sharded import (
     apply_give_up,
     apply_transfer,
 )
+from repro.node.wire import ByReference, FrameTable
 from repro.scope import Scope, entered
 from repro.scope import current as current_scope
 from repro.storage.serialization import assert_picklable, capture, restore
 from repro.tx.locks import LockManager
-
-
-def _dumps(obj: Any) -> bytes:
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _teardown_step(what: str, fn, *exc_types: type) -> bool:
@@ -389,11 +389,14 @@ class _WorkerServer:
     A worker process runs it behind its pipe (:meth:`serve`); the
     coordinator runs shard 0's through a :class:`_LocalHandle`.  Either
     way every command arrives and leaves as a pickle and executes under
-    the shard's own scope (:meth:`serve_one`).
+    the shard's own scope (:meth:`serve_one`); the packages riding its
+    bridge traffic go through the link's end (:mod:`repro.node.wire`):
+    a frame table mirrored across the pipe, or by reference in-process.
     """
 
     def __init__(self, config: dict[str, Any], conn=None):
         self.conn = conn
+        self.link = FrameTable() if conn is not None else ByReference()
         self.stopped = False
         self.scope, self.ctx, self.world = _build_shard(config)
         self._record_prints: dict[str, tuple] = {}
@@ -596,23 +599,40 @@ class _WorkerServer:
 
     # -- serving --------------------------------------------------------------------
 
-    def serve_one(self, raw: bytes) -> bytes:
-        """Execute one pickled command under the shard's scope; return
-        the pickled reply (an error reply when the command raised)."""
+    def serve_one(self, wire: Any) -> Any:
+        """Execute one encoded command under the shard's scope; return
+        the encoded reply.
+
+        A command that cannot be decoded, raises, or whose reply cannot
+        be encoded gets an error reply instead (the coordinator raises
+        it as :class:`~repro.errors.WorkerError`): the server lives on,
+        and the link's tables stay in step.
+        """
+        link = self.link
+        op = None
         with entered(self.scope):
-            op, payload = pickle.loads(raw)
             try:
+                try:
+                    op, payload = link.open(wire)
+                    if payload.get("items"):
+                        payload["items"] = link.in_items(payload["items"])
+                except BaseException:
+                    link.lose()
+                    raise
                 reply = self.handle(op, payload)
                 reply["ok"] = True
                 reply["state"] = self._state()
+                if reply.get("outbox"):
+                    reply["outbox"] = link.out_transfers(reply["outbox"])
+                wire = link.seal(reply)
             except Exception as exc:  # noqa: BLE001 - shipped to coordinator
-                reply = {"ok": False,
-                         "error": f"{type(exc).__name__}: {exc}",
-                         "traceback": traceback.format_exc()}
-            blob = _dumps(reply)
-        if op == "epoch":
-            self.scope.stats["ipc_bytes_copied"] += len(blob)
-        return blob
+                wire = link.seal({"ok": False,
+                                  "error": f"{type(exc).__name__}: {exc}",
+                                  "traceback": traceback.format_exc()})
+            if op == "epoch":
+                self.scope.stats["ipc_bytes_copied"] += link.pickled_bytes(
+                    wire)
+        return wire
 
     def serve(self) -> None:
         """Run the pipe loop until shutdown or the parent is gone."""
@@ -643,15 +663,22 @@ def _worker_entry(conn, config: dict[str, Any]) -> None:
 class _ShardHandle:
     """Coordinator-side end of one shard's command channel.
 
-    :meth:`send` pickles a command, :meth:`recv` unpickles its reply and
-    mirrors the shard's clock state; subclasses move the bytes.
+    :meth:`send` encodes a command, :meth:`recv` decodes its reply and
+    mirrors the shard's clock state; subclasses move the encoded
+    message.  A link carries one message at a time, which its frame
+    table relies on (:mod:`repro.node.wire`): a second :meth:`send`
+    before the reply is received is refused.
     """
 
     #: The worker process (None for the coordinator-hosted shard).
     process = None
 
-    def __init__(self, shard: int):
+    def __init__(self, shard: int, link: "FrameTable | ByReference"):
         self.shard = shard
+        #: This end of the link (:mod:`repro.node.wire`).
+        self.link = link
+        #: The op whose reply has not been received yet.
+        self.in_flight: Optional[str] = None
         self.peek: Optional[float] = None
         self.now: float = 0.0
         self.suspended = False
@@ -660,23 +687,48 @@ class _ShardHandle:
         #: rides the shard's next state-bearing command.
         self.catch_up: Optional[float] = None
 
-    def _transmit(self, blob: bytes) -> None:
+    def _transmit(self, wire: Any) -> None:
         raise NotImplementedError
 
-    def _receive(self) -> bytes:
+    def _receive(self) -> Any:
         raise NotImplementedError
 
     def send(self, op: str, payload: dict[str, Any]) -> None:
-        if self.catch_up is not None and op in _STATE_OPS:
-            payload = dict(payload, catch_up=self.catch_up)
+        # ``shutdown`` ends the link, so it may follow a reply a failed
+        # walk never collected.
+        if self.in_flight is not None and op != "shutdown":
+            raise RuntimeError(
+                f"shard {self.shard}: {op!r} sent while the reply to "
+                f"{self.in_flight!r} is in flight")
+        catch_up = self.catch_up if op in _STATE_OPS else None
+        if catch_up is not None:
+            payload = dict(payload, catch_up=catch_up)
+        link = self.link
+        if payload.get("items"):
+            payload = dict(payload, items=link.out_items(payload["items"]))
+        wire = link.seal((op, payload))
+        if catch_up is not None:
             self.catch_up = None
-        blob = _dumps((op, payload))
         if op == "epoch":
-            current_scope().stats["ipc_bytes_copied"] += len(blob)
-        self._transmit(blob)
+            current_scope().stats["ipc_bytes_copied"] += link.pickled_bytes(
+                wire)
+        self._transmit(wire)
+        self.in_flight = op
 
     def recv(self) -> dict[str, Any]:
-        reply = pickle.loads(self._receive())
+        try:
+            wire = self._receive()
+        finally:
+            self.in_flight = None
+        link = self.link
+        try:
+            reply = link.open(wire)
+            if reply.get("outbox"):
+                reply["outbox"] = link.in_transfers(reply["outbox"])
+        except Exception as exc:
+            link.lose()
+            raise WorkerError(self.shard, f"undecodable reply: "
+                              f"{type(exc).__name__}: {exc}") from exc
         if not reply.get("ok"):
             raise WorkerError(self.shard, reply.get("error", "unknown"),
                               reply.get("traceback", ""))
@@ -703,16 +755,16 @@ class _WorkerHandle(_ShardHandle):
     """The pipe and process of one shard worker."""
 
     def __init__(self, shard: int, process, conn):
-        super().__init__(shard)
+        super().__init__(shard, FrameTable())
         self.process = process
         self.conn = conn
 
     def _died(self) -> WorkerDied:
         return WorkerDied(self.shard, self.process.exitcode)
 
-    def _transmit(self, blob: bytes) -> None:
+    def _transmit(self, wire: bytes) -> None:
         try:
-            self.conn.send_bytes(blob)
+            self.conn.send_bytes(wire)
         except (BrokenPipeError, OSError):
             raise self._died() from None
 
@@ -730,23 +782,25 @@ class _LocalHandle(_ShardHandle):
     """The shard the coordinator process hosts itself (shard 0).
 
     Runs the same :class:`_WorkerServer` a worker process runs, and
-    keeps the pickle round trip in both directions, so no object is
-    ever shared between coordinator and shard state.  A command
-    executes when its reply is collected, not when it is sent: a
-    parallel cycle dispatches every worker first and then runs this
-    shard while they work.
+    keeps the pickle round trip in both directions; only the package
+    bytes riding bridge traffic (agent blobs and log frames) pass by
+    reference, so only immutable ``bytes`` are ever shared between
+    coordinator and shard state.  A command executes when its reply is
+    collected, not when it is sent: a parallel cycle dispatches every
+    worker first and then runs this shard while they work.
     """
 
     def __init__(self, shard: int, config: dict[str, Any]):
-        super().__init__(shard)
+        super().__init__(shard, ByReference())
         self.server = _WorkerServer(config)
-        self._queued: deque[bytes] = deque()
+        self._queued: Any = None
 
-    def _transmit(self, blob: bytes) -> None:
-        self._queued.append(blob)
+    def _transmit(self, wire: Any) -> None:
+        self._queued = wire
 
-    def _receive(self) -> bytes:
-        return self.server.serve_one(self._queued.popleft())
+    def _receive(self) -> Any:
+        wire, self._queued = self._queued, None
+        return self.server.serve_one(wire)
 
 
 class NodeProxy:

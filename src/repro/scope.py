@@ -55,10 +55,14 @@ SEQUENCES = NAMESPACED + ("message", "tx", "mailbox", "receipt", "agent")
 #: lazily at unpack vs actually unpickled later on first read (the gap
 #: is the per-hop ``pickle.loads`` work lazy hydration avoided).
 #:
-#: ``ipc_bytes_copied`` counts the pickled epoch and reply blobs of the
-#: process backend's barrier exchange (see :mod:`repro.node.procshard`).
-#: The pipe is the only barrier wire, so ``ipc_bytes_framed``,
-#: ``ipc_bytes_control``, ``frame_reused`` and ``ring_spills`` (the
+#: ``ipc_bytes_copied`` counts the bytes actually pickled onto a shard
+#: link by the process backend's barrier exchange, epoch commands and
+#: their replies (see :mod:`repro.node.procshard`): a log frame that
+#: ships as a frame-table key, and the package bytes the hosted shard
+#: gets by reference, are not in it.  ``frame_reused`` counts the
+#: frame-table hits, the frames that shipped as a key instead of again
+#: (see :mod:`repro.node.wire`).  The pipe is the only barrier wire, so
+#: ``ipc_bytes_framed``, ``ipc_bytes_control`` and ``ring_spills`` (the
 #: accounting of the retired shared-memory ring wire) stay 0; they are
 #: kept so per-layer readers find every key.
 #:
