@@ -345,7 +345,7 @@ class BridgedFaultTolerance(FaultTolerance):
         #: ShardedWorld` in-process, or a :class:`~repro.node.procshard.
         #: RemoteShardContext` inside a worker process.  Everything this
         #: driver needs from *other* shards goes through its narrow
-        #: surface (placement map, foreign liveness, replica locks and
+        #: surface (placement map, the barrier view, replica locks and
         #: claim reads, the bridge), which is what lets the same
         #: protocol code run against live sibling worlds or against
         #: barrier-synchronised views without behavioural difference.
@@ -401,12 +401,14 @@ class BridgedFaultTolerance(FaultTolerance):
         # winner's claim).  A suspended kernel (whole-shard outage)
         # takes its replica down with it; individual node crashes do
         # not — each shard's ledger replica models that shard's
-        # always-available observer set.  Deterministic shard order.
-        for shard in self.sharded.live_shard_indices():
+        # always-available observer set.  Which replicas are live is
+        # the barrier view's answer, like every foreign liveness read.
+        # Deterministic shard order.
+        for shard in self.sharded.view.live_shards():
             self.sharded.claim_lock(tx, shard, work_id)
 
     def _read_claim(self, work_id: int) -> Optional[str]:
-        live = self.sharded.live_shard_indices()
+        live = self.sharded.view.live_shards()
         metrics = self.world.metrics
         metrics.incr("ft.ledger.quorum_reads")
         if 2 * len(live) <= self.sharded.n_shards:

@@ -150,12 +150,8 @@ def _apply_op(world, kind: str, data: dict[str, Any]) -> None:
     elif kind == "add_resource":
         world.node(data["node"]).add_resource(restore(data["blob"]))
     elif kind == "share_resource":
-        node = world.node(data["node"])
-        if hasattr(node, "share_resource_from"):  # worker-process proxy
-            node.share_resource_from(data["from_node"], data["name"])
-        else:
-            source = world.node(data["from_node"])
-            node.share_resource(source.get_resource(data["name"]))
+        world.node(data["node"]).share_resource_from(data["from_node"],
+                                                     data["name"])
     elif kind in ("set_alternates", "ft_alternates"):
         # ``ft_alternates``: older journals' name for it (see OP_KINDS).
         world.set_alternates(data["node"], *data["alternates"])

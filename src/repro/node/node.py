@@ -82,12 +82,23 @@ class Node:
         """Host a resource replicated on several nodes (FT rollback).
 
         The resource keeps its primary attachment; this node gains
-        access for alternate compensation execution.
+        access for alternate compensation execution.  Like
+        :meth:`add_resource`, a name this node already hosts is refused
+        before anything is journaled.
         """
+        if resource.name in self.resources:
+            raise UsageError(f"{self.name}: resource {resource.name!r} exists")
         self.world.facade._journal_op("share_resource", node=self.name,
                                       from_node=resource.node,
                                       name=resource.name)
         self.resources[resource.name] = resource
+
+    def share_resource_from(self, from_node: str, name: str) -> None:
+        """Share ``from_node``'s resource ``name`` (see
+        :meth:`share_resource`): the by-name form every backend's nodes
+        take, which is how a journal replays the op."""
+        self.share_resource(
+            self.world.facade.node(from_node).get_resource(name))
 
     def get_resource(self, name: str) -> TransactionalResource:
         resource = self.resources.get(name)

@@ -71,9 +71,14 @@ Entangled workloads and the serial turn schedule
 ------------------------------------------------
 
 Fault-tolerant runs read *live* foreign state mid-epoch: quorum claim
-locks and reads against every shard's ledger replica, and foreign-node
-liveness for the takeover watchdog and step diversion.  Running such
-epochs in parallel would make those reads race — and with them the
+locks and reads against every shard's ledger replica.  (Foreign-node
+liveness and shard suspension are not live reads: on both backends
+they come from the barrier view,
+:class:`~repro.node.sharded.BarrierView`, taken at the barrier before
+any shard runs; it rides each epoch command that finds the shard
+holding an older one, and a shard's down-node set reaches the
+coordinator in its reply state whenever it moved.)  Running such
+epochs in parallel would make the claim reads race — and with them the
 promotion-vs-primary claim arbitration, which must be deterministic
 (the winner decides *where* effects land).  The driver therefore picks
 a schedule per run:
@@ -85,8 +90,7 @@ a schedule per run:
 * **serial turns** — when the workload is *entangled*: within each
   epoch the workers take turns in shard order, exactly like the
   in-process driver.  Each turn ships barrier-fresh views of every
-  foreign replica's claims and open claim locks, every foreign shard's
-  down-node set and the suspension table (served locally by
+  foreign replica's claims and open claim locks (served locally by
   :class:`RemoteShardContext`), and returns the worker's own dumps.
   Both directions travel as deltas: a dump ships only the worker's
   parts that moved since its last dump, and a view only the foreign
@@ -138,6 +142,7 @@ from typing import Any, Optional
 from repro.errors import LockConflict, UsageError, WorkerDied, WorkerError
 from repro.node.lockstep import aggregate_counters
 from repro.node.sharded import (
+    BarrierView,
     CrossShardBridge,
     ShardCoordinator,
     ShardWorld,
@@ -237,11 +242,14 @@ class RemoteShardContext:
     Implements the narrow cross-shard surface a
     :class:`~repro.node.sharded.ShardWorld` and its
     :class:`~repro.exactly_once.fault_tolerant.BridgedFaultTolerance`
-    read from other shards — placement, foreign liveness, suspension,
-    replica claim locks/reads, the bridge, the last flush time — from
-    coordinator-supplied views instead of live sibling worlds.  Under
-    the serial turn schedule the views are refreshed between turns, so
-    each answer equals the live read the in-process driver would have
+    read from other shards — placement, the barrier view, replica claim
+    locks/reads, the bridge, the last flush time — from
+    coordinator-supplied state instead of live sibling worlds.  The
+    barrier view (foreign liveness and suspension) is the very
+    :class:`~repro.node.sharded.BarrierView` the coordinator took at the
+    barrier, riding the epoch command whenever it changed.  The claim
+    and lock views are refreshed between serial turns, so each claim
+    answer equals the live read the in-process driver would have
     performed at the same point of the epoch.
     """
 
@@ -257,8 +265,7 @@ class RemoteShardContext:
         #: coordinator to collect; never routes anything itself.
         self.bridge = CrossShardBridge(n_shards)
         self.last_flush_at = float("-inf")
-        self._suspended_view = [False] * n_shards
-        self._down_view: dict[int, frozenset] = {}
+        self.view = BarrierView.initial(n_shards)
         self._claims_view: dict[int, dict] = {}
         self._locks_view: dict[int, dict] = {}
         #: Local mirrors of the foreign replicas' lock managers: they
@@ -290,9 +297,7 @@ class RemoteShardContext:
         """Install coordinator views: replace on a full view, merge a
         ``"delta"`` (which carries only the parts that moved; claims as
         ``(added_or_changed, removed)`` per replica)."""
-        self._suspended_view = views["suspended"]
         if views.get("delta"):
-            self._down_view.update(views["down"])
             for shard, (changed, removed) in views["claims"].items():
                 replica = self._claims_view[shard]
                 for work_id in removed:
@@ -300,26 +305,12 @@ class RemoteShardContext:
                 replica.update(changed)
             self._locks_view.update(views["locks"])
         else:
-            self._down_view = dict(views["down"])
             self._claims_view = dict(views["claims"])
             self._locks_view = dict(views["locks"])
 
     def views(self) -> dict[str, Any]:
         """The merged foreign views this context currently serves."""
-        return {"suspended": self._suspended_view, "down": self._down_view,
-                "claims": self._claims_view, "locks": self._locks_view}
-
-    def foreign_node_up(self, shard: int, name: str) -> bool:
-        return name not in self._down_view.get(shard, ())
-
-    def shard_suspended(self, shard: int) -> bool:
-        if shard == self.shard_index:
-            return self.world.sim.suspended
-        return self._suspended_view[shard]
-
-    def live_shard_indices(self) -> list[int]:
-        return [shard for shard in range(self.n_shards)
-                if not self.shard_suspended(shard)]
+        return {"claims": self._claims_view, "locks": self._locks_view}
 
     # -- replica quorum surface ----------------------------------------------------
 
@@ -405,8 +396,10 @@ class _WorkerServer:
         self._scanned_at: Optional[int] = None
         #: What the turn dumps last published, so a dump ships only
         #: what moved: the claims themselves (and the ledger version
-        #: they were read at), the lock contributions, the down set.
+        #: they were read at) and the lock contributions.
         self._published: dict[str, Any] = {"claims": {}}
+        #: The down-node set the last reply's state carried.
+        self._published_down = self.world.failures.down_nodes()
 
     # -- record delta tracking ------------------------------------------------------
 
@@ -428,8 +421,8 @@ class _WorkerServer:
         return deltas
 
     def _dump(self) -> dict[str, Any]:
-        """This turn's dump: the open claim locks and down-node set when
-        they moved since the last published dump, and the claims as a
+        """This turn's dump: the open claim locks when they moved since
+        the last published dump, and the claims as a
         ``(added_or_changed, removed)`` delta against the last published
         claims (re-read only when the ledger's ``version`` moved)."""
         published = self._published
@@ -444,21 +437,27 @@ class _WorkerServer:
             if changed or removed:
                 dump["claims"] = (changed, removed)
                 published["claims"] = claims
-        for part, value in (("locks", self.ctx.lock_contributions()),
-                            ("down", self.world.failures.down_nodes())):
-            if published.get(part) != value:
-                dump[part] = published[part] = value
+        locks = self.ctx.lock_contributions()
+        if published.get("locks") != locks:
+            dump["locks"] = published["locks"] = locks
         return dump
 
     # -- command handlers -----------------------------------------------------------
 
     def _state(self) -> dict[str, Any]:
-        return {
-            "peek": self.world.sim.peek_time(),
-            "now": self.world.sim.now,
-            "suspended": self.world.sim.suspended,
-            "events": self.world.sim.events_processed,
+        """The kernel state every reply carries; the down-node set only
+        when it moved (only an epoch runs the events that move it)."""
+        sim = self.world.sim
+        state = {
+            "peek": sim.peek_time(),
+            "now": sim.now,
+            "suspended": sim.suspended,
+            "events": sim.events_processed,
         }
+        down = self.world.failures.down_nodes()
+        if down != self._published_down:
+            state["down"] = self._published_down = down
+        return state
 
     def handle(self, op: str, payload: dict[str, Any]) -> dict[str, Any]:
         catch_up = payload.get("catch_up")
@@ -533,6 +532,9 @@ class _WorkerServer:
 
     def _handle_epoch(self, payload: dict[str, Any]) -> dict[str, Any]:
         world, ctx = self.world, self.ctx
+        view = payload.get("view")
+        if view is not None:
+            ctx.view = view
         if payload["views"] is not None:
             ctx.update_views(payload["views"])
         ctx.last_flush_at = payload["last_flush_at"]
@@ -683,6 +685,10 @@ class _ShardHandle:
         self.now: float = 0.0
         self.suspended = False
         self.events = 0
+        #: The shard's down-node set, as of its last reply that moved it.
+        self.down: frozenset = frozenset()
+        #: The barrier view the shard holds.
+        self.view: Optional[BarrierView] = None
         #: The last barrier of an idle turn the coordinator skipped;
         #: rides the shard's next state-bearing command.
         self.catch_up: Optional[float] = None
@@ -739,6 +745,7 @@ class _ShardHandle:
         self.now = max(self.now, state["now"])
         self.suspended = state["suspended"]
         self.events = state["events"]
+        self.down = state.get("down", self.down)
         return reply
 
     def request(self, op: str, payload: Optional[dict[str, Any]] = None
@@ -837,16 +844,23 @@ class NodeProxy:
         worlds allow cross-shard sharing as a modelling convenience;
         worker mode makes the cost of that convenience explicit).
         """
-        if self._world.shard_of(from_node) != self.shard:
+        world = self._world
+        if world.shard_of(from_node) != self.shard:
             raise UsageError(
                 f"cannot share a resource across worker processes "
                 f"({from_node!r} is not in shard {self.shard})")
-        self._world._journal_op("share_resource", node=self.name,
-                                from_node=from_node, name=resource)
-        self._world._handles[self.shard].request(
+        # Refused before it is journaled, as Node.share_resource does.
+        if resource not in world._resource_names.get(from_node, ()):
+            raise UsageError(f"{from_node}: no resource {resource!r}")
+        hosted = world._resource_names.setdefault(self.name, set())
+        if resource in hosted:
+            raise UsageError(f"{self.name}: resource {resource!r} exists")
+        world._journal_op("share_resource", node=self.name,
+                          from_node=from_node, name=resource)
+        world._handles[self.shard].request(
             "share_resource", {"node": self.name, "from_node": from_node,
                                "resource": resource})
-        self._world._resource_names.setdefault(self.name, set()).add(resource)
+        hosted.add(resource)
 
     def get_resource(self, name: str):
         """A pickled snapshot of the resource's current worker-side state.
@@ -923,7 +937,6 @@ class ProcShardedWorld(ShardCoordinator):
         self._claims_queued: list[dict[int, set]] = \
             [{} for _ in range(n_shards)]
         self._locks: list[dict[int, dict]] = [{} for _ in range(n_shards)]
-        self._down: list[frozenset] = [frozenset()] * n_shards
         #: Per shard, the (full) views its worker holds; None until its
         #: first view dispatch.
         self._views_sent: list[Optional[dict]] = [None] * n_shards
@@ -945,6 +958,8 @@ class ProcShardedWorld(ShardCoordinator):
             child_conn.close()
             self._handles.append(_WorkerHandle(index, process, parent_conn))
         self._handles.insert(0, _LocalHandle(0, dict(config, shard_index=0)))
+        for handle in self._handles:
+            handle.view = self.view  # every shard starts with it
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -1036,6 +1051,8 @@ class ProcShardedWorld(ShardCoordinator):
             self._suspended[outage.shard] = False
             revives[outage.shard] = (
                 outage.restart_at, self.bridge.take_backlog(outage.shard))
+        self.view = self.view.retaken(
+            tuple(self._suspended), tuple([h.down for h in self._handles]))
         self._cycle(barrier=barrier, run=True, max_events=max_events,
                     revives=revives)
 
@@ -1149,9 +1166,6 @@ class ProcShardedWorld(ShardCoordinator):
                     merged[work_id] = (owner, txid)
             locks[replica] = merged
         return {
-            "suspended": list(self._suspended),
-            "down": {j: self._down[j] for j in range(self.n_shards)
-                     if j != shard},
             "claims": {j: self._claims[j] for j in range(self.n_shards)
                        if j != shard},
             "locks": locks,
@@ -1161,12 +1175,11 @@ class ProcShardedWorld(ShardCoordinator):
         """The views to ship ``shard``: a delta against what it holds.
 
         The first dispatch ships the full :meth:`_views_for`; later
-        turns ship, marked ``"delta"``, only the foreign down sets and
-        lock views that moved, and per foreign claims replica the
-        ``(added_or_changed, removed)`` claims queued for ``shard``
-        since its last dispatch — however many turns it skipped or
-        spent suspended (the tiny suspension table always ships
-        whole).  Merged by :meth:`RemoteShardContext.update_views`.
+        turns ship, marked ``"delta"``, only the lock views that moved,
+        and per foreign claims replica the ``(added_or_changed,
+        removed)`` claims queued for ``shard`` since its last dispatch
+        — however many turns it skipped or spent suspended.  Merged by
+        :meth:`RemoteShardContext.update_views`.
         """
         views = self._views_for(shard)
         sent, self._views_sent[shard] = self._views_sent[shard], views
@@ -1176,14 +1189,11 @@ class ProcShardedWorld(ShardCoordinator):
         claims = self._claims
         return {
             "delta": True,
-            "suspended": views["suspended"],
             "claims": {
                 j: ({wid: claims[j][wid] for wid in moved
                      if wid in claims[j]},
                     [wid for wid in moved if wid not in claims[j]])
                 for j, moved in queued.items()},
-            "down": {j: down for j, down in views["down"].items()
-                     if down != sent["down"][j]},
             "locks": {j: locks for j, locks in views["locks"].items()
                       if locks != sent["locks"][j]},
         }
@@ -1192,7 +1202,7 @@ class ProcShardedWorld(ShardCoordinator):
                        run: bool, max_events: int,
                        revives: dict) -> dict[str, Any]:
         handle = self._handles[shard]
-        return {
+        payload = {
             "barrier": barrier,
             "run": run and (not handle.suspended or shard in revives),
             "max_events": max_events,
@@ -1204,6 +1214,10 @@ class ProcShardedWorld(ShardCoordinator):
             "want_dump": self._entangled,
             "ship_records": self._entangled,
         }
+        if handle.view is not self.view:
+            # The barrier view rides the command only when it moved.
+            payload["view"] = handle.view = self.view
+        return payload
 
     def _cycle(self, barrier: Optional[float], run: bool,
                max_events: int, revives: dict) -> None:
@@ -1290,8 +1304,6 @@ class ProcShardedWorld(ShardCoordinator):
                 for receiver, queued in enumerate(self._claims_queued):
                     if receiver != shard:
                         queued.setdefault(shard, set()).update(moved)
-            if "down" in dump:
-                self._down[shard] = dump["down"]
             for replica, contribution in dump.get("locks", {}).items():
                 self._locks[replica][shard] = contribution
 
@@ -1331,8 +1343,8 @@ class ProcShardedWorld(ShardCoordinator):
         return [h.fetch("trace_digest") for h in self._handles]
 
     def timelines(self) -> list[list]:
-        """None: shard timelines stay in their own processes (the
-        service reports ``agent`` / ``epoch`` events instead)."""
+        """An empty list: shard timelines stay in their own processes
+        (the service reports ``agent`` / ``epoch`` events instead)."""
         return []
 
     def _replica_claims(self, shard: int) -> dict[int, str]:

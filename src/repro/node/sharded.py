@@ -53,10 +53,13 @@ rescan re-dispatches the durable queues — stale primaries then discard
 themselves against the replicated ledger.
 
 Failure semantics across shards differ from the in-world case in two
-bounded ways.  Reachability/liveness checks against a remote-shard node
-consult that shard's failure injector, whose state may lag the querying
-shard by at most one epoch (kernels only synchronise at barriers).  And
-the destination's *transaction manager* cannot be enlisted across
+bounded ways.  The barrier rule: every mid-epoch read of another
+shard's node liveness or suspension — reachability, the takeover
+watchdog, the ledger quorum's live replicas — answers from one view
+taken at the epoch's opening barrier (:class:`BarrierView`), so a crash
+or kill in one shard shows in the others from the next barrier on,
+exactly one epoch (the network latency) later, whichever order the
+shards run in.  And the destination's *transaction manager* cannot be enlisted across
 kernels, so a destination crash inside the shipping commit window
 aborts the transaction in an unsharded run but lets it commit in a
 sharded one — the bridged package then simply waits in the durable
@@ -147,6 +150,56 @@ class _ShardOutage:
     at: float
     restart_at: Optional[float] = None
     revived: bool = False
+
+
+class BarrierView:
+    """What every shard knows of the others for one epoch.
+
+    Taken at each barrier, after the due revivals and before any kernel
+    runs: one suspended flag and one down-node set per shard.  Every
+    mid-epoch read of *another* shard's node liveness
+    (:meth:`ShardWorld.node_up` / :meth:`ShardWorld.reachable`) and of
+    which ledger replicas are live (the bridged claim quorum) answers
+    from it, on both sharded backends.  So a crash or a whole-shard
+    kill is seen by the other shards from the next barrier on — one
+    epoch, one network latency, later — never sooner because of the
+    order the shards happen to run in.
+
+    Immutable and built from references: the down sets are the failure
+    injectors' own frozensets (see
+    :meth:`~repro.sim.failures.FailureInjector.down_nodes`), and
+    :meth:`retaken` keeps the view when nothing moved.
+    """
+
+    __slots__ = ("suspended", "down", "_live")
+
+    def __init__(self, suspended: tuple[bool, ...],
+                 down: tuple[frozenset, ...]):
+        self.suspended = suspended
+        self.down = down
+        self._live = tuple(shard for shard, halted in enumerate(suspended)
+                           if not halted)
+
+    @classmethod
+    def initial(cls, n_shards: int) -> "BarrierView":
+        """Every shard running, no node down."""
+        return cls((False,) * n_shards, (frozenset(),) * n_shards)
+
+    def node_up(self, shard: int, name: str) -> bool:
+        """Was ``name``, hosted by ``shard``, up at the barrier?"""
+        return name not in self.down[shard]
+
+    def live_shards(self) -> tuple[int, ...]:
+        """The shards whose kernels ran at the barrier, in shard order."""
+        return self._live
+
+    def retaken(self, suspended: tuple[bool, ...],
+                down: tuple[frozenset, ...]) -> "BarrierView":
+        """The view of ``suspended`` and ``down``: this one when neither
+        moved (no kill, revival, crash or recovery since)."""
+        if suspended == self.suspended and down == self.down:
+            return self
+        return BarrierView(suspended, down)
 
 
 class CrossShardBridge:
@@ -365,8 +418,8 @@ class ShardWorld(World):
     seams: the delivery seam (a package whose destination node lives in
     another shard is handed to the bridge as a commit action of the
     shipping transaction), the liveness seam (``node_up`` /
-    ``reachable`` consult the owning shard's failure injector for
-    foreign nodes), and the fault-tolerance driver (the bridged,
+    ``reachable`` answer for foreign nodes from the barrier view, see
+    :class:`BarrierView`), and the fault-tolerance driver (the bridged,
     ledger-replicated variant).  It shares its sharded world's scope,
     and ops on its nodes are journaled by that world (its ``facade``).
     """
@@ -391,29 +444,29 @@ class ShardWorld(World):
     def node_up(self, name: str) -> bool:
         """Liveness, extended to nodes hosted by other shards.
 
-        The answer for a foreign node may lag this kernel by at most
-        one epoch (kernels only synchronise at barriers).
+        A foreign node's answer is its liveness at the last barrier
+        (:class:`BarrierView`): a crash in its shard mid-epoch shows
+        here from the next barrier on.
         """
         if name != LEDGER_NODE and name not in self.nodes:
             shard = self._sharded.placement_of(name)
             if shard is not None:
-                return self._sharded.foreign_node_up(shard, name)
+                return self._sharded.view.node_up(shard, name)
         return super().node_up(name)
 
     def reachable(self, a: str, b: str) -> bool:
         """Reachability, extended to nodes hosted by other shards.
 
-        For a remote-shard destination the owning shard's failure
-        injector is consulted — its state lags this kernel by at most
-        one epoch (shards only synchronise at barriers), which bounds
-        how stale a cross-shard up/down answer can be.  Cross-shard
-        links have no partition model; node liveness is the signal.
+        A remote-shard destination is reachable when ``a`` is up and
+        the barrier view (:class:`BarrierView`) has ``b`` up: the
+        answer is at most one epoch old.  Cross-shard links have no
+        partition model; node liveness is the signal.
         """
         if b != LEDGER_NODE and b not in self.nodes:
             shard = self._sharded.placement_of(b)
             if shard is not None:
                 return (self.failures.node_up(a)
-                        and self._sharded.foreign_node_up(shard, b))
+                        and self._sharded.view.node_up(shard, b))
         return super().reachable(a, b)
 
     # -- whole-kernel outage handling (shared by both shard drivers) ------------------
@@ -533,6 +586,9 @@ class ShardCoordinator(LockstepWorld):
         self.agents: dict[str, AgentRecord] = {}
         self._node_shard: dict[str, int] = {}
         self._outages: list[_ShardOutage] = []
+        #: What every mid-epoch foreign read answers from; retaken at
+        #: each barrier by ``_advance``.
+        self.view = BarrierView.initial(n_shards)
         self._record_journal_config()
 
     # -- topology -------------------------------------------------------------------
@@ -741,9 +797,13 @@ class ShardedWorld(ShardCoordinator):
 
     def _advance(self, barrier: float, revivals: list[_ShardOutage],
                  max_events: int) -> None:
+        shards = self.shards
         for outage in revivals:
-            self.shards[outage.shard].schedule_revival(
+            shards[outage.shard].schedule_revival(
                 outage.restart_at, self.bridge.take_backlog(outage.shard))
+        self.view = self.view.retaken(
+            tuple([world.sim.suspended for world in shards]),
+            tuple([world.failures.down_nodes() for world in shards]))
         super()._advance(barrier, revivals, max_events)
 
     def _flush(self, barrier: float) -> None:
@@ -767,32 +827,25 @@ class ShardedWorld(ShardCoordinator):
     def node(self, name: str) -> "Node":
         return self.world_of(name).node(name)
 
-    # -- cross-shard state seams (the worker-mode boundary) ---------------------------
-    #
-    # Everything a ShardWorld or its BridgedFaultTolerance reads from
-    # *another* shard mid-epoch funnels through these methods.  The
-    # in-process implementations read the live sibling worlds; the
-    # multiprocess driver gives each worker a
-    # :class:`~repro.node.procshard.RemoteShardContext` implementing
-    # the same surface from barrier-synchronised views, which the
-    # serial-turn schedule keeps byte-identical to the live reads.
-
-    def placement_of(self, name: str) -> Optional[int]:
-        """Shard index hosting node ``name`` (None when unknown)."""
-        return self._node_shard.get(name)
-
-    def foreign_node_up(self, shard: int, name: str) -> bool:
-        """Liveness of ``name`` as seen by its owning shard's injector."""
-        return self.shards[shard].failures.node_up(name)
-
     def shard_suspended(self, shard: int) -> bool:
         """True while ``shard``'s kernel is halted by an outage."""
         return self.shards[shard].sim.suspended
 
-    def live_shard_indices(self) -> list[int]:
-        """Indices of the non-suspended shards, in shard order."""
-        return [world.shard_index for world in self.shards
-                if not world.sim.suspended]
+    # -- cross-shard state seams (the worker-mode boundary) ---------------------------
+    #
+    # Everything a ShardWorld or its BridgedFaultTolerance reads from
+    # *another* shard mid-epoch comes from here: placement, ``view``
+    # (the barrier view: foreign liveness and suspension, the same
+    # object on both backends), and the ledger replicas' claim locks
+    # and claims.  The in-process claim reads go to the live sibling
+    # worlds; the multiprocess driver gives each worker a
+    # :class:`~repro.node.procshard.RemoteShardContext` that serves
+    # them from per-turn views, which the serial-turn schedule keeps
+    # byte-identical to the live reads.
+
+    def placement_of(self, name: str) -> Optional[int]:
+        """Shard index hosting node ``name`` (None when unknown)."""
+        return self._node_shard.get(name)
 
     def claim_lock(self, tx: "Transaction", shard: int,
                    work_id: int) -> None:

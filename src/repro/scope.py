@@ -67,7 +67,7 @@ SEQUENCES = NAMESPACED + ("message", "tx", "mailbox", "receipt", "agent")
 #: kept so per-layer readers find every key.
 #:
 #: ``teardown.suppressed`` counts errors swallowed during best-effort
-#: teardown (worker shutdown, shm unlink, pipe close): each one also
+#: teardown (worker shutdown, terminate, pipe close): each one also
 #: emits a :class:`ResourceWarning`, so a teardown failure has a
 #: counter and a message instead of a silent ``pass``.
 STAT_KEYS = (

@@ -141,8 +141,9 @@ class Gateway:
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> tuple[str, int]:
         """Bind and serve; returns the bound ``(host, port)``."""
+        # The reader's limit is the head cap: a longer head overruns it.
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port)
+            self._handle_connection, host, port, limit=_MAX_HEADER)
         sock = self._server.sockets[0]
         bound = sock.getsockname()
         return bound[0], bound[1]
@@ -178,10 +179,12 @@ class Gateway:
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> tuple[str, str, dict[str, str], bytes]:
-        head = await asyncio.wait_for(
-            reader.readuntil(b"\r\n\r\n"), timeout=30)
-        if len(head) > _MAX_HEADER:
-            raise _HttpError(413, "request head too large")
+        try:
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=30)
+        except asyncio.LimitOverrunError:
+            raise _HttpError(413, f"request head exceeds {_MAX_HEADER} "
+                                  f"bytes") from None
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
@@ -194,7 +197,10 @@ class Gateway:
                 continue
             key, _, value = line.partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        field = headers.get("content-length", "0") or "0"
+        if not (field.isascii() and field.isdigit()):
+            raise _HttpError(400, f"malformed Content-Length {field!r}")
+        length = int(field)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body of {length} bytes exceeds "
                                   f"{_MAX_BODY}")

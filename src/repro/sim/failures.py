@@ -56,7 +56,7 @@ class FailureInjector:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self._rng = sim.fork_rng("failures")
-        self._down: set[str] = set()
+        self._down: frozenset[str] = frozenset()
         self._partitioned: set[frozenset[str]] = set()
         self._crash_handlers: dict[str, list[Callable[[], None]]] = {}
         self._recover_handlers: dict[str, list[Callable[[], None]]] = {}
@@ -84,8 +84,13 @@ class FailureInjector:
         return frozenset((a, b)) not in self._partitioned
 
     def down_nodes(self) -> frozenset[str]:
-        """The currently-down node set (barrier snapshots in worker mode)."""
-        return frozenset(self._down)
+        """The currently-down node set.
+
+        Immutable: every crash and recovery replaces it, so holding it
+        is a snapshot for free.  A sharded world's barrier view holds
+        each shard's set this way, and rebuilds only when one changed.
+        """
+        return self._down
 
     # -- planned injection -----------------------------------------------------
 
@@ -138,7 +143,7 @@ class FailureInjector:
     def _crash(self, node: str) -> None:
         if node in self._down:
             return
-        self._down.add(node)
+        self._down = self._down | {node}
         self.crashes_injected += 1
         for fn in self._crash_handlers.get(node, []):
             fn()
@@ -146,7 +151,7 @@ class FailureInjector:
     def _recover(self, node: str) -> None:
         if node not in self._down:
             return
-        self._down.discard(node)
+        self._down = self._down - {node}
         for fn in self._recover_handlers.get(node, []):
             fn()
 

@@ -121,6 +121,51 @@ class OneShotAgent(MobileAgent):
         return None
 
 
+class LivenessProbe(MobileAgent):
+    """Stays on ``node`` for ``reads`` steps; each step records
+    ``(time, answer)``, where the answer is what the executing shard
+    reads of ``target`` mid-epoch (:meth:`observe`).  Finishes with the
+    list of readings.  Reads through the step's node, as the protocol
+    code does: a probe, not an agent program."""
+
+    def __init__(self, agent_id, node, target, reads):
+        super().__init__(agent_id)
+        self.node, self.target, self.reads = node, target, reads
+
+    def observe(self, world):
+        return world.node_up(self.target)
+
+    def read(self, ctx):
+        world = ctx._node.world
+        seen = self.sro.setdefault("seen", [])
+        seen.append((world.sim.now, self.observe(world)))
+        if len(seen) < self.reads:
+            ctx.goto(self.node, "read")
+        else:
+            ctx.finish(list(seen))
+
+
+class ClaimProbe(LivenessProbe):
+    """A :class:`LivenessProbe` of the ledger quorum: reads who holds
+    work id ``target`` (every live replica is asked)."""
+
+    def observe(self, world):
+        return world.ft.claimed_by(self.target)
+
+
+class ClaimStager(MobileAgent):
+    """One step that claims work id ``work_id`` for its node in the
+    step's transaction (the claim commits with the step)."""
+
+    def __init__(self, agent_id, work_id):
+        super().__init__(agent_id)
+        self.work_id = work_id
+
+    def go(self, ctx):
+        ctx._node.world.ft.claim(ctx._tx, self.work_id, ctx.node_name)
+        ctx.finish(self.work_id)
+
+
 # ---------------------------------------------------------------------------
 # Backend-neutral differential workload (tests/test_multiproc_differential.py)
 #

@@ -316,8 +316,7 @@ def test_view_deltas_rebuild_the_coordinator_views():
                 full = copy.deepcopy(world._views_for(handle.shard))
                 if views.get("delta"):
                     if full == expected[handle.shard]:
-                        assert (views["claims"], views["locks"],
-                                views["down"]) == ({}, {}, {})
+                        assert (views["claims"], views["locks"]) == ({}, {})
                         seen["empty"] += 1
                     elif views["claims"] and \
                             len(views["claims"]) < len(full["claims"]):

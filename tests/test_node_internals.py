@@ -8,7 +8,7 @@ from repro.errors import UsageError
 from repro.log.rollback_log import RollbackLog
 from repro.sim.failures import CrashPlan
 
-from tests.helpers import LinearAgent, bank_of, build_line_world
+from tests.helpers import LinearAgent, bank_of, build_line_world, make_world
 
 
 def test_dispatch_deduplicates_scheduling():
@@ -102,6 +102,43 @@ def test_duplicate_resource_rejected_but_share_allowed():
     node2 = world.add_node("extra")
     node2.share_resource(other)
     assert node2.get_resource("other-bank") is other
+
+
+@pytest.mark.parametrize("backend", ["world", "sharded", "proc"])
+def test_share_resource_refuses_a_hosted_name(backend):
+    """A node hosting its own ``bank`` cannot share another node's:
+    refused like a duplicate ``add_resource``, before the journal sees
+    it, on every backend.  A share of a free name is journaled once
+    and replays on resume."""
+    from repro.journal import WorldJournal, resume_world
+    from repro.resources.bank import Bank
+
+    journal = WorldJournal()
+    world = make_world(backend, n_shards=2, journal=journal)
+    try:
+        for name, balance in (("a", 5), ("b", 7), ("c", None)):
+            node = (world.add_node(name) if backend == "world"
+                    else world.add_node(name, shard=0))
+            if balance is not None:
+                bank = Bank("bank")
+                bank.seed_account("x", balance)
+                node.add_resource(bank)
+        with pytest.raises(UsageError, match="'bank' exists"):
+            world.node("b").share_resource_from("a", "bank")
+        world.node("c").share_resource_from("a", "bank")
+        assert world.resource_state("b", "bank").peek("x")["balance"] == 7
+        assert world.resource_state("c", "bank").peek("x")["balance"] == 5
+    finally:
+        world.close()
+    kinds = [kind for kind, _ in WorldJournal(journal.backend)
+             .recover().entries]
+    assert kinds.count("share_resource") == 1
+    resumed = resume_world(WorldJournal(journal.backend))
+    try:
+        assert resumed.resource_state("b", "bank").peek("x")["balance"] == 7
+        assert resumed.resource_state("c", "bank").peek("x")["balance"] == 5
+    finally:
+        resumed.close()
 
 
 def test_finished_agents_leave_no_queue_residue():

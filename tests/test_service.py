@@ -23,7 +23,9 @@ The contract under test (see :mod:`repro.service`):
 """
 
 import asyncio
+import gc
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -878,6 +880,43 @@ def test_http_error_mapping():
         assert status == 405
         status, _, err = gw.request("GET", "/nonsense")
         assert status == 404
+
+
+def raw_status(base, data):
+    """Send ``data`` to the gateway as is; the reply's status (None when
+    the connection closes with nothing written)."""
+    host, port = base.removeprefix("http://").rsplit(":", 1)
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(1 << 16):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1]) if reply else None
+
+
+@pytest.mark.parametrize("header, status", [
+    (b"Content-Length: abc", 400),
+    (b"Content-Length: -5", 400),
+    (b"X-Pad: " + b"x" * (70 * 1024), 413),
+], ids=["length-not-a-number", "length-negative", "head-70KiB"])
+def test_http_malformed_request_is_answered(header, status):
+    """A bad length or an oversized head gets its 4xx, and leaves no
+    exception in the event loop; the gateway serves on."""
+    errors = []
+
+    async def watch_loop():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context))
+
+    with GatewayFixture() as gw:
+        asyncio.run_coroutine_threadsafe(watch_loop(), gw.loop).result(10)
+        request = b"POST /worlds HTTP/1.1\r\nHost: t\r\n" + header + \
+            b"\r\n\r\n"
+        assert raw_status(gw.base, request) == status
+        code, _, health = gw.request("GET", "/healthz")
+        assert code == 200 and health["ok"]
+        gc.collect()  # an unretrieved task exception reports at collection
+    assert errors == []
 
 
 def test_serve_cli_subprocess_sigterm_drains(tmp_path):

@@ -15,8 +15,11 @@ subprocess on a free port:
 2. the SSE stream's ``id:`` lines run 1, 2, 3, ... with no gap or
    repeat up to that outcome, and the drained snapshot counts no
    dropped event;
-3. SIGTERM drains gracefully: exit code 0, the drain banner printed;
-4. nothing leaks: no orphan ``multiprocessing`` spawn workers, no
+3. malformed requests are answered, and the server serves on: a
+   non-numeric and a negative ``Content-Length`` get 400, a 70 KiB
+   request head gets 413, and the launch above runs after them;
+4. SIGTERM drains gracefully: exit code 0, the drain banner printed;
+5. nothing leaks: no orphan ``multiprocessing`` spawn workers, no
    stale ``psm_*`` shared-memory segments.
 
 Exit status 0 on success; any failure raises with a diagnosis.
@@ -28,6 +31,7 @@ import glob
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import urllib.request
@@ -35,6 +39,13 @@ import urllib.request
 WORLD_SPEC = {"backend": "proc", "nodes": 4, "n_shards": 2, "seed": 19}
 LAUNCH_SPEC = {"steps": 6, "mode": "optimized", "mixed_fraction": 0.25,
                "agent_id": "smoke-1"}
+#: Request heads the gateway must answer with a 4xx, not a dropped
+#: connection: (what, extra header line, expected status).
+MALFORMED = [
+    ("non-numeric Content-Length", b"Content-Length: abc", 400),
+    ("negative Content-Length", b"Content-Length: -5", 400),
+    ("70 KiB request head", b"X-Pad: " + b"x" * (70 * 1024), 413),
+]
 
 
 def request(base: str, method: str, path: str, body=None):
@@ -42,6 +53,18 @@ def request(base: str, method: str, path: str, body=None):
     req = urllib.request.Request(base + path, data=data, method=method)
     with urllib.request.urlopen(req, timeout=60) as resp:
         return json.loads(resp.read().decode())
+
+
+def raw_status(base: str, data: bytes):
+    """Send ``data`` as is; the reply's status code, or None when the
+    server closed the connection without writing one."""
+    host, port = base.removeprefix("http://").rsplit(":", 1)
+    reply = b""
+    with socket.create_connection((host, int(port)), timeout=60) as sock:
+        sock.sendall(data)
+        while chunk := sock.recv(1 << 16):
+            reply += chunk
+    return int(reply.split(b" ", 2)[1]) if reply else None
 
 
 def stream_until_agent(base: str, world_id: str, agent_id: str):
@@ -112,6 +135,12 @@ def main() -> int:
         base = line.strip().rsplit(" ", 1)[-1]
         print(f"serve up at {base}")
 
+        for what, header, want in MALFORMED:
+            got = raw_status(base, b"POST /worlds HTTP/1.1\r\nHost: smoke"
+                             b"\r\n" + header + b"\r\n\r\n")
+            assert got == want, f"{what}: status {got}, want {want}"
+            print(f"malformed request ({what}): {got}")
+
         made = request(base, "POST", "/worlds", WORLD_SPEC)
         world_id = made["world"]
         launched = request(base, "POST", f"/worlds/{world_id}/launch",
@@ -150,6 +179,8 @@ def main() -> int:
         out, _ = proc.communicate(timeout=120)
         assert proc.returncode == 0, f"exit {proc.returncode}: {out}"
         assert "drained" in out, out
+        # An exception a request left in the event loop logs a traceback.
+        assert "Traceback" not in out, out
         print("SIGTERM drain: clean exit")
     finally:
         if proc.poll() is None:
