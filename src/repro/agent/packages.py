@@ -26,11 +26,6 @@ The framing preserves the two properties the monolithic blob provided:
   actual serialised frames plus fixed framing overhead (length
   prefixes) plus the packed savepoint index the package carries, i.e.
   exactly what a length-prefixed wire format would move.
-
-The per-entry frames are also what the batching transport
-(:mod:`repro.net.batching`) coalesces: a batch frame carries whole
-packages whose sizes are already known from their cached frames, so
-batching co-located migrations serialises nothing extra.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.agent.packages import AgentPackage, PackageKind
 from repro.net.messages import Message
-from repro.net.transport import surface_give_up
+from repro.net.network import surface_give_up
 from repro.node.runtime import LEDGER_NODE
 from repro.storage.queues import QueueItem
 from repro.storage.stable import StableStore
@@ -209,12 +209,11 @@ class FaultTolerance:
         """Reliably send shadow copies of ``package`` to ``alternates``.
 
         Runs as a commit action of the transaction that enqueued the
-        primary package.  Shadows travel through the world's Transport
-        (or, for alternates hosted by another shard, through the
-        cross-shard bridge), so co-located copies for the same
-        alternate coalesce into one framed transfer when the batching
-        layer is active.  If any path gives up on a copy (retry budget
-        exhausted), the loss is surfaced — the primary still makes
+        primary package.  Shadows travel through the world's fabric,
+        ``world.transport`` (or, for alternates hosted by another
+        shard, through the cross-shard bridge), one message per copy.
+        If either path gives up on a copy (retry budget exhausted),
+        the loss is surfaced — the primary still makes
         progress and the metric lets operators see degraded replication
         instead of a silent gap.
         """
@@ -481,7 +480,7 @@ class BridgedFaultTolerance(FaultTolerance):
         closure (closures cannot cross the worker-process boundary);
         this method — running on the *source* shard, at the barrier —
         resolves the tag to the concrete loss handler and funnels
-        through :func:`~repro.net.transport.surface_give_up` exactly
+        through :func:`~repro.net.network.surface_give_up` exactly
         like a direct send's give-up.
         """
         callback = None
@@ -526,7 +525,7 @@ class BridgedFaultTolerance(FaultTolerance):
         suspends.  Each not-yet-adopted copy goes back to the bridge
         (retry count preserved), where the flush retry path either
         delivers it after a restart or surfaces its loss through
-        :func:`~repro.net.transport.surface_give_up` once the budget is
+        :func:`~repro.net.network.surface_give_up` once the budget is
         exhausted.
         """
         swept = list(self._inbound_shadows.values())

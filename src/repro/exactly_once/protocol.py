@@ -293,7 +293,7 @@ class StepProtocol:
         Charges capture, transfer (when remote) and the destination's
         stable write; enlists the destination in the distributed
         commit; ships fault-tolerant shadow copies after commit.  The
-        transfer cost comes from the world's Transport, and the durable
+        transfer cost comes from the world's fabric, and the durable
         hand-off goes through :meth:`~repro.node.runtime.World.
         deliver_package` — in a sharded world that seam routes
         cross-shard destinations over the bridge.

@@ -1,11 +1,15 @@
 """The simulated fabric: latency/bandwidth-modelled reliable transfer.
 
-This module holds the concrete :class:`~repro.net.transport.Transport`
-implementation for the discrete-event simulation.  It used to be a
-monolithic ``Network`` class that every layer called directly; it is
-now one pluggable fabric behind the Transport interface (see
-:mod:`repro.net.transport` for the architecture), optionally wrapped by
-the batching layer (:mod:`repro.net.batching`).
+:class:`SimTransport` is the one message fabric of the simulation.
+Every layer that moves bytes between nodes in one kernel (FT shadow
+copies, protocol acknowledgements, the transfer cost charged into
+transactions) uses ``world.transport``, which is always a
+:class:`SimTransport`.  Cross-shard traffic leaves the fabric at the
+bridge (:class:`~repro.node.sharded.CrossShardBridge`), but a message
+it abandons is surfaced through the same :func:`surface_give_up` tail
+as a direct send's, so the ``net.gave_up`` counter, the
+``net-gave-up`` timeline event and the ``on_gave_up`` callback fire
+identically whichever path lost it.
 """
 
 from __future__ import annotations
@@ -13,13 +17,35 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.messages import Message
-from repro.net.transport import surface_give_up
 from repro.sim.timing import NetworkParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.failures import FailureInjector
     from repro.sim.kernel import Simulator
     from repro.sim.metrics import Metrics
+
+#: Signature of the delivery / give-up callbacks of one send.
+SendCallback = Callable[[Message], None]
+
+
+def surface_give_up(metrics: "Metrics", now: float, message: Message,
+                    on_gave_up: Optional[SendCallback]) -> None:
+    """Surface an abandoned message: never drop one silently.
+
+    Increments ``net.gave_up``, records the ``net-gave-up`` timeline
+    event and invokes ``on_gave_up`` when the sender passed one.  The
+    fabric's retry loop and the cross-shard bridge both end here.
+
+    Traffic that may cross a worker-process boundary cannot carry an
+    ``on_gave_up`` closure: the bridge ships a declarative give-up tag
+    (e.g. ``("shadow-lost", alt)``) and the source shard resolves it to
+    the concrete callback before calling this function.
+    """
+    metrics.incr("net.gave_up")
+    metrics.record(now, "net-gave-up", message_kind=message.kind,
+                   src=message.src, dst=message.dst)
+    if on_gave_up is not None:
+        on_gave_up(message)
 
 
 class SimTransport:
@@ -37,9 +63,9 @@ class SimTransport:
     Reliability is bounded by ``params.max_retries``: when a message
     exhausts its retry budget the failure is *surfaced*, never
     swallowed — the ``net.gave_up`` counter and timeline event fire,
-    and the per-send ``on_gave_up`` callback (or the transport-wide
-    :attr:`on_gave_up` default) lets protocol drivers react (re-ship,
-    fail over) instead of waiting for a delivery that will never come.
+    and the per-send ``on_gave_up`` callback lets protocol drivers
+    react (re-ship, fail over) instead of waiting for a delivery that
+    will never come.
     """
 
     def __init__(self, sim: "Simulator", failures: "FailureInjector",
@@ -48,17 +74,7 @@ class SimTransport:
         self.failures = failures
         self.params = params
         self.metrics = metrics
-        self._handlers: dict[str, Callable[[Message], None]] = {}
         self._jitter_rng = sim.fork_rng("net-jitter")
-        #: Transport-wide fallback invoked when a send without its own
-        #: ``on_gave_up`` exhausts the retry budget.
-        self.on_gave_up: Optional[Callable[[Message], None]] = None
-
-    # -- wiring ---------------------------------------------------------------
-
-    def register(self, node: str, handler: Callable[[Message], None]) -> None:
-        """Install the delivery handler for ``node``."""
-        self._handlers[node] = handler
 
     # -- queries ----------------------------------------------------------------
 
@@ -80,50 +96,43 @@ class SimTransport:
 
     def send(self, src: str, dst: str, kind: str, payload: Any,
              size_bytes: int,
-             on_delivered: Optional[Callable[[Message], None]] = None,
-             on_gave_up: Optional[Callable[[Message], None]] = None
-             ) -> Message:
+             on_delivered: Optional[SendCallback] = None,
+             on_gave_up: Optional[SendCallback] = None) -> Message:
         """Reliably deliver ``payload`` from ``src`` to ``dst``.
 
         Delivery is attempted now and re-attempted with backoff while
         either endpoint is down or the link is partitioned.  Bytes are
         charged once per successful transfer (retries before the payload
         moves cost only time).  ``on_delivered`` fires at the delivery
-        instant, after the destination handler ran; ``on_gave_up`` fires
-        if ``params.max_retries`` is exhausted first.
+        instant; ``on_gave_up`` fires if ``params.max_retries`` is
+        exhausted first.
         """
         message = Message(src=src, dst=dst, kind=kind, payload=payload,
                           size_bytes=size_bytes)
-        self.transmit(message, on_delivered, on_gave_up)
-        return message
-
-    def transmit(self, message: Message,
-                 on_delivered: Optional[Callable[[Message], None]] = None,
-                 on_gave_up: Optional[Callable[[Message], None]] = None
-                 ) -> None:
-        """Deliver an already-constructed message (see :meth:`send`)."""
         self._attempt(message, on_delivered, on_gave_up)
+        return message
 
     # -- internals -----------------------------------------------------------------
 
-    def _gave_up(self, message: Message,
-                 on_gave_up: Optional[Callable[[Message], None]]) -> None:
-        surface_give_up(self.metrics, self.sim.now, message, on_gave_up,
-                        default=self.on_gave_up)
+    def _retry(self, message: Message,
+               on_delivered: Optional[SendCallback],
+               on_gave_up: Optional[SendCallback]) -> None:
+        """Count one failed attempt; back off and re-attempt, or give up."""
+        message.retries += 1
+        self.metrics.incr("net.retries")
+        if message.retries > self.params.max_retries:
+            surface_give_up(self.metrics, self.sim.now, message, on_gave_up)
+            return
+        self.sim.schedule(
+            self.params.retry_backoff,
+            lambda: self._attempt(message, on_delivered, on_gave_up),
+            label=f"net-retry:{message.kind}")
 
     def _attempt(self, message: Message,
-                 on_delivered: Optional[Callable[[Message], None]],
-                 on_gave_up: Optional[Callable[[Message], None]]) -> None:
+                 on_delivered: Optional[SendCallback],
+                 on_gave_up: Optional[SendCallback]) -> None:
         if not self.reachable(message.src, message.dst):
-            message.retries += 1
-            self.metrics.incr("net.retries")
-            if message.retries > self.params.max_retries:
-                self._gave_up(message, on_gave_up)
-                return
-            self.sim.schedule(
-                self.params.retry_backoff,
-                lambda: self._attempt(message, on_delivered, on_gave_up),
-                label=f"net-retry:{message.kind}")
+            self._retry(message, on_delivered, on_gave_up)
             return
         delay = self.transfer_time(message.size_bytes)
 
@@ -131,23 +140,12 @@ class SimTransport:
             if not self.failures.node_up(message.dst):
                 # Destination crashed while the message was in flight;
                 # reliable transfer retries from the source.
-                message.retries += 1
-                self.metrics.incr("net.retries")
-                if message.retries > self.params.max_retries:
-                    self._gave_up(message, on_gave_up)
-                    return
-                self.sim.schedule(
-                    self.params.retry_backoff,
-                    lambda: self._attempt(message, on_delivered, on_gave_up),
-                    label=f"net-retry:{message.kind}")
+                self._retry(message, on_delivered, on_gave_up)
                 return
             self.metrics.incr("net.messages")
             self.metrics.incr(f"net.messages.{message.kind}")
             self.metrics.add_bytes("net.total", message.size_bytes)
             self.metrics.add_bytes(f"net.{message.kind}", message.size_bytes)
-            handler = self._handlers.get(message.dst)
-            if handler is not None:
-                handler(message)
             if on_delivered is not None:
                 on_delivered(message)
 

@@ -4,7 +4,7 @@ A :class:`~repro.node.node.Node` hosts transactional resources, one
 durable agent input queue, a transaction manager and the dispatch loop
 that turns queued agent packages into step or compensation
 transactions.  A :class:`~repro.node.runtime.World` owns the simulator,
-the transport stack (see :mod:`repro.net.transport`), the failure
+the message fabric (see :mod:`repro.net.network`), the failure
 injector, the set of nodes, the protocol drivers and the per-agent
 records — it is the facade examples, tests and benches build scenarios
 with.  A :class:`~repro.node.sharded.ShardedWorld` partitions the node

@@ -29,7 +29,7 @@ class Node:
     the recovery behaviour the paper's protocols rely on.
 
     A node never talks to the network directly: packages leave through
-    the world's shipping helpers (which resolve the Transport stack and
+    the world's shipping helpers (which use the world's fabric and
     the delivery seam, see :mod:`repro.node.runtime`) and arrive by
     appearing in the durable input queue — whether enqueued by a local
     commit, an FT shadow delivery, or a cross-shard bridge injection.

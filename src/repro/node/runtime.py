@@ -12,13 +12,9 @@ This is the facade everything above builds on::
 Architecture notes
 ------------------
 
-All inter-node byte movement goes through the **Transport** interface
-(:mod:`repro.net.transport`): the world instantiates the simulated
-fabric (:class:`~repro.net.network.SimTransport`) and, when
-``NetworkParams.batch_window`` is set, stacks the batching layer
-(:class:`~repro.net.batching.BatchingTransport`) on top.  Protocol
-drivers never import a concrete network class — they use
-``world.transport`` for sends / cost queries and
+All inter-node byte movement in one kernel goes through one fabric,
+``world.transport`` (:class:`~repro.net.network.SimTransport`).
+Protocol drivers use it for sends / cost queries and
 :meth:`World.deliver_package` for the durable hand-off of an agent
 package to its destination queue.  That seam is what lets
 :class:`~repro.node.sharded.ShardedWorld` reroute cross-shard
@@ -42,9 +38,7 @@ from repro.compensation.registry import GLOBAL_REGISTRY, CompensationRegistry
 from repro.errors import UsageError
 from repro.log.modes import LoggingMode
 from repro.log.rollback_log import RollbackLog
-from repro.net.batching import BatchingTransport
 from repro.net.network import SimTransport
-from repro.net.transport import Transport
 from repro.node.lockstep import LockstepWorld, scoped
 from repro.node.node import Node
 from repro.scope import Scope
@@ -134,7 +128,7 @@ class World(LockstepWorld):
         timing: :class:`~repro.sim.timing.TimingModel` cost model for
             step execution / savepoint / rollback work.
         net_params: :class:`~repro.sim.timing.NetworkParams` — latency,
-            bandwidth, jitter, retry and batching behaviour of the
+            bandwidth, jitter and retry behaviour of the
             simulated network.
         logging_mode: How savepoint entries encode SRO restore data
             (:class:`~repro.log.LoggingMode`).
@@ -175,14 +169,8 @@ class World(LockstepWorld):
         self.retry_policy = retry_policy or RetryPolicy()
         self.ft_params = ft_params if ft_params is not None else FTParams()
         self.failures = FailureInjector(self.sim)
-        # The transport stack: the simulated fabric, with the batching
-        # layer stacked on top when the world opts into coalescing.
-        transport: Transport = SimTransport(self.sim, self.failures,
-                                            net_params, self.metrics)
-        if net_params.batch_window > 0:
-            transport = BatchingTransport(transport, self.sim, net_params,
-                                          self.metrics)
-        self.transport = transport
+        self.transport = SimTransport(self.sim, self.failures, net_params,
+                                      self.metrics)
         self.coordinator = CommitCoordinator(
             timing, net_params, self.reachable, self.metrics)
         self.nodes: dict[str, Node] = {}
@@ -237,7 +225,6 @@ class World(LockstepWorld):
         self._journal_op("add_node", name=name)
         node = Node(name, self)
         self.nodes[name] = node
-        self.transport.register(name, lambda message: None)
         return node
 
     def node(self, name: str) -> Node:

@@ -4,7 +4,7 @@ One :class:`~repro.sim.kernel.Simulator` processes every event of a
 world in a single totally-ordered queue, which caps how many concurrent
 agents a run can hold.  :class:`ShardedWorld` scales past that by
 partitioning the node set across N independent shard worlds — each with
-its own kernel, transport stack, failure injector and metrics — and
+its own kernel, message fabric, failure injector and metrics — and
 connecting them with a deterministic **cross-shard bridge**.
 
 Lockstep epochs
@@ -32,7 +32,7 @@ Besides agent packages the bridge now carries two further kinds of
 traffic for the fault-tolerant protocol: **shadow copies** bound for
 alternates in other shards (message semantics — retried across
 downtime, give-ups surfaced through the same
-:func:`~repro.net.transport.surface_give_up` path as direct sends,
+:func:`~repro.net.network.surface_give_up` path as direct sends,
 never silently dropped) and **ledger mirrors** that replicate step
 claims to every shard's ledger replica inside the epoch barrier (see
 :class:`~repro.exactly_once.fault_tolerant.BridgedFaultTolerance`).
@@ -222,7 +222,7 @@ class CrossShardBridge:
     * **shadows** — message semantics: a copy bound for a suspended
       shard is retried at subsequent flushes, and exhausting its retry
       budget surfaces the loss through
-      :func:`~repro.net.transport.surface_give_up` — the same
+      :func:`~repro.net.network.surface_give_up` — the same
       ``net.gave_up`` counter / timeline event / ``on_gave_up``
       callback as a direct send, never a silent drop;
     * **ledger mirrors** — replica semantics: applied to live replicas

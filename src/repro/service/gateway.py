@@ -49,6 +49,8 @@ from repro.service.worlds import LaunchSpec, WorldSpec
 
 _MAX_BODY = 1 << 20
 _MAX_HEADER = 64 * 1024
+#: Seconds the request reader waits for the head, then again for the body.
+_READ_TIMEOUT = 30.0
 
 
 class _HttpError(Exception):
@@ -166,8 +168,8 @@ class Gateway:
                     exc.status, {"error": str(exc)}, exc.headers))
                 await writer.drain()
                 return
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    asyncio.TimeoutError):
+            except (asyncio.IncompleteReadError, ConnectionError):
+                # Closed before its head was complete: nothing to answer.
                 return
             await self._dispatch(method, path, headers, body, writer)
         finally:
@@ -181,10 +183,13 @@ class Gateway:
                             ) -> tuple[str, str, dict[str, str], bytes]:
         try:
             head = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=30)
+                reader.readuntil(b"\r\n\r\n"), timeout=_READ_TIMEOUT)
         except asyncio.LimitOverrunError:
             raise _HttpError(413, f"request head exceeds {_MAX_HEADER} "
                                   f"bytes") from None
+        except asyncio.TimeoutError:
+            raise _HttpError(408, f"request head not complete within "
+                                  f"{_READ_TIMEOUT} s") from None
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
@@ -204,8 +209,18 @@ class Gateway:
         if length > _MAX_BODY:
             raise _HttpError(413, f"body of {length} bytes exceeds "
                                   f"{_MAX_BODY}")
-        body = await asyncio.wait_for(reader.readexactly(length),
-                                      timeout=30) if length else b""
+        body = b""
+        if length:
+            try:
+                body = await asyncio.wait_for(reader.readexactly(length),
+                                              timeout=_READ_TIMEOUT)
+            except asyncio.TimeoutError:
+                raise _HttpError(408, f"request body not complete within "
+                                      f"{_READ_TIMEOUT} s") from None
+            except asyncio.IncompleteReadError as exc:
+                raise _HttpError(400, f"body truncated: got "
+                                      f"{len(exc.partial)} of {length} "
+                                      f"bytes") from None
         path = target.split("?", 1)[0]
         return method.upper(), path, headers, body
 

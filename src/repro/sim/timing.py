@@ -100,12 +100,6 @@ class NetworkParams:
         the failure to the caller's retry policy (the protocol layer
         retries again later; "reliable network" per the paper means
         messages are never silently lost, not that nodes are always up).
-    batch_window:
-        Coalescing window of the batching transport layer: messages for
-        the same (src, dst) link sent within this many virtual seconds
-        of each other travel as one framed transfer (one latency
-        charge, summed bytes).  ``0`` (the default) disables batching
-        entirely — the world then wires the bare fabric.
     """
 
     latency: float = 0.005
@@ -113,7 +107,6 @@ class NetworkParams:
     jitter: float = 0.0
     retry_backoff: float = 0.05
     max_retries: int = 10_000
-    batch_window: float = 0.0
 
     def transfer_time(self, size_bytes: int) -> float:
         """One-way time to move ``size_bytes`` (latency + serialisation)."""

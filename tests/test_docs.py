@@ -125,6 +125,21 @@ def test_missing_include_source_is_reported(tmp_path):
     assert len(problems) == 1 and "missing" in problems[0]
 
 
+def test_test_citations_must_name_a_defined_test(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(
+        "def test_here():\n    pass\n")
+    text = ("`tests/test_x.py::test_here` and `tests/test_x.py::\n"
+            "  test_here` are fine; `tests/test_x.py::test_gone` and\n"
+            "`tests/test_y.py::\n  test_here` are not.\n")
+    problems = []
+    check_docs.check_test_refs(tmp_path / "doc.md", text, problems,
+                               root=tmp_path)
+    assert len(problems) == 2
+    assert ":2:" in problems[0] and "test_gone not defined" in problems[0]
+    assert ":3:" in problems[1] and "test_y.py" in problems[1]
+
+
 def test_checker_cli_fails_on_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.md"
     bad.write_text("[x](missing.md)\n")

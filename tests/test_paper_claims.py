@@ -43,7 +43,6 @@ from repro import (
     World,
     agent_compensation,
 )
-from repro.agent.packages import Protocol
 from repro.bench import make_tour_plan, run_tour
 from repro.bench.harness import build_tour_world
 from repro.bench.workloads import TourAgent, TourPlan
@@ -442,32 +441,6 @@ def test_migration_completion_time_falls_with_link_speed():
         assert result.status is AgentStatus.FINISHED
         times.append(round(result.sim_time, 3))
     assert times == sorted(times, reverse=True)
-
-
-def test_migration_batched_shadows_fewer_network_events():
-    """Six co-located FT agents: batching keeps the shadow payload
-    bytes and cuts the physical network events."""
-    base = make_tour_plan(ring(4), 6, rollback_times=0)
-    for spec in base.steps:
-        spec.kind = "ace"  # lock-free: co-located commits coincide
-    plan = forward_only(base)
-    runs = []
-    for window in (0.0, 0.02):
-        world = build_tour_world(4, seed=47, net_params=NetworkParams(
-            batch_window=window))
-        for i in range(4):
-            world.set_alternates(f"n{i}", f"n{(i + 1) % 4}")
-        for a in range(6):
-            world.launch(TourAgent(f"mig-batch-{a}", plan), at="n0",
-                         method="run", protocol=Protocol.FAULT_TOLERANT)
-        world.run(max_events=5_000_000)
-        assert all(r.status is AgentStatus.FINISHED
-                   for r in world.agents.values())
-        runs.append(world.metrics)
-    plain, batched = runs
-    assert (batched.total_bytes("net.shadow-copy")
-            == plain.total_bytes("net.shadow-copy"))
-    assert batched.count("net.messages") < plain.count("net.messages")
 
 
 def test_savepoint_granularity_trades_bytes():

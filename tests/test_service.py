@@ -35,6 +35,7 @@ import pytest
 
 from repro.errors import UsageError
 from repro.journal import WorldJournal, resume_world
+from repro.service import gateway as gateway_module
 from repro.service import (
     AdmissionFull,
     Gateway,
@@ -882,26 +883,39 @@ def test_http_error_mapping():
         assert status == 404
 
 
-def raw_status(base, data):
-    """Send ``data`` to the gateway as is; the reply's status (None when
-    the connection closes with nothing written)."""
+def raw_status(base, data, half_close=False):
+    """Send ``data`` to the gateway as is, then (``half_close``) shut the
+    write half; the reply's status (None when the connection closes with
+    nothing written)."""
     host, port = base.removeprefix("http://").rsplit(":", 1)
     reply = b""
     with socket.create_connection((host, int(port)), timeout=30) as sock:
         sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
         while chunk := sock.recv(1 << 16):
             reply += chunk
     return int(reply.split(b" ", 2)[1]) if reply else None
 
 
-@pytest.mark.parametrize("header, status", [
-    (b"Content-Length: abc", 400),
-    (b"Content-Length: -5", 400),
-    (b"X-Pad: " + b"x" * (70 * 1024), 413),
-], ids=["length-not-a-number", "length-negative", "head-70KiB"])
-def test_http_malformed_request_is_answered(header, status):
-    """A bad length or an oversized head gets its 4xx, and leaves no
-    exception in the event loop; the gateway serves on."""
+_BLANK = b"\r\n\r\n"
+
+
+@pytest.mark.parametrize("tail, half_close, status", [
+    (b"Content-Length: abc" + _BLANK, False, 400),
+    (b"Content-Length: -5" + _BLANK, False, 400),
+    (b"X-Pad: " + b"x" * (70 * 1024) + _BLANK, False, 413),
+    (b"Content-Length: 2097152" + _BLANK, False, 413),
+    (b"Content-Length: 10" + _BLANK + b"abc", True, 400),
+    (b"Content-Length: 10\r\n", False, 408),
+], ids=["length-not-a-number", "length-negative", "head-70KiB",
+        "body-over-max", "body-truncated", "head-timeout"])
+def test_http_malformed_request_is_answered(monkeypatch, tail, half_close,
+                                            status):
+    """A bad length, an oversized head or body, a body cut short by the
+    client's half-close, or a head that never completes gets its 4xx,
+    and leaves no exception in the event loop; the gateway serves on."""
+    monkeypatch.setattr(gateway_module, "_READ_TIMEOUT", 0.5)
     errors = []
 
     async def watch_loop():
@@ -910,9 +924,8 @@ def test_http_malformed_request_is_answered(header, status):
 
     with GatewayFixture() as gw:
         asyncio.run_coroutine_threadsafe(watch_loop(), gw.loop).result(10)
-        request = b"POST /worlds HTTP/1.1\r\nHost: t\r\n" + header + \
-            b"\r\n\r\n"
-        assert raw_status(gw.base, request) == status
+        request = b"POST /worlds HTTP/1.1\r\nHost: t\r\n" + tail
+        assert raw_status(gw.base, request, half_close) == status
         code, _, health = gw.request("GET", "/healthz")
         assert code == 200 and health["ok"]
         gc.collect()  # an unretrieved task exception reports at collection

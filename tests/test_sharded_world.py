@@ -14,7 +14,7 @@ The contract under test (see :mod:`repro.node.sharded`):
 
 import pytest
 
-from repro import AgentStatus, NetworkParams, RollbackMode, ShardedWorld
+from repro import AgentStatus, RollbackMode, ShardedWorld
 from repro.bench.workloads import BANK, DIRECTORY, TourAgent, make_tour_plan
 from repro.errors import UsageError
 from repro.resources.bank import Bank, OverdraftPolicy
@@ -184,14 +184,6 @@ def test_cross_shard_delivery_survives_destination_crash():
     record = world.record_of("crossing")
     assert record.status is AgentStatus.FINISHED
     assert record.finished_at > 0.5
-
-
-def test_batching_composes_with_sharding():
-    # Each shard world stacks its own batching transport; the run just
-    # has to complete with identical outcomes.
-    plain = run_swarm(4)
-    batched = run_swarm(4, net_params=NetworkParams(batch_window=0.05))
-    assert batched.outcomes() == plain.outcomes()
 
 
 def run_tour_swarm(n_shards, n_agents=16, seed=40):

@@ -75,12 +75,13 @@ def test_describe_world_shows_queued_packages_and_down_nodes():
 
 # -- network ---------------------------------------------------------------------
 
-def make_net(jitter=0.0):
+def make_net(jitter=0.0, max_retries=10_000):
     sim = Simulator(seed=3)
     failures = FailureInjector(sim)
     metrics = Metrics()
     net = SimTransport(sim, failures,
-                       NetworkParams(jitter=jitter, retry_backoff=0.05),
+                       NetworkParams(jitter=jitter, retry_backoff=0.05,
+                                     max_retries=max_retries),
                        metrics)
     return sim, failures, metrics, net
 
@@ -88,8 +89,8 @@ def make_net(jitter=0.0):
 def test_send_delivers_and_counts_bytes():
     sim, _failures, metrics, net = make_net()
     got = []
-    net.register("b", lambda msg: got.append(msg.payload))
-    net.send("a", "b", "test", {"x": 1}, 500)
+    net.send("a", "b", "test", {"x": 1}, 500,
+             on_delivered=lambda msg: got.append(msg.payload))
     sim.run()
     assert got == [{"x": 1}]
     assert metrics.count("net.messages.test") == 1
@@ -99,10 +100,10 @@ def test_send_delivers_and_counts_bytes():
 def test_send_retries_until_destination_recovers():
     sim, failures, metrics, net = make_net()
     got = []
-    net.register("b", lambda msg: got.append(sim.now))
     failures.force_crash("b")
     sim.schedule(0.5, lambda: failures.force_recover("b"))
-    net.send("a", "b", "test", "hi", 100)
+    net.send("a", "b", "test", "hi", 100,
+             on_delivered=lambda msg: got.append(sim.now))
     sim.run()
     assert len(got) == 1
     assert got[0] > 0.5
@@ -112,11 +113,11 @@ def test_send_retries_until_destination_recovers():
 def test_send_retries_when_destination_dies_in_flight():
     sim, failures, metrics, net = make_net()
     got = []
-    net.register("b", lambda msg: got.append(sim.now))
     # Crash b while the (large => slow) message is in the air.
     sim.schedule(0.005, lambda: failures.force_crash("b"))
     sim.schedule(1.0, lambda: failures.force_recover("b"))
-    net.send("a", "b", "big", "payload", 5_000_000)  # ~4s transfer
+    net.send("a", "b", "big", "payload", 5_000_000,  # ~4s transfer
+             on_delivered=lambda msg: got.append(sim.now))
     sim.run()
     assert len(got) == 1
 
@@ -124,10 +125,10 @@ def test_send_retries_when_destination_dies_in_flight():
 def test_partitioned_link_blocks_and_heals():
     sim, failures, metrics, net = make_net()
     got = []
-    net.register("b", lambda msg: got.append(sim.now))
     failures.force_partition("a", "b")
     sim.schedule(0.3, lambda: failures.force_heal("a", "b"))
-    net.send("a", "b", "test", "hi", 10)
+    net.send("a", "b", "test", "hi", 10,
+             on_delivered=lambda msg: got.append(sim.now))
     sim.run()
     assert len(got) == 1 and got[0] > 0.3
 
@@ -143,11 +144,40 @@ def test_transfer_time_scales_with_size_and_jitter_bounded():
         assert base <= t <= base * 1.5 + 1e-9
 
 
-def test_on_delivered_callback_fires_after_handler():
-    sim, _failures, _metrics, net = make_net()
-    order = []
-    net.register("b", lambda msg: order.append("handler"))
-    net.send("a", "b", "test", "x", 10,
-             on_delivered=lambda msg: order.append("callback"))
+# -- give-up surfacing (no silent drops) ----------------------------------------
+
+
+def test_send_gave_up_fires_callback_and_metrics():
+    sim, failures, metrics, net = make_net(max_retries=3)
+    lost = []
+    failures.force_crash("b")  # never recovers
+    net.send("a", "b", "test", "hi", 10,
+             on_gave_up=lambda msg: lost.append(msg))
     sim.run()
-    assert order == ["handler", "callback"]
+    assert len(lost) == 1 and lost[0].kind == "test"
+    assert metrics.count("net.gave_up") == 1
+    assert metrics.events("net-gave-up")
+    assert metrics.count("net.messages") == 0
+
+
+def test_partitioned_send_gives_up_through_its_callback():
+    sim, failures, metrics, net = make_net(max_retries=2)
+    lost = []
+    failures.force_partition("a", "b")
+    net.send("a", "b", "test", "x", 10,
+             on_gave_up=lambda msg: lost.append((msg.src, msg.dst)))
+    sim.run()
+    assert lost == [("a", "b")]
+    assert metrics.count("net.retries") == 3
+    assert metrics.count("net.gave_up") == 1
+
+
+def test_mid_flight_crash_eventually_gives_up():
+    sim, failures, metrics, net = make_net(max_retries=2)
+    lost = []
+    sim.schedule(0.001, lambda: failures.force_crash("b"))
+    net.send("a", "b", "big", "payload", 5_000_000,  # ~4s in flight
+             on_gave_up=lambda msg: lost.append(msg))
+    sim.run()
+    assert len(lost) == 1
+    assert metrics.count("net.gave_up") == 1

@@ -31,6 +31,9 @@ Checks
    The region spans from the first line starting with ``from`` up to
    (excluding) the next line starting with ``to``, trailing blank
    lines stripped.
+4. **Test citations** — every ``tests/<file>.py::<name>`` must name an
+   existing file (relative to the repo root) that contains
+   ``def <name>``.  The citation may break across lines after ``::``.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ INCLUDE_RE = re.compile(
     r'\s+from="(?P<from>[^"]+)"\s+to="(?P<to>[^"]+)"\s*-->\s*\n'
     r'```[^\n]*\n(?P<body>.*?)```',
     re.DOTALL)
+
+#: ``tests/<file>.py::<name>``, possibly broken across lines after ``::``.
+TEST_REF_RE = re.compile(r"(?<![\w/])(tests/[\w/]+\.py)::\s*(\w+)")
 
 EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -163,10 +169,25 @@ def check_includes(md_path: pathlib.Path, text: str,
                 f"the current source")
 
 
+def check_test_refs(md_path: pathlib.Path, text: str, problems: list[str],
+                    root: pathlib.Path = ROOT) -> None:
+    for match in TEST_REF_RE.finditer(text):
+        line = line_of(text, match.start())
+        path, name = match.groups()
+        test_file = root / path
+        if not test_file.is_file():
+            problems.append(f"{md_path}:{line}: cited test file {path!r} "
+                            f"missing")
+        elif not re.search(rf"\bdef {name}\b", test_file.read_text()):
+            problems.append(f"{md_path}:{line}: cited test "
+                            f"{path}::{name} not defined")
+
+
 def check_file(md_path: pathlib.Path, problems: list[str]) -> None:
     text = md_path.read_text()
     check_links(md_path, text, problems)
     check_includes(md_path, text, problems)
+    check_test_refs(md_path, text, problems)
 
 
 def default_files() -> list[pathlib.Path]:
