@@ -47,10 +47,6 @@ class StepAbortRequest(ReproError):
     """
 
 
-class AgentFinished(ReproError):
-    """Internal signal: the agent declared its job complete."""
-
-
 # ---------------------------------------------------------------------------
 # Transactional errors
 # ---------------------------------------------------------------------------
@@ -109,16 +105,6 @@ class UsageError(ReproError):
 
 class UnknownCompensation(UsageError):
     """An operation entry referenced a compensation op not in the registry."""
-
-
-class ForbiddenAccess(UsageError):
-    """Compensation code accessed data it is not allowed to touch.
-
-    Resource compensation entries must not access the agent; agent
-    compensation entries must not access resources; no compensating
-    operation may read or write strongly reversible objects (paper,
-    Sections 4.3 and 4.4.1).
-    """
 
 
 class ItineraryError(UsageError):

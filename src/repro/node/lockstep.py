@@ -38,9 +38,9 @@ A backend supplies only the hooks that differ:
   barrier;
 * :meth:`~LockstepWorld._idle_step` — work left when no kernel has an
   event due (a bridge flush, a staged inbox);
-* :meth:`~LockstepWorld._sync_records` — end-of-walk work (idle, or
-  stopped by ``until``): the process backend pulls its workers' agent
-  records;
+* :meth:`~LockstepWorld._sync_records` — work before each return of
+  ``run()`` or ``step_epoch()``: the process backend pulls its workers'
+  agent records;
 * :meth:`~LockstepWorld._journal_digest` — the execution digest each
   commit marker carries;
 * :meth:`~LockstepWorld._owner_of` and
@@ -205,8 +205,9 @@ class LockstepWorld:
         return False
 
     def _sync_records(self) -> None:
-        """Catch the facade's agent records up when a walk stops (they
-        are live in-process, so nothing to do here)."""
+        """Catch the facade's agent records up before ``run()`` or
+        ``step_epoch()`` returns (they are live in-process, so nothing
+        to do here)."""
 
     def _journal_digest(self) -> tuple:
         """Per-kernel event counts at the barrier — the commit digest."""
@@ -273,7 +274,6 @@ class LockstepWorld:
         if barrier is None or (until is not None and barrier > until):
             # Idle, or the cut: a barrier past ``until`` is not walked —
             # nothing runs, routes or commits, and no clock moves.
-            self._sync_records()
             return False
         revivals = [outage for outage in due if outage.restart_at <= barrier]
         for outage in revivals:
@@ -315,6 +315,7 @@ class LockstepWorld:
         replay = iter(_replay) if _replay is not None else None
         for _ in range(MAX_EPOCHS):
             if not self._step(until, max_events, replay):
+                self._sync_records()
                 return
         raise UsageError(
             f"run exceeded {MAX_EPOCHS} epochs; likely livelock")
@@ -332,7 +333,9 @@ class LockstepWorld:
         (still True).  Idle calls are repeatable; a later
         :meth:`launch` makes the next call True again.
         """
-        return self._step(None, max_events)
+        progressed = self._step(None, max_events)
+        self._sync_records()
+        return progressed
 
     # -- journal / kill seams --------------------------------------------------------
 

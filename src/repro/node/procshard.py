@@ -71,27 +71,29 @@ Entangled workloads and the serial turn schedule
 ------------------------------------------------
 
 Fault-tolerant runs read *live* foreign state mid-epoch: quorum claim
-locks and reads against every shard's ledger replica.  (Foreign-node
-liveness and shard suspension are not live reads: on both backends
-they come from the barrier view,
+locks and reads against every shard's ledger replica.  Nothing else
+does.  Foreign-node liveness and shard suspension are not live reads:
+on both backends they come from the barrier view,
 :class:`~repro.node.sharded.BarrierView`, taken at the barrier before
 any shard runs; it rides each epoch command that finds the shard
 holding an older one, and a shard's down-node set reaches the
-coordinator in its reply state whenever it moved.)  Running such
-epochs in parallel would make the claim reads race — and with them the
-promotion-vs-primary claim arbitration, which must be deterministic
-(the winner decides *where* effects land).  The driver therefore picks
-a schedule per run:
+coordinator in its reply state whenever it moved.  Step alternates
+matter only to fault-tolerant shadows and diversion.  Running
+fault-tolerant epochs in parallel would make the claim reads race —
+and with them the promotion-vs-primary claim arbitration, which must
+be deterministic (the winner decides *where* effects land).  The
+driver therefore picks a schedule per run:
 
-* **parallel epochs** — when the workload is *independent* (no
-  fault-tolerant agents, no failure injection, no shard outages): no
-  mid-epoch foreign reads exist, every worker advances concurrently,
-  and the run is byte-identical to the in-process one.
-* **serial turns** — when the workload is *entangled*: within each
-  epoch the workers take turns in shard order, exactly like the
-  in-process driver.  Each turn ships barrier-fresh views of every
-  foreign replica's claims and open claim locks (served locally by
-  :class:`RemoteShardContext`), and returns the worker's own dumps.
+* **parallel epochs** — until the run's first fault-tolerant launch,
+  crash plans, shard outages and alternates included: no mid-epoch
+  foreign reads exist, every worker advances concurrently, and the
+  run is byte-identical to the in-process one.
+* **serial turns** — from the first fault-tolerant launch on, when the
+  workload is *entangled*: within each epoch the workers take turns in
+  shard order, exactly like the in-process driver.  Each turn ships
+  barrier-fresh views of every foreign replica's claims and open claim
+  locks (served locally by :class:`RemoteShardContext`), and returns
+  the worker's own dumps.
   Both directions travel as deltas: a dump ships only the worker's
   parts that moved since its last dump, and a view only the foreign
   parts that moved since the worker's last turn (the first dispatch
@@ -105,9 +107,9 @@ a schedule per run:
   turns, every foreign read returns exactly what the in-process live
   read would — the two backends walk the same event sequence.
 
-The schedule is not a knob: the workload selects it, and a run switches
-from parallel epochs to serial turns for good the first time it becomes
-entangled.
+The schedule is not a knob.  The rule, stated once: a run takes serial
+turns from its first fault-tolerant launch (:meth:`ProcShardedWorld.
+_ship_launch`) for good, and never for any other reason.
 
 Process-picklability contract
 -----------------------------
@@ -1019,7 +1021,6 @@ class ProcShardedWorld(ShardCoordinator):
         return self._handles[shard].now
 
     def _schedule_kill(self, shard: int, at: float) -> None:
-        self._entangled = True
         self._handles[shard].request("kill", {"at": at})
 
     def shard_suspended(self, shard: int) -> bool:
@@ -1077,7 +1078,6 @@ class ProcShardedWorld(ShardCoordinator):
         return tuple(handle.events for handle in self._handles)
 
     def _apply_crash_plans(self, plans: list) -> None:
-        self._entangled = True
         by_shard: dict[int, list] = {}
         for plan in plans:
             by_shard.setdefault(self.shard_of(plan.node), []).append(plan)
@@ -1091,7 +1091,6 @@ class ProcShardedWorld(ShardCoordinator):
         return NodeProxy(self, name, self.shard_of(name))
 
     def _set_alternates(self, node: str, alternates: tuple[str, ...]) -> None:
-        self._entangled = True
         for handle in self._handles:
             handle.request("set_alternates",
                            {"node": node, "alternates": alternates})
@@ -1144,9 +1143,12 @@ class ProcShardedWorld(ShardCoordinator):
 
     def _sync_records(self) -> None:
         """Pull every worker's pending record deltas into the merged
-        table (end of a walk, idle or cut: the independent-epoch
-        schedule ships records with migrating agents, not per epoch, so
-        the coordinator's inspection copies catch up here)."""
+        table (each return of ``run()`` and ``step_epoch()``: parallel
+        epochs ship records with migrating agents, not per epoch, so the
+        coordinator's inspection copies catch up here).  Serial turns
+        already ship every moved record in each reply: nothing to pull."""
+        if self._entangled:
+            return
         for handle in self._handles:
             try:
                 deltas = handle.fetch("record_deltas")
@@ -1232,10 +1234,12 @@ class ProcShardedWorld(ShardCoordinator):
         Broadcast records alone earn no turn either: they stay in
         ``_pending_records`` and ride the shard's next ``epoch`` or
         ``launch`` command, which merges them before it runs any event
-        — and only an executing event reads a record.  In serial mode
-        each shard's turn completes — and its dumps merge into the
-        canonical views — before the next shard starts, which is what
-        keeps entangled runs identical to the in-process schedule.
+        — and only an executing event reads a record.  A run takes
+        serial turns from its first fault-tolerant launch on, and only
+        then (see the module docstring): each shard's turn completes —
+        and its dumps merge into the canonical views — before the next
+        shard starts, which is what keeps its claim reads identical to
+        the in-process schedule.
         """
         targets = []
         for shard, handle in enumerate(self._handles):

@@ -110,14 +110,6 @@ class AgentInputQueue:
         tx.register_undo(_undo)
         return item
 
-    def remove(self, item_id: int, tx: Optional[Transaction] = None) -> QueueItem:
-        """Remove a specific item (used to discard stale FT shadow copies)."""
-        index = self._index_of(item_id)
-        item = self._items.pop(index)
-        if tx is not None:
-            tx.register_undo(lambda: self._items.insert(index, item))
-        return item
-
     def _index_of(self, item_id: int) -> int:
         for i, item in enumerate(self._items):
             if item.item_id == item_id:

@@ -46,6 +46,12 @@ def run_kill_quorum(backend):
     """Shard 0 claims work id 7, then dies in the same epoch; quorums on
     shards 1 and 2 read the claim."""
     world = BACKENDS[backend](n_shards=3, seed=1, epoch=EPOCH)
+    if backend == "proc":
+        # The probes reach the ledger through ``ctx._node.world.ft`` as
+        # basic-protocol agents, which no production path does: only a
+        # fault-tolerant launch puts a run on serial turns, so put this
+        # one there by hand to give their claim reads live views.
+        world._entangled = True
     try:
         world.enable_trace_digest()
         world.add_nodes("n0", "n1", "n2")

@@ -494,6 +494,42 @@ def test_a_cut_syncs_the_agent_records(proc_worlds):
     worlds[1].close()
 
 
+def _stepped_until_finished(backend, agent_id):
+    """Launch a 40-step tour and then a 2-step one, step the world one
+    barrier at a time, and return the call after which ``agent_id``'s
+    record reads finished (None when only the idle walk shows it)."""
+    from repro.service import LaunchSpec, WorldSpec, build_world, \
+        resolve_launch
+
+    spec = WorldSpec(backend=backend, nodes=4, n_shards=2, seed=1,
+                     journal="none")
+    world, _journal = build_world(spec)
+    try:
+        for name, steps in (("long", 40), ("short", 2)):
+            launch = resolve_launch(LaunchSpec(agent_id=name, steps=steps),
+                                    spec, name)
+            world.launch(launch.agent, at=launch.at, method=launch.method,
+                         **launch.kwargs)
+        calls = 0
+        while world.step_epoch():
+            calls += 1
+            if world.record_of(agent_id).status is AgentStatus.FINISHED:
+                return calls
+        return None
+    finally:
+        world.close()
+
+
+def test_step_epoch_returns_with_the_records_current():
+    """Parallel epochs ship records with migrating agents, so every
+    ``step_epoch()`` return pulls the workers' copies: a finished agent
+    reads finished at the same call as in-process, not once the long
+    tour beside it has gone idle."""
+    inproc = _stepped_until_finished("sharded", "short")
+    assert inproc is not None
+    assert _stepped_until_finished("proc", "short") == inproc
+
+
 def test_resource_state_returns_worker_side_snapshot(proc_worlds):
     world = run_swarm(build(proc_worlds(n_shards=2, seed=7)))
     bank = world.resource_state("n0", "bank")

@@ -18,8 +18,12 @@ subprocess on a free port:
 3. malformed requests are answered, and the server serves on: a
    non-numeric and a negative ``Content-Length`` get 400, a 70 KiB
    request head gets 413, and the launch above runs after them;
-4. SIGTERM drains gracefully: exit code 0, the drain banner printed;
-5. nothing leaks: no orphan ``multiprocessing`` spawn workers, no
+4. outcomes are not held back: in a second process-backed world, a
+   2-step tour launched after a 40-step one streams its ``agent``
+   event first, at the barrier where it finished, not once the world
+   goes idle;
+5. SIGTERM drains gracefully: exit code 0, the drain banner printed;
+6. nothing leaks: no orphan ``multiprocessing`` spawn workers, no
    stale ``psm_*`` shared-memory segments.
 
 Exit status 0 on success; any failure raises with a diagnosis.
@@ -39,6 +43,10 @@ import urllib.request
 WORLD_SPEC = {"backend": "proc", "nodes": 4, "n_shards": 2, "seed": 19}
 LAUNCH_SPEC = {"steps": 6, "mode": "optimized", "mixed_fraction": 0.25,
                "agent_id": "smoke-1"}
+#: Launched in this order into a second world: the short tour's outcome
+#: must stream before the long one's.
+LATE_LAUNCHES = [{"steps": 40, "agent_id": "smoke-long"},
+                 {"steps": 2, "agent_id": "smoke-short"}]
 #: Request heads the gateway must answer with a 4xx, not a dropped
 #: connection: (what, extra header line, expected status).
 MALFORMED = [
@@ -67,10 +75,11 @@ def raw_status(base: str, data: bytes):
     return int(reply.split(b" ", 2)[1]) if reply else None
 
 
-def stream_until_agent(base: str, world_id: str, agent_id: str):
-    """Follow the SSE stream until ``agent_id``'s terminal event;
-    returns its outcome and every ``id:`` read up to it."""
-    ids = []
+def stream_until_agents(base: str, world_id: str, agent_ids: set):
+    """Follow the SSE stream until every agent in ``agent_ids`` has its
+    terminal event; returns their outcomes in arrival order and every
+    ``id:`` read up to the last."""
+    ids, outcomes = [], {}
     with urllib.request.urlopen(f"{base}/worlds/{world_id}/events",
                                 timeout=120) as resp:
         event = None
@@ -82,9 +91,11 @@ def stream_until_agent(base: str, world_id: str, agent_id: str):
                 ids.append(int(line.split(":", 1)[1]))
             elif line.startswith("data:") and event == "agent":
                 data = json.loads(line.split(":", 1)[1])
-                if data.get("agent") == agent_id:
-                    return data, ids
-    raise AssertionError("SSE stream ended before the agent event")
+                if data.get("agent") in agent_ids:
+                    outcomes[data["agent"]] = data
+                    if len(outcomes) == len(agent_ids):
+                        return outcomes, ids
+    raise AssertionError("SSE stream ended before the agent events")
 
 
 def scripted_run():
@@ -149,7 +160,8 @@ def main() -> int:
         print(f"launched {agent_id} into {world_id} "
               f"({WORLD_SPEC['backend']} backend)")
 
-        streamed, ids = stream_until_agent(base, world_id, agent_id)
+        streamed, ids = stream_until_agents(base, world_id, {agent_id})
+        streamed = streamed[agent_id]
         assert streamed["status"] == "finished", streamed
         # Batched delivery keeps the feed gap-free and in seq order.
         assert ids == list(range(1, len(ids) + 1)), \
@@ -174,6 +186,17 @@ def main() -> int:
             (drained["trace_digests"], want_digests)
         print(f"parity: outcomes + trace digests {want_digests} "
               f"match the scripted run")
+
+        late_world = request(base, "POST", "/worlds", WORLD_SPEC)["world"]
+        for spec in LATE_LAUNCHES:
+            request(base, "POST", f"/worlds/{late_world}/launch", spec)
+        arrived, _ids = stream_until_agents(
+            base, late_world, {spec["agent_id"] for spec in LATE_LAUNCHES})
+        order = list(arrived)
+        assert order == ["smoke-short", "smoke-long"], \
+            f"outcomes streamed in order {order}: the short tour's waited"
+        request(base, "DELETE", f"/worlds/{late_world}")
+        print(f"late outcomes: {order[0]} streamed before {order[1]}")
 
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=120)
